@@ -3,7 +3,7 @@ Information while guaranteeing a per-frame delivery floor for a
 deadline-constrained user, via a virtual-queue drift-plus-penalty controller
 whose per-frame problem is solved exactly by backward dynamic programming."""
 
-from ._kernels import BACKEND, available_backends
+from ._kernels import BACKEND
 from .channel import (
     BAD,
     GOOD,
@@ -51,11 +51,9 @@ from .solver import (
     InfeasibleActionError,
     PolicyTable,
     StateSpace,
-    TransitionEntry,
     UnknownStateError,
     backward_solve,
     build_kernel,
-    policy_lookup,
     stage_cost,
 )
 

@@ -1,8 +1,9 @@
 """Backward-DP inner loops: compiled core with a NumPy fallback.
 
-The compiled extension is preferred when it built; `BACKEND` names the
-default selected at import time. Both implementations share one contract
-(see _dp_numpy.solve_backward) and produce bit-identical tables.
+The kernel is chosen once, at import: the compiled extension when it built,
+the NumPy fallback otherwise. `BACKEND` names the choice; there is no
+per-call override. Both implementations share one contract (see
+_dp_numpy.solve_backward) and produce bit-identical tables.
 """
 
 from __future__ import annotations
@@ -17,17 +18,6 @@ except ImportError:  # extension not built; NumPy path carries the load
 BACKEND = "cython" if _dp_cython is not None else "numpy"
 
 
-def available_backends() -> tuple[str, ...]:
-    return ("cython", "numpy") if _dp_cython is not None else ("numpy",)
-
-
-def get_solver(backend: str | None = None):
-    """Resolve a backend name ("cython", "numpy" or None for the default)."""
-    name = backend or BACKEND
-    if name == "numpy":
-        return _dp_numpy.solve_backward
-    if name == "cython":
-        if _dp_cython is None:
-            raise RuntimeError("compiled kernel not built; rebuild or use backend='numpy'")
-        return _dp_cython.solve_backward
-    raise ValueError(f"unknown backend {name!r}")
+def get_solver():
+    """The frame kernel selected at import."""
+    return (_dp_cython or _dp_numpy).solve_backward

@@ -235,6 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_cli(args: argparse.Namespace) -> int:
     try:
+        if args.thin < 1:
+            raise ValueError(f"--thin must be >= 1, got {args.thin}")
         cfg = preset(args.preset) if args.preset else load_config(args.config)
         v_list = None
         if args.v_list is not None:

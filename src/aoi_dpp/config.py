@@ -7,6 +7,7 @@ parse -> render -> parse yields an identical config.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -244,10 +245,14 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(
             f"must be >= T={cfg.T}, got {cfg.horizon_slots}", "horizon_slots"
         )
+    if cfg.seed < 0:
+        raise ConfigError(f"must be >= 0, got {cfg.seed}", "seed")
     if cfg.replications < 1:
         raise ConfigError("must be >= 1", "replications")
-    if cfg.z_cache_bucket < 0:
-        raise ConfigError("must be >= 0", "z_cache_bucket")
+    if not 0 <= cfg.z_cache_bucket < math.inf:
+        raise ConfigError(
+            f"must be finite and >= 0, got {cfg.z_cache_bucket}", "z_cache_bucket"
+        )
     if not 0 <= cfg.warmup_slots <= cfg.horizon_slots - cfg.T:
         raise ConfigError(
             f"must be in [0, horizon_slots - T], got {cfg.warmup_slots}",

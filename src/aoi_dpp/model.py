@@ -4,6 +4,7 @@ refill/drop, the frame clock, and action feasibility."""
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 
@@ -14,10 +15,6 @@ class Action(enum.IntEnum):
     USER2 = 1
     IDLE = 2
 
-
-#: Preference order when frame costs tie: serve the deadline user first,
-#: then the freshness user, and idle only if nothing else is feasible.
-ACTION_PRIORITY = (Action.USER2, Action.USER1, Action.IDLE)
 
 ACTION_LABELS = {Action.USER1: "u1", Action.USER2: "u2", Action.IDLE: "idle"}
 
@@ -48,8 +45,8 @@ class FrameConfig:
             raise ValueError(f"q must satisfy 0 <= q <= K, got q={self.q}, K={self.K}")
         if self.A_max < 1:
             raise ValueError(f"A_max must be >= 1, got {self.A_max}")
-        if self.V < 0:
-            raise ValueError(f"V must be >= 0, got {self.V}")
+        if not 0 <= self.V < math.inf:
+            raise ValueError(f"V must be finite and >= 0, got {self.V}")
         if not 0 < self.discount <= 1:
             raise ValueError(f"discount must be in (0, 1], got {self.discount}")
 

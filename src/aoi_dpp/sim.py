@@ -129,7 +129,6 @@ def run_simulation(
     *,
     warmup_slots: int = 0,
     z_cache_bucket: float = 0.0,
-    backend: str | None = None,
     initial_channel: tuple[int, int] | None = None,
 ) -> Metrics:
     """Simulate `horizon_slots` slots and collect Metrics.
@@ -170,11 +169,7 @@ def run_simulation(
         m1 = m2 = 0
 
     dpp = policy == PolicyKind.DRIFT_PLUS_PENALTY
-    frame_solver = (
-        FrameSolver(cfg, model, backend=backend, z_bucket=z_cache_bucket)
-        if dpp
-        else None
-    )
+    frame_solver = FrameSolver(cfg, model, z_bucket=z_cache_bucket) if dpp else None
     table_actions = None
     kq = K + 1
     mem_count = 4 if ge else 1

@@ -10,6 +10,7 @@ frame-boundary queue refill never enters the DP state space.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -215,15 +216,14 @@ class FrameSolver:
         self,
         cfg: FrameConfig,
         model: ChannelModel,
-        backend: str | None = None,
         z_bucket: float = 0.0,
     ):
         self.cfg = cfg
         self.model = model
         self.space = StateSpace(cfg, model)
-        self._solve_kernel = _kernels.get_solver(backend)
-        if z_bucket < 0:
-            raise ValueError(f"z_bucket must be >= 0, got {z_bucket}")
+        self._solve_kernel = _kernels.get_solver()
+        if not 0 <= z_bucket < math.inf:
+            raise ValueError(f"z_bucket must be finite and >= 0, got {z_bucket}")
         self.z_bucket = z_bucket
         self._cache: dict[float, PolicyTable] = {}
         self._build_arrays()
@@ -250,8 +250,8 @@ class FrameSolver:
                     self.probs[i, a, b] = entry.probability
 
     def solve(self, frozen_z: float) -> PolicyTable:
-        if frozen_z < 0:
-            raise ValueError(f"frozen_z must be >= 0, got {frozen_z}")
+        if not 0 <= frozen_z < math.inf:
+            raise ValueError(f"frozen_z must be finite and >= 0, got {frozen_z}")
         key = frozen_z
         if self.z_bucket > 0:
             key = round(frozen_z / self.z_bucket) * self.z_bucket
@@ -278,16 +278,6 @@ class FrameSolver:
         return table
 
 
-def backward_solve(
-    cfg: FrameConfig,
-    frozen_z: float,
-    model: ChannelModel,
-    backend: str | None = None,
-) -> PolicyTable:
+def backward_solve(cfg: FrameConfig, frozen_z: float, model: ChannelModel) -> PolicyTable:
     """Solve one frame exactly for the given frozen debt value."""
-    return FrameSolver(cfg, model, backend=backend).solve(frozen_z)
-
-
-def policy_lookup(table: PolicyTable, slot_in_frame: int, state: SystemState) -> Action:
-    """Action chosen by the table; raises UnknownStateError off the domain."""
-    return table.action(slot_in_frame, state)
+    return FrameSolver(cfg, model).solve(frozen_z)

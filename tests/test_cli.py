@@ -156,6 +156,24 @@ def test_unknown_preset_fails(capsys):
     assert "fig99" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--v-list", "nan"], "V"),
+        (["--v-list", "inf"], "V"),
+        (["--thin", "0"], "--thin"),
+        (["--seed", "-1"], "seed"),
+    ],
+    ids=["v-nan", "v-inf", "thin-zero", "seed-negative"],
+)
+def test_bad_arguments_fail_before_compute(small_cfg, tmp_path, capsys, flags, named):
+    out = tmp_path / "out"
+    assert main(["--config", str(small_cfg), "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert not out.exists()
+
+
 def test_parallel_matches_sequential(small_cfg, tmp_path, monkeypatch):
     seq = tmp_path / "seq"
     par = tmp_path / "par"

@@ -133,6 +133,22 @@ def test_overrides():
         with_overrides(cfg, horizon=7)  # below T
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text(BASIC.replace("seed = 3", "seed = -1"))
+    assert exc.value.key == "seed"
+    with pytest.raises(ConfigError) as exc:
+        with_overrides(preset("fig6"), seed=-1)
+    assert exc.value.key == "seed"
+
+
+@pytest.mark.parametrize("bucket", ["nan", "inf"])
+def test_non_finite_z_cache_bucket_rejected(bucket):
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text(BASIC + f"z_cache_bucket = {bucket}\n")
+    assert exc.value.key == "z_cache_bucket"
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError) as exc:
         load_config(tmp_path / "missing.cfg")

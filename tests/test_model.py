@@ -84,6 +84,12 @@ def test_frame_config_validation():
         FrameConfig(T=20, K=0, q=0.0, A_max=20, V=5.0)
 
 
+@pytest.mark.parametrize("v", [float("nan"), float("inf")])
+def test_frame_config_rejects_non_finite_v(v):
+    with pytest.raises(ValueError, match="finite"):
+        FrameConfig(T=20, K=15, q=12.0, A_max=20, V=v)
+
+
 def test_rho():
     assert FrameConfig(T=20, K=15, q=12.0, A_max=20, V=5.0).rho == pytest.approx(0.6)
     assert 0 <= FrameConfig(T=3, K=2, q=1.7, A_max=4, V=0.0).rho <= 1

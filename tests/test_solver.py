@@ -13,7 +13,6 @@ from aoi_dpp.solver import (
     UnknownStateError,
     backward_solve,
     build_kernel,
-    policy_lookup,
     stage_cost,
 )
 
@@ -93,8 +92,8 @@ def test_backward_solve_toy():
     table = backward_solve(TOY_CFG, 0.0, TOY_MODEL)
     s0 = SystemState(2, 1)
     assert table.value(0, s0) == pytest.approx(2.0, abs=1e-12)
-    assert policy_lookup(table, 0, s0) == Action.USER1
-    assert policy_lookup(table, 1, SystemState(1, 1)) == Action.USER1
+    assert table.action(0, s0) == Action.USER1
+    assert table.action(1, SystemState(1, 1)) == Action.USER1
 
 
 def test_backward_solve_degenerate_tie_break():
@@ -107,20 +106,20 @@ def test_backward_solve_degenerate_tie_break():
     assert table.action(0, SystemState(1, 0)) == Action.USER1
 
 
-def test_policy_lookup_domain_errors():
+def test_policy_table_action_domain_errors():
     table = backward_solve(TOY_CFG, 0.0, TOY_MODEL)
     with pytest.raises(UnknownStateError):
-        policy_lookup(table, TOY_CFG.T, SystemState(1, 1))
+        table.action(TOY_CFG.T, SystemState(1, 1))
     with pytest.raises(UnknownStateError):
-        policy_lookup(table, 0, SystemState(99, 1))
+        table.action(0, SystemState(99, 1))
     with pytest.raises(UnknownStateError):
-        policy_lookup(table, 0, SystemState(1, 1, (GOOD, GOOD)))
+        table.action(0, SystemState(1, 1, (GOOD, GOOD)))
 
 
 def test_reference_scenario_v0_schedules_user2_first():
     table = backward_solve(reference_cfg(0.0), 0.0, reference_model())
     for mem in ((GOOD, GOOD), (GOOD, BAD), (BAD, GOOD), (BAD, BAD)):
-        assert policy_lookup(table, 0, SystemState(1, 15, mem)) == Action.USER2
+        assert table.action(0, SystemState(1, 15, mem)) == Action.USER2
 
 
 def test_value_monotone_in_v():
@@ -180,6 +179,14 @@ def test_frame_solver_z_bucket_cache():
 def test_negative_frozen_z_rejected():
     with pytest.raises(ValueError):
         backward_solve(TOY_CFG, -0.1, TOY_MODEL)
+
+
+@pytest.mark.parametrize("z", [float("nan"), float("inf")])
+def test_non_finite_frozen_z_rejected(z):
+    with pytest.raises(ValueError, match="finite"):
+        FrameSolver(TOY_CFG, TOY_MODEL).solve(z)
+    with pytest.raises(ValueError, match="finite"):
+        FrameSolver(TOY_CFG, TOY_MODEL, z_bucket=z)
 
 
 def test_discounted_solve_matches_brute_force():
