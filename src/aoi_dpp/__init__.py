@@ -30,7 +30,6 @@ from .lyapunov import (
 from .model import (
     Action,
     FrameConfig,
-    Outcome,
     SystemState,
     feasible_actions,
     frame_offset,

@@ -20,15 +20,15 @@ from pathlib import Path
 from . import lyapunov
 from ._kernels import BACKEND
 from .config import (
-    ConfigError,
     ExperimentConfig,
     load_config,
+    parse_v_list,
     preset,
     with_overrides,
 )
 from .model import ACTION_LABELS, Action
-from .sim import Metrics, PolicyKind, run_simulation
-from .solver import FrameSolver
+from .sim import Metrics, run_simulation
+from .solver import PolicyTable
 
 
 @dataclass
@@ -127,9 +127,8 @@ def _write_summary(summary: RunSummary, path: Path) -> Path:
     return path
 
 
-def _write_policy_dump(cfg, model, out: Path) -> Path:
+def _write_policy_dump(table: PolicyTable, out: Path) -> Path:
     """Frame-0 policy table (solved at Z = 0), for debugging."""
-    table = FrameSolver(cfg, model).solve(0.0)
     path = out / "policy_frame0.csv"
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write("slot,aoi,queue,h1,h2,action,value\n")
@@ -140,13 +139,6 @@ def _write_policy_dump(cfg, model, out: Path) -> Path:
                 f"{ACTION_LABELS[action]},{value!r}\n"
             )
     return path
-
-
-def _cell_bounds(cfg: ExperimentConfig, v: float) -> dict | None:
-    try:
-        return lyapunov.bounds_report(cfg.frame_config(v), cfg.channel).to_dict()
-    except lyapunov.InfeasibleError:
-        return None
 
 
 def _run_cell(cfg: ExperimentConfig, v: float, seed: int, out_root: str,
@@ -163,6 +155,10 @@ def _run_cell(cfg: ExperimentConfig, v: float, seed: int, out_root: str,
         warmup_slots=cfg.warmup_slots,
         z_cache_bucket=cfg.z_cache_bucket,
     )
+    try:
+        bounds = lyapunov.bounds_report(frame_cfg, cfg.channel).to_dict()
+    except lyapunov.InfeasibleError:
+        bounds = None
     summary = RunSummary(
         config=cfg.echo(),
         V=v,
@@ -171,14 +167,14 @@ def _run_cell(cfg: ExperimentConfig, v: float, seed: int, out_root: str,
         mean_aoi=metrics.mean_aoi,
         per_frame_delivery_mean=metrics.delivery_mean,
         rate_stability_stat=metrics.rate_stability,
-        bounds=_cell_bounds(cfg, v),
+        bounds=bounds,
         warnings=list(metrics.warnings),
         wall_clock_s=time.perf_counter() - t0,
     )
     cell_dir = Path(out_root) / f"V{v:g}_seed{seed}"
     emit_outputs(metrics, summary, cell_dir, thin=thin)
-    if dump_policy and cfg.policy == PolicyKind.DRIFT_PLUS_PENALTY:
-        _write_policy_dump(frame_cfg, cfg.channel, cell_dir)
+    if dump_policy and metrics.frame0_policy is not None:
+        _write_policy_dump(metrics.frame0_policy, cell_dir)
     return v, seed, metrics.mean_aoi, summary.line()
 
 
@@ -238,24 +234,21 @@ def run_cli(args: argparse.Namespace) -> int:
         if args.thin < 1:
             raise ValueError(f"--thin must be >= 1, got {args.thin}")
         cfg = preset(args.preset) if args.preset else load_config(args.config)
-        v_list = None
-        if args.v_list is not None:
-            v_list = tuple(float(tok) for tok in args.v_list.replace(",", " ").split())
-            if not v_list:
-                raise ConfigError("empty value", "V")
         cfg = with_overrides(
             cfg,
             seed=args.seed,
             horizon=args.horizon,
             out_dir=args.out,
-            v_list=v_list,
+            v_list=None if args.v_list is None else parse_v_list(args.v_list),
         )
-    except (ConfigError, ValueError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 
-    infeasible = [v for v in cfg.V if _cell_bounds(cfg, v) is None]
-    if infeasible:
+    # Feasibility depends on the channel, T and q only, not on V.
+    try:
+        lyapunov.slackness_epsilon(cfg.channel, cfg.T, cfg.q)
+    except lyapunov.InfeasibleError:
         msg = (
             f"delivery target q={cfg.q:g} has no slackness certificate for this channel"
         )

@@ -3,12 +3,15 @@
 Grammar: one `key = value` per line, `#` starts a comment, dotted keys for the
 channel block. Unknown keys are rejected by name. The echo form round-trips:
 parse -> render -> parse yields an identical config.
+
+`ExperimentConfig` is the schema: each key's name, type and default is its
+field's, and the `channel.*` keys are the fields of the channel classes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 from .channel import ChannelModel, GilbertElliotChannel, IIDChannel
@@ -24,47 +27,22 @@ class ConfigError(ValueError):
         self.key = key
 
 
-_INT_KEYS = {"T", "K", "A_max", "horizon_slots", "seed", "replications", "warmup_slots"}
-_FLOAT_KEYS = {"q", "discount", "z_cache_bucket"}
-_CHANNEL_PROB_KEYS = {
-    "channel.p1",
-    "channel.p2",
-    "channel.p11_1",
-    "channel.p01_1",
-    "channel.p11_2",
-    "channel.p01_2",
-}
-_STRING_KEYS = {"channel.type", "policy", "out_dir"}
-KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | _CHANNEL_PROB_KEYS | _STRING_KEYS | {"V"}
-
-_DEFAULTS = {
-    "discount": 1.0,
-    "seed": 1,
-    "replications": 1,
-    "policy": "drift_plus_penalty",
-    "z_cache_bucket": 0.0,
-    "warmup_slots": 0,
-    "out_dir": None,
-}
-_REQUIRED = ("T", "K", "q", "A_max", "V", "channel.type", "horizon_slots")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
     T: int
     K: int
     q: float
     A_max: int
     V: tuple[float, ...]
-    discount: float
-    channel: ChannelModel
+    discount: float = 1.0
+    channel: ChannelModel  # the keys channel.type and channel.<field>
     horizon_slots: int
-    seed: int
-    replications: int
-    policy: PolicyKind
-    z_cache_bucket: float
-    warmup_slots: int
-    out_dir: str | None
+    seed: int = 1
+    replications: int = 1
+    policy: PolicyKind = PolicyKind.DRIFT_PLUS_PENALTY
+    z_cache_bucket: float = 0.0
+    warmup_slots: int = 0
+    out_dir: str | None = None
 
     def frame_config(self, v: float) -> FrameConfig:
         return FrameConfig(self.T, self.K, self.q, self.A_max, v, self.discount)
@@ -77,35 +55,42 @@ class ExperimentConfig:
 
     def echo(self) -> dict:
         """Flat key/value form, identical to the accepted file keys."""
-        out: dict = {
-            "T": self.T,
-            "K": self.K,
-            "q": self.q,
-            "A_max": self.A_max,
-            "V": list(self.V),
-            "discount": self.discount,
-        }
-        if isinstance(self.channel, IIDChannel):
-            out["channel.type"] = "iid"
-            out["channel.p1"] = self.channel.p1
-            out["channel.p2"] = self.channel.p2
-        else:
-            out["channel.type"] = "gilbert_elliot"
-            out["channel.p11_1"] = self.channel.p11_1
-            out["channel.p01_1"] = self.channel.p01_1
-            out["channel.p11_2"] = self.channel.p11_2
-            out["channel.p01_2"] = self.channel.p01_2
-        out.update(
-            horizon_slots=self.horizon_slots,
-            seed=self.seed,
-            replications=self.replications,
-            policy=self.policy.value,
-            z_cache_bucket=self.z_cache_bucket,
-            warmup_slots=self.warmup_slots,
-        )
-        if self.out_dir is not None:
-            out["out_dir"] = self.out_dir
+        out: dict = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "channel":
+                out["channel.type"] = _CHANNEL_TYPES[type(value)]
+                for c in fields(value):
+                    out[f"channel.{c.name}"] = getattr(value, c.name)
+            elif isinstance(value, tuple):
+                out[f.name] = list(value)
+            elif isinstance(value, PolicyKind):
+                out[f.name] = value.value
+            elif value is not None:
+                out[f.name] = value
         return out
+
+
+def parse_v_list(text: str) -> tuple[float, ...]:
+    """V values separated by commas and/or whitespace."""
+    try:
+        return tuple(float(tok) for tok in text.replace(",", " ").split())
+    except ValueError:
+        raise ConfigError(f"cannot parse V list {text!r}", "V") from None
+
+
+_CHANNELS = {"iid": IIDChannel, "gilbert_elliot": GilbertElliotChannel}
+_CHANNEL_TYPES = {cls: name for name, cls in _CHANNELS.items()}
+
+# Text parser per field annotation (a string, under `from __future__ import
+# annotations`). The other keys stay strings until the parser checks them.
+_PARSERS = {"int": int, "float": float, "tuple[float, ...]": parse_v_list}
+_SCALARS = {
+    "channel.type": str,
+    **{f"channel.{f.name}": _PARSERS[f.type] for c in _CHANNELS.values() for f in fields(c)},
+    **{f.name: _PARSERS.get(f.type, str) for f in fields(ExperimentConfig) if f.name != "channel"},
+}
+KNOWN_KEYS = set(_SCALARS)
 
 
 def render_config(cfg: ExperimentConfig) -> str:
@@ -116,17 +101,6 @@ def render_config(cfg: ExperimentConfig) -> str:
             value = " ".join(repr(float(v)) for v in value)
         lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
-
-
-def _parse_scalar(key: str, raw: str):
-    try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS or key in _CHANNEL_PROB_KEYS:
-            return float(raw)
-    except ValueError:
-        raise ConfigError(f"cannot parse {raw!r}", key) from None
-    return raw
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -146,95 +120,60 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError("empty value", key)
         raw[key] = value
 
-    for key in _REQUIRED:
-        if key not in raw:
+    for f in fields(ExperimentConfig):
+        key = "channel.type" if f.name == "channel" else f.name
+        if f.default is MISSING and key not in raw:
             raise ConfigError("required key missing", key)
 
     values: dict = {}
     for key, raw_value in raw.items():
-        if key == "V":
-            try:
-                values["V"] = tuple(
-                    float(tok) for tok in raw_value.replace(",", " ").split()
-                )
-            except ValueError:
-                raise ConfigError(f"cannot parse V list {raw_value!r}", "V") from None
-        else:
-            values[key] = _parse_scalar(key, raw_value)
-    return _build(values)
-
-
-def _build(values: dict) -> ExperimentConfig:
-    merged = dict(_DEFAULTS)
-    merged.update(values)
-
-    channel_type = merged.pop("channel.type")
-    prob = {k: merged.pop(k) for k in list(merged) if k.startswith("channel.")}
-    try:
-        if channel_type == "iid":
-            extra = set(prob) - {"channel.p1", "channel.p2"}
-            if extra:
-                raise ConfigError("not an iid channel key", sorted(extra)[0])
-            channel: ChannelModel = IIDChannel(
-                p1=_require(prob, "channel.p1"),
-                p2=_require(prob, "channel.p2"),
-            )
-        elif channel_type == "gilbert_elliot":
-            extra = set(prob) - {
-                "channel.p11_1", "channel.p01_1", "channel.p11_2", "channel.p01_2",
-            }
-            if extra:
-                raise ConfigError("not a gilbert_elliot channel key", sorted(extra)[0])
-            channel = GilbertElliotChannel(
-                p11_1=_require(prob, "channel.p11_1"),
-                p01_1=_require(prob, "channel.p01_1"),
-                p11_2=_require(prob, "channel.p11_2"),
-                p01_2=_require(prob, "channel.p01_2"),
-            )
-        else:
-            raise ConfigError(
-                f"must be 'iid' or 'gilbert_elliot', got {channel_type!r}",
-                "channel.type",
-            )
-    except ValueError as err:
-        if isinstance(err, ConfigError):
+        try:
+            values[key] = _SCALARS[key](raw_value)
+        except ConfigError:
             raise
+        except ValueError:
+            raise ConfigError(f"cannot parse {raw_value!r}", key) from None
+
+    channel_type = values.pop("channel.type")
+    cls = _CHANNELS.get(channel_type)
+    if cls is None:
+        raise ConfigError(
+            f"must be 'iid' or 'gilbert_elliot', got {channel_type!r}",
+            "channel.type",
+        )
+    probs = {
+        key.removeprefix("channel."): values.pop(key)
+        for key in [k for k in values if k.startswith("channel.")]
+    }
+    names = [f.name for f in fields(cls)]
+    extra = sorted(set(probs) - set(names))
+    if extra:
+        article = "an" if channel_type == "iid" else "a"
+        raise ConfigError(
+            f"not {article} {channel_type} channel key", f"channel.{extra[0]}"
+        )
+    for name in names:
+        if name not in probs:
+            raise ConfigError("required for this channel type", f"channel.{name}")
+    try:
+        values["channel"] = cls(**probs)
+    except ValueError as err:
         raise ConfigError(str(err), "channel") from None
 
-    try:
-        policy = PolicyKind.parse(merged["policy"])
-    except ValueError as err:
-        raise ConfigError(str(err), "policy") from None
+    if "policy" in values:
+        try:
+            values["policy"] = PolicyKind.parse(values["policy"])
+        except ValueError as err:
+            raise ConfigError(str(err), "policy") from None
 
-    if not merged["V"]:
-        raise ConfigError("needs at least one value", "V")
-    cfg = ExperimentConfig(
-        T=merged["T"],
-        K=merged["K"],
-        q=merged["q"],
-        A_max=merged["A_max"],
-        V=tuple(merged["V"]),
-        discount=merged["discount"],
-        channel=channel,
-        horizon_slots=merged["horizon_slots"],
-        seed=merged["seed"],
-        replications=merged["replications"],
-        policy=policy,
-        z_cache_bucket=merged["z_cache_bucket"],
-        warmup_slots=merged["warmup_slots"],
-        out_dir=merged["out_dir"],
-    )
+    cfg = ExperimentConfig(**values)
     _validate(cfg)
     return cfg
 
 
-def _require(prob: dict, key: str) -> float:
-    if key not in prob:
-        raise ConfigError("required for this channel type", key)
-    return prob[key]
-
-
 def _validate(cfg: ExperimentConfig) -> None:
+    if not cfg.V:
+        raise ConfigError("needs at least one value", "V")
     # FrameConfig re-checks the model invariants for every V value.
     for v in cfg.V:
         try:
@@ -258,6 +197,13 @@ def _validate(cfg: ExperimentConfig) -> None:
             f"must be in [0, horizon_slots - T], got {cfg.warmup_slots}",
             "warmup_slots",
         )
+    # summary.json echoes out_dir, and the echo must parse back to this config.
+    out = cfg.out_dir
+    if out is not None and ("#" in out or out != out.strip() or len(out.splitlines()) != 1):
+        raise ConfigError(
+            f"must be one line without '#' or surrounding whitespace, got {out!r}",
+            "out_dir",
+        )
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -269,34 +215,21 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return parse_config_text(text)
 
 
-def _reference_scenario(v_values: tuple[float, ...], replications: int = 1) -> ExperimentConfig:
-    """The simulation-study scenario: symmetric Gilbert-Elliot links with
-    p11 = 0.9 / p01 = 0.6, T = 20, K = 15, q = 12, A_max = 20, half a million
-    slots."""
-    return ExperimentConfig(
-        T=20,
-        K=15,
-        q=12.0,
-        A_max=20,
-        V=tuple(float(v) for v in v_values),
-        discount=1.0,
-        channel=GilbertElliotChannel(p11_1=0.9, p01_1=0.6, p11_2=0.9, p01_2=0.6),
-        horizon_slots=500_000,
-        seed=1,
-        replications=replications,
-        policy=PolicyKind.DRIFT_PLUS_PENALTY,
-        z_cache_bucket=0.0,
-        warmup_slots=0,
-        out_dir=None,
-    )
-
+# The simulation-study scenario: symmetric Gilbert-Elliot links with
+# p11 = 0.9 / p01 = 0.6, T = 20, K = 15, q = 12, A_max = 20, half a million
+# slots. The presets differ only in the V sweep and the replications.
+_REFERENCE = ExperimentConfig(
+    T=20, K=15, q=12.0, A_max=20, V=(0.0, 5.0, 10.0, 100.0, 150.0),
+    channel=GilbertElliotChannel(p11_1=0.9, p01_1=0.6, p11_2=0.9, p01_2=0.6),
+    horizon_slots=500_000,
+)
 
 PRESETS: dict[str, ExperimentConfig] = {
-    "fig4a": _reference_scenario((0, 5, 10, 100, 150), replications=5),
-    "fig4bc": _reference_scenario((0, 5, 10, 100, 150)),
-    "fig5": _reference_scenario((5, 150)),
-    "fig6": _reference_scenario((0, 5, 10, 100)),
-    "fig7": _reference_scenario((0, 5, 10, 100)),
+    "fig4a": replace(_REFERENCE, replications=5),
+    "fig4bc": _REFERENCE,
+    "fig5": replace(_REFERENCE, V=(5.0, 150.0)),
+    "fig6": replace(_REFERENCE, V=(0.0, 5.0, 10.0, 100.0)),
+    "fig7": replace(_REFERENCE, V=(0.0, 5.0, 10.0, 100.0)),
 }
 
 
@@ -318,15 +251,12 @@ def with_overrides(
     v_list: tuple[float, ...] | None = None,
 ) -> ExperimentConfig:
     """Apply CLI overrides and re-validate."""
-    kwargs: dict = {}
-    if seed is not None:
-        kwargs["seed"] = seed
-    if horizon is not None:
-        kwargs["horizon_slots"] = horizon
-    if out_dir is not None:
-        kwargs["out_dir"] = out_dir
-    if v_list is not None:
-        kwargs["V"] = tuple(float(v) for v in v_list)
-    updated = replace(cfg, **kwargs)
+    given = {
+        "seed": seed,
+        "horizon_slots": horizon,
+        "out_dir": out_dir,
+        "V": None if v_list is None else tuple(float(v) for v in v_list),
+    }
+    updated = replace(cfg, **{k: v for k, v in given.items() if v is not None})
     _validate(updated)
     return updated

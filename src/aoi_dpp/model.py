@@ -69,14 +69,6 @@ class SystemState:
     channel_mem: tuple[int, int] | None = None
 
 
-@dataclass(frozen=True)
-class Outcome:
-    """Delivery indicators for one slot; d_i can be 1 only if user i was scheduled."""
-
-    d1: int
-    d2: int
-
-
 def frame_offset(t: int, T: int) -> int:
     """Slots elapsed since the current frame started; 0 marks a frame start."""
     if t < 0 or T < 1:

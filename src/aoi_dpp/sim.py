@@ -33,7 +33,7 @@ from .model import (
     step_aoi,
     step_queue,
 )
-from .solver import FrameSolver
+from .solver import FrameSolver, PolicyTable
 
 
 class PolicyKind(enum.Enum):
@@ -74,10 +74,11 @@ class Metrics:
     d1: np.ndarray
     d2: np.ndarray
     z_trajectory: np.ndarray
-    avg_aoi_running: np.ndarray
     per_frame_deliveries: np.ndarray
     aoi_histogram: np.ndarray
     schedule_fractions: np.ndarray
+    #: The controller's first table, solved at Z = 0; None for baselines.
+    frame0_policy: PolicyTable | None = None
     warnings: list[str] = field(default_factory=list)
 
     @property
@@ -170,7 +171,7 @@ def run_simulation(
 
     dpp = policy == PolicyKind.DRIFT_PLUS_PENALTY
     frame_solver = FrameSolver(cfg, model, z_bucket=z_cache_bucket) if dpp else None
-    table_actions = None
+    table_actions = frame0_policy = None
     kq = K + 1
     mem_count = 4 if ge else 1
 
@@ -186,7 +187,10 @@ def run_simulation(
     for t in range(horizon_slots):
         j = frame_offset(t, T)
         if dpp and j == 0:
-            table_actions = frame_solver.solve(z).actions
+            table = frame_solver.solve(z)
+            table_actions = table.actions
+            if t == 0:
+                frame0_policy = table
         aoi_arr[t] = aoi
         queue_arr[t] = queue
         z_arr[t] = z
@@ -224,7 +228,6 @@ def run_simulation(
     frames = horizon_slots // T
     per_frame = d2_arr[: frames * T].reshape(frames, T).sum(axis=1).astype(np.int32)
     hist = np.bincount(aoi_arr[warmup_slots:], minlength=A_max + 1)[1:]
-    running = np.cumsum(aoi_arr, dtype=np.float64) / np.arange(1, horizon_slots + 1)
     offsets = np.arange(warmup_slots, horizon_slots) % T
     counts = np.zeros((T, 3))
     np.add.at(counts, (offsets, act_arr[warmup_slots:]), 1.0)
@@ -243,9 +246,9 @@ def run_simulation(
         d1=d1_arr,
         d2=d2_arr,
         z_trajectory=z_arr,
-        avg_aoi_running=running,
         per_frame_deliveries=per_frame,
         aoi_histogram=hist,
         schedule_fractions=fractions,
+        frame0_policy=frame0_policy,
         warnings=warnings,
     )

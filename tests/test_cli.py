@@ -5,6 +5,7 @@ import pytest
 
 from aoi_dpp.cli import main
 from aoi_dpp.config import parse_config_text, render_config, with_overrides
+from aoi_dpp.solver import FrameSolver
 
 SMALL = """\
 T = 4
@@ -141,6 +142,23 @@ def test_dump_policy(small_cfg, tmp_path):
     assert len(dump) == 1 + 4 * (5 * 3 * 4)
 
 
+def test_dump_policy_builds_one_solver_per_cell(small_cfg, tmp_path, monkeypatch):
+    # the dump is the table the simulation solved in its first frame
+    monkeypatch.delenv("AOI_DPP_THREADS", raising=False)
+    builds = []
+    init = FrameSolver.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FrameSolver, "__init__", counting_init)
+    out = tmp_path / "out"
+    assert main(["--config", str(small_cfg), "--out", str(out), "--dump-policy"]) == 0
+    assert len(builds) == 2
+    assert (out / "V0_seed3" / "policy_frame0.csv").is_file()
+
+
 def test_preset_with_overrides_runs(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["--preset", "fig6", "--horizon", "800", "--v-list", "0 5",
@@ -163,15 +181,22 @@ def test_unknown_preset_fails(capsys):
         (["--v-list", "inf"], "V"),
         (["--thin", "0"], "--thin"),
         (["--seed", "-1"], "seed"),
+        (["--v-list", ","], "V"),
+        (["--out", "out#1"], "out_dir"),
+        (["--out", "out "], "out_dir"),
     ],
-    ids=["v-nan", "v-inf", "thin-zero", "seed-negative"],
+    ids=["v-nan", "v-inf", "thin-zero", "seed-negative", "v-empty", "out-hash",
+         "out-space"],
 )
-def test_bad_arguments_fail_before_compute(small_cfg, tmp_path, capsys, flags, named):
+def test_bad_arguments_fail_before_compute(small_cfg, tmp_path, monkeypatch, capsys,
+                                           flags, named):
+    monkeypatch.chdir(tmp_path)
     out = tmp_path / "out"
     assert main(["--config", str(small_cfg), "--out", str(out), *flags]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
     assert not out.exists()
+    assert [p.name for p in tmp_path.iterdir()] == [small_cfg.name]
 
 
 def test_parallel_matches_sequential(small_cfg, tmp_path, monkeypatch):

@@ -1,8 +1,15 @@
+import re
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aoi_dpp.channel import GilbertElliotChannel, IIDChannel
 from aoi_dpp.config import (
+    KNOWN_KEYS,
     ConfigError,
+    ExperimentConfig,
     PRESETS,
     load_config,
     parse_config_text,
@@ -159,3 +166,86 @@ def test_load_config(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text(BASIC, encoding="utf-8")
     assert load_config(path) == parse_config_text(BASIC)
+
+
+@pytest.mark.parametrize("out_dir", ["runs#1", "a\nb", "a\rb", " runs", "runs ", ""])
+def test_unparseable_out_dir_rejected(out_dir):
+    # the echo would not parse back to the config that ran
+    with pytest.raises(ConfigError) as exc:
+        with_overrides(preset("fig6"), out_dir=out_dir)
+    assert exc.value.key == "out_dir"
+
+
+def test_empty_v_override_rejected():
+    with pytest.raises(ConfigError) as exc:
+        with_overrides(preset("fig6"), v_list=())
+    assert exc.value.key == "V"
+
+
+probability = st.floats(0.0, 1.0)
+channels = st.one_of(
+    st.builds(IIDChannel, probability, probability),
+    st.builds(GilbertElliotChannel, probability, probability, probability, probability),
+)
+# out_dir values the grammar carries: one line, no '#', no surrounding space
+out_dirs = st.none() | st.text(min_size=1).filter(
+    lambda s: "#" not in s and s == s.strip() and len(s.splitlines()) == 1
+)
+
+
+@st.composite
+def experiment_configs(draw):
+    T = draw(st.integers(1, 50))
+    K = draw(st.integers(1, T))
+    horizon = draw(st.integers(T, 10**6))
+    return ExperimentConfig(
+        T=T,
+        K=K,
+        q=draw(st.floats(0.0, float(K))),
+        A_max=draw(st.integers(1, 100)),
+        V=tuple(draw(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=5))),
+        discount=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        channel=draw(channels),
+        horizon_slots=horizon,
+        seed=draw(st.integers(0, 2**32)),
+        replications=draw(st.integers(1, 10)),
+        policy=draw(st.sampled_from(PolicyKind)),
+        z_cache_bucket=draw(st.floats(0.0, 1e3)),
+        warmup_slots=draw(st.integers(0, horizon - T)),
+        out_dir=draw(out_dirs),
+    )
+
+
+@settings(max_examples=200)
+@given(experiment_configs())
+def test_render_parse_roundtrip(cfg):
+    assert parse_config_text(render_config(cfg)) == cfg
+
+
+def test_echo_keys_cover_known_keys():
+    seen: set[str] = set()
+
+    @settings(max_examples=100, derandomize=True)
+    @given(experiment_configs())
+    def collect(cfg):
+        keys = set(cfg.echo())
+        assert keys <= KNOWN_KEYS
+        seen.update(keys)
+
+    collect()
+    assert seen == KNOWN_KEYS
+
+
+def readme_config_section() -> str:
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    after = text.split("### Config files", 1)[1]
+    return re.split(r"^#{2,} ", after, maxsplit=1, flags=re.MULTILINE)[0]
+
+
+def test_readme_config_section_documents_every_key():
+    section = readme_config_section()
+    block = re.search(r"```ini\n(.*?)```", section, re.DOTALL).group(1)
+    cfg = parse_config_text(block)
+    assert cfg.channel == GilbertElliotChannel(0.9, 0.6, 0.9, 0.6)
+    assert sorted(k for k in KNOWN_KEYS if f"`{k}`" not in section) == []

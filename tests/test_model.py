@@ -95,14 +95,6 @@ def test_rho():
     assert 0 <= FrameConfig(T=3, K=2, q=1.7, A_max=4, V=0.0).rho <= 1
 
 
-def test_outcome_carries_delivery_flags():
-    from aoi_dpp.model import Outcome
-
-    out = Outcome(d1=1, d2=0)
-    assert (out.d1, out.d2) == (1, 0)
-    assert Outcome(0, 0) == Outcome(0, 0)
-
-
 def test_queue_cannot_empty_before_slot_k():
     # With K packets and one service per slot, Q(t) >= K - offset within a frame.
     k, t_frame = 15, 20
