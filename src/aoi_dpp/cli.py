@@ -24,9 +24,10 @@ from .config import (
     load_config,
     parse_v_list,
     preset,
+    v_dir,
     with_overrides,
 )
-from .model import ACTION_LABELS, Action
+from .model import ACTION_LABELS
 from .sim import Metrics, run_simulation
 from .solver import PolicyTable
 
@@ -87,7 +88,7 @@ def _write_slots(metrics: Metrics, path: Path, thin: int) -> Path:
         for t in range(0, metrics.horizon_slots, thin):
             fh.write(
                 f"{t},{metrics.aoi[t]},{float(metrics.z_trajectory[t])!r},"
-                f"{ACTION_LABELS[Action(metrics.actions[t])]},"
+                f"{ACTION_LABELS[metrics.actions[t]]},"
                 f"{metrics.d1[t]},{metrics.d2[t]}\n"
             )
     return path
@@ -129,14 +130,17 @@ def _write_summary(summary: RunSummary, path: Path) -> Path:
 
 def _write_policy_dump(table: PolicyTable, out: Path) -> Path:
     """Frame-0 policy table (solved at Z = 0), for debugging."""
+    states = []
+    for state in table.space.states():
+        h1, h2 = state.channel_mem or ("", "")
+        states.append(f"{state.aoi},{state.queue},{h1},{h2}")
     path = out / "policy_frame0.csv"
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write("slot,aoi,queue,h1,h2,action,value\n")
-        for slot, state, action, value in table.rows():
-            h1, h2 = state.channel_mem if state.channel_mem else ("", "")
-            fh.write(
-                f"{slot},{state.aoi},{state.queue},{h1},{h2},"
-                f"{ACTION_LABELS[action]},{value!r}\n"
+        for slot, actions in enumerate(table.actions.tolist()):
+            fh.writelines(
+                f"{slot},{state},{ACTION_LABELS[a]},{v!r}\n"
+                for state, a, v in zip(states, actions, table.values[slot].tolist())
             )
     return path
 
@@ -171,7 +175,7 @@ def _run_cell(cfg: ExperimentConfig, v: float, seed: int, out_root: str,
         warnings=list(metrics.warnings),
         wall_clock_s=time.perf_counter() - t0,
     )
-    cell_dir = Path(out_root) / f"V{v:g}_seed{seed}"
+    cell_dir = Path(out_root) / f"{v_dir(v)}_seed{seed}"
     emit_outputs(metrics, summary, cell_dir, thin=thin)
     if dump_policy and metrics.frame0_policy is not None:
         _write_policy_dump(metrics.frame0_policy, cell_dir)

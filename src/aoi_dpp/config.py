@@ -71,6 +71,11 @@ class ExperimentConfig:
         return out
 
 
+def v_dir(v: float) -> str:
+    """Name of the output directory part that identifies a V value."""
+    return f"V{v:g}"
+
+
 def parse_v_list(text: str) -> tuple[float, ...]:
     """V values separated by commas and/or whitespace."""
     try:
@@ -174,12 +179,22 @@ def parse_config_text(text: str) -> ExperimentConfig:
 def _validate(cfg: ExperimentConfig) -> None:
     if not cfg.V:
         raise ConfigError("needs at least one value", "V")
-    # FrameConfig re-checks the model invariants for every V value.
+    # FrameConfig re-checks the model invariants for every V value; its
+    # messages name the field first.
     for v in cfg.V:
         try:
             cfg.frame_config(v)
         except ValueError as err:
-            raise ConfigError(str(err)) from None
+            key, _, message = str(err).partition(" ")
+            raise ConfigError(message, key) from None
+    dirs = [v_dir(v) for v in cfg.V]
+    if len(set(dirs)) < len(dirs):
+        raise ConfigError(f"two values share a cell directory: {' '.join(dirs)}", "V")
+    # A run draws each Gilbert-Elliot chain's first state from its stationary law.
+    for user in (1, 2):
+        if isinstance(cfg.channel, GilbertElliotChannel) and cfg.channel.params(user) == (1, 0):
+            message = f"must be < 1 if channel.p01_{user} = 0 (frozen chain, no stationary law)"
+            raise ConfigError(message, f"channel.p11_{user}")
     if cfg.horizon_slots < cfg.T:
         raise ConfigError(
             f"must be >= T={cfg.T}, got {cfg.horizon_slots}", "horizon_slots"

@@ -16,7 +16,8 @@ class Action(enum.IntEnum):
     IDLE = 2
 
 
-ACTION_LABELS = {Action.USER1: "u1", Action.USER2: "u2", Action.IDLE: "idle"}
+#: CSV label of each action, indexed by its value.
+ACTION_LABELS = ("u1", "u2", "idle")
 
 
 @dataclass(frozen=True)
@@ -26,7 +27,8 @@ class FrameConfig:
     T: slots per frame; K: packets arriving at each frame start; q: required
     expected deliveries per frame; A_max: AoI cap; V: penalty weight trading
     freshness against the delivery guarantee; discount: Bellman discount
-    (1.0 = undiscounted per-frame objective, the default).
+    (1.0 = undiscounted per-frame objective, the default). A broken invariant
+    raises ValueError("<field> must ...").
     """
 
     T: int

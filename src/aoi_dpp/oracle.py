@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .channel import BAD, GOOD, ChannelModel, GilbertElliotChannel, IIDChannel
+from .channel import BAD, GOOD, ChannelModel, GilbertElliotChannel, IIDChannel, step_channel
 from .model import Action, FrameConfig, SystemState, feasible_actions, step_aoi, step_queue
 from .solver import PolicyTable, StateSpace, build_kernel, stage_cost
 
@@ -182,9 +182,7 @@ def monte_carlo_value(
             action = rule(t, state)
             d1 = d2 = 0
             if ge:
-                u = rng.random(2)
-                h1 = GOOD if u[0] < model.good_prob(1, state.channel_mem[0]) else BAD
-                h2 = GOOD if u[1] < model.good_prob(2, state.channel_mem[1]) else BAD
+                h1, h2 = step_channel(model, state.channel_mem, rng)
                 if action == Action.USER1:
                     d1 = 1 if h1 == GOOD else 0
                 elif action == Action.USER2:

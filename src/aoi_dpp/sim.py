@@ -2,9 +2,10 @@
 
 The drift-plus-penalty controller re-solves the frame DP at every frame start
 with the debt value frozen at Z(t_m), executes the resulting policy slot by
-slot, and updates age, queue and debt every slot. Baseline policies share the
-same loop. Runs are bit-reproducible from (config, model, policy, horizon,
-seed): channel randomness, action randomness (uniform baseline) and the
+slot, and updates age, queue and debt every slot. The deterministic baselines
+run as fixed action tables through the same lookup; only the uniform baseline
+decides slot by slot. Runs are bit-reproducible from (config, model, policy,
+horizon, seed): channel randomness, action randomness (uniform baseline) and the
 initial channel draw come from separately spawned streams of one seed.
 """
 
@@ -33,7 +34,7 @@ from .model import (
     step_aoi,
     step_queue,
 )
-from .solver import FrameSolver, PolicyTable
+from .solver import FrameSolver, PolicyTable, StateSpace
 
 
 class PolicyKind(enum.Enum):
@@ -104,8 +105,6 @@ class Metrics:
 def baseline_decision(
     policy: PolicyKind,
     state: SystemState,
-    slot_in_frame: int,
-    cfg: FrameConfig,
     rng: np.random.Generator | None = None,
 ) -> Action:
     """Decision of a non-DP baseline in the given state."""
@@ -151,29 +150,36 @@ def run_simulation(
     except lyapunov.InfeasibleError as err:
         warnings.append(str(err))
 
-    ge = isinstance(model, GilbertElliotChannel)
-    if initial_channel is not None and not ge:
-        raise ValueError("initial_channel applies to the Gilbert-Elliot model only")
-
+    # One channel step: user i is Good this slot when u_i[t] < g_i[previous
+    # state], g_i = (P(Good | Bad), P(Good | Good)); i.i.d. users share u.
     chan_ss, act_ss, init_ss = np.random.SeedSequence(seed).spawn(3)
     chan_rng = np.random.default_rng(chan_ss)
     act_rng = np.random.default_rng(act_ss)
-    if ge:
-        chan_u = chan_rng.random((horizon_slots, 2))
-        # success-this-slot probability indexed by the previous slot's state
-        tp1 = (model.p01_1, model.p11_1)
-        tp2 = (model.p01_2, model.p11_2)
-        mem = initial_channel or stationary_state(model, np.random.default_rng(init_ss))
-        m1, m2 = mem
+    if isinstance(model, GilbertElliotChannel):
+        u1, u2 = chan_rng.random((horizon_slots, 2)).T
+        g1, g2 = (model.p01_1, model.p11_1), (model.p01_2, model.p11_2)
+        m1, m2 = initial_channel or stationary_state(model, np.random.default_rng(init_ss))
+    elif initial_channel is not None:
+        raise ValueError("initial_channel applies to the Gilbert-Elliot model only")
     else:
-        chan_u = chan_rng.random(horizon_slots)
-        m1 = m2 = 0
+        u1 = u2 = chan_rng.random(horizon_slots)
+        g1, g2 = (model.p1, model.p1), (model.p2, model.p2)
+        m1 = m2 = BAD
 
-    dpp = policy == PolicyKind.DRIFT_PLUS_PENALTY
-    frame_solver = FrameSolver(cfg, model, z_bucket=z_cache_bucket) if dpp else None
-    table_actions = frame0_policy = None
-    kq = K + 1
-    mem_count = 4 if ge else 1
+    # Every policy but uniform_random reads a (T, S) action table: the controller
+    # solves one per frame, a deterministic baseline's is built once.
+    frame_solver = table = frame0_policy = None
+    if policy == PolicyKind.DRIFT_PLUS_PENALTY:
+        frame_solver = FrameSolver(cfg, model, z_bucket=z_cache_bucket)
+        space = frame_solver.space
+    else:
+        space = StateSpace(cfg, model)
+        states = list(space.states())
+        if policy != PolicyKind.UNIFORM_RANDOM:
+            row = [baseline_decision(policy, state) for state in states]
+            table = np.broadcast_to(np.array(row, dtype=np.int8), (T, space.n_states))
+    index = space.index_parts
+    w1, w2 = space.mem_weights
 
     aoi_arr = np.empty(horizon_slots, dtype=np.int32)
     queue_arr = np.empty(horizon_slots, dtype=np.int32)
@@ -186,36 +192,25 @@ def run_simulation(
     rho = cfg.rho
     for t in range(horizon_slots):
         j = frame_offset(t, T)
-        if dpp and j == 0:
-            table = frame_solver.solve(z)
-            table_actions = table.actions
+        if frame_solver is not None and j == 0:
+            solved = frame_solver.solve(z)
+            table = solved.actions
             if t == 0:
-                frame0_policy = table
+                frame0_policy = solved
         aoi_arr[t] = aoi
         queue_arr[t] = queue
         z_arr[t] = z
 
-        if dpp:
-            idx = ((aoi - 1) * kq + queue) * mem_count + (2 * m1 + m2)
-            action = int(table_actions[j, idx])
+        idx = index(aoi, queue, w1 * m1 + w2 * m2)
+        if table is None:
+            action = int(baseline_decision(policy, states[idx], act_rng))
         else:
-            state = SystemState(aoi, queue, (m1, m2) if ge else None)
-            action = int(baseline_decision(policy, state, j, cfg, act_rng))
+            action = int(table[j, idx])
 
-        d1 = d2 = 0
-        if ge:
-            h1 = GOOD if chan_u[t, 0] < tp1[m1] else BAD
-            h2 = GOOD if chan_u[t, 1] < tp2[m2] else BAD
-            if action == Action.USER1:
-                d1 = h1
-            elif action == Action.USER2:
-                d2 = h2
-            m1, m2 = h1, h2
-        else:
-            if action == Action.USER1:
-                d1 = 1 if chan_u[t] < model.p1 else 0
-            elif action == Action.USER2:
-                d2 = 1 if chan_u[t] < model.p2 else 0
+        m1 = GOOD if u1[t] < g1[m1] else BAD
+        m2 = GOOD if u2[t] < g2[m2] else BAD
+        d1 = m1 if action == Action.USER1 else 0
+        d2 = m2 if action == Action.USER2 else 0
 
         act_arr[t] = action
         d1_arr[t] = d1

@@ -20,10 +20,6 @@ from . import _kernels
 from .channel import BAD, GOOD, ChannelModel, GilbertElliotChannel, IIDChannel, success_prob
 from .model import Action, FrameConfig, SystemState, feasible_actions, step_aoi, step_queue
 
-#: (h1, h2) memory pairs in index order; mem_index = 2*h1 + h2.
-MEMORY_STATES = ((BAD, BAD), (BAD, GOOD), (GOOD, BAD), (GOOD, GOOD))
-
-
 class InfeasibleActionError(ValueError):
     """Action not allowed in this state (user 2 with an empty queue)."""
 
@@ -36,14 +32,19 @@ class StateSpace:
     """Bijection between SystemState and a dense index.
 
     Layout: index = ((aoi - 1) * (K + 1) + queue) * M + mem_index, with
-    M = 4 memory pairs for the Gilbert-Elliot model and M = 1 otherwise.
+    M = 4 memory pairs (h1, h2) and mem_index = 2*h1 + h2 for the
+    Gilbert-Elliot model, and M = 1 (memory None, mem_index 0) otherwise.
     """
 
     def __init__(self, cfg: FrameConfig, model: ChannelModel):
         self.a_max = cfg.A_max
         self.k = cfg.K
         self.has_memory = isinstance(model, GilbertElliotChannel)
-        self.mem_count = 4 if self.has_memory else 1
+        #: Channel memories in mem_index order; mem_index = w1*h1 + w2*h2.
+        pairs = ((BAD, BAD), (BAD, GOOD), (GOOD, BAD), (GOOD, GOOD))
+        self.memories = pairs if self.has_memory else (None,)
+        self.mem_weights = (2, 1) if self.has_memory else (0, 0)
+        self.mem_count = len(self.memories)
         self.n_states = cfg.A_max * (cfg.K + 1) * self.mem_count
 
     def index_parts(self, aoi: int, queue: int, mem_index: int) -> int:
@@ -52,14 +53,9 @@ class StateSpace:
     def index(self, state: SystemState) -> int:
         if not 1 <= state.aoi <= self.a_max or not 0 <= state.queue <= self.k:
             raise UnknownStateError(f"state {state} outside the model domain")
-        if self.has_memory:
-            if state.channel_mem not in MEMORY_STATES:
-                raise UnknownStateError(f"state {state} lacks a valid channel memory")
-            mem_index = 2 * state.channel_mem[0] + state.channel_mem[1]
-        else:
-            if state.channel_mem is not None:
-                raise UnknownStateError(f"state {state} carries memory on a memoryless channel")
-            mem_index = 0
+        if state.channel_mem not in self.memories:
+            raise UnknownStateError(f"state {state} has no valid channel memory for this model")
+        mem_index = self.memories.index(state.channel_mem)
         return self.index_parts(state.aoi, state.queue, mem_index)
 
     def state(self, index: int) -> SystemState:
@@ -67,8 +63,7 @@ class StateSpace:
             raise UnknownStateError(f"index {index} out of range")
         index, mem_index = divmod(index, self.mem_count)
         aoi_part, queue = divmod(index, self.k + 1)
-        mem = MEMORY_STATES[mem_index] if self.has_memory else None
-        return SystemState(aoi_part + 1, queue, mem)
+        return SystemState(aoi_part + 1, queue, self.memories[mem_index])
 
     def states(self) -> Iterator[SystemState]:
         for i in range(self.n_states):
@@ -170,14 +165,12 @@ class PolicyTable:
     def __init__(
         self,
         cfg: FrameConfig,
-        model: ChannelModel,
         space: StateSpace,
         frozen_z: float,
         values: np.ndarray,
         actions: np.ndarray,
     ):
         self.cfg = cfg
-        self.model = model
         self.space = space
         self.frozen_z = frozen_z
         self.values = values
@@ -194,14 +187,6 @@ class PolicyTable:
         if not 0 <= slot < self.cfg.T:
             raise UnknownStateError(f"slot {slot} outside 0..{self.cfg.T - 1}")
         return Action(self.actions[slot, self.space.index(state)])
-
-    def rows(self) -> Iterator[tuple[int, SystemState, Action, float]]:
-        """Structured dump: (slot, state, action, value-to-go), slot-major."""
-        for t in range(self.cfg.T):
-            for i in range(self.space.n_states):
-                yield t, self.space.state(i), Action(self.actions[t, i]), float(
-                    self.values[t, i]
-                )
 
 
 class FrameSolver:
@@ -272,7 +257,7 @@ class FrameSolver:
             values,
             actions,
         )
-        table = PolicyTable(self.cfg, self.model, self.space, key, values, actions)
+        table = PolicyTable(self.cfg, self.space, key, values, actions)
         if self.z_bucket > 0:
             self._cache[key] = table
         return table

@@ -184,9 +184,10 @@ def test_unknown_preset_fails(capsys):
         (["--v-list", ","], "V"),
         (["--out", "out#1"], "out_dir"),
         (["--out", "out "], "out_dir"),
+        (["--v-list", "2 2.0"], "V"),
     ],
     ids=["v-nan", "v-inf", "thin-zero", "seed-negative", "v-empty", "out-hash",
-         "out-space"],
+         "out-space", "v-duplicate"],
 )
 def test_bad_arguments_fail_before_compute(small_cfg, tmp_path, monkeypatch, capsys,
                                            flags, named):
@@ -197,6 +198,20 @@ def test_bad_arguments_fail_before_compute(small_cfg, tmp_path, monkeypatch, cap
     assert err.startswith("error:") and named in err
     assert not out.exists()
     assert [p.name for p in tmp_path.iterdir()] == [small_cfg.name]
+
+
+@pytest.mark.parametrize("user", [1, 2])
+def test_frozen_channel_fails_before_compute(tmp_path, monkeypatch, capsys, user):
+    # p11 = 1 and p01 = 0: the chain never moves, so no stationary start exists
+    frozen = SMALL.replace(f"channel.p11_{user} = 0.9", f"channel.p11_{user} = 1")
+    frozen = frozen.replace(f"channel.p01_{user} = 0.6", f"channel.p01_{user} = 0")
+    path = tmp_path / "frozen.cfg"
+    path.write_text(frozen, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: channel.p11_{user}:")
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 def test_parallel_matches_sequential(small_cfg, tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,8 +14,10 @@ from aoi_dpp.config import (
     PRESETS,
     load_config,
     parse_config_text,
+    parse_v_list,
     preset,
     render_config,
+    v_dir,
     with_overrides,
 )
 from aoi_dpp.sim import PolicyKind
@@ -97,6 +100,45 @@ def test_model_invariants_revalidated():
         parse_config_text(BASIC.replace("channel.p1 = 0.9", "channel.p1 = 1.7"))
     with pytest.raises(ConfigError):
         parse_config_text(BASIC + "warmup_slots = 199\n")
+
+
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("T = 4", "T = 0", "T"),
+        ("K = 2", "K = 9", "K"),
+        ("q = 1.0", "q = 3.0", "q"),
+        ("A_max = 5", "A_max = 0", "A_max"),
+        ("V = 0, 1.5", "V = 0, -1", "V"),
+        ("seed = 3", "seed = 3\ndiscount = 0", "discount"),
+    ],
+    ids=["T", "K", "q", "A_max", "V", "discount"],
+)
+def test_model_invariant_names_key(old, new, key):
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text(BASIC.replace(old, new))
+    assert exc.value.key == key
+    assert str(exc.value).startswith(f"{key}: must ")
+
+
+@pytest.mark.parametrize("v_text", ["2, 2.0", "1 0 1", "0.1 0.1000001"])
+def test_duplicate_v_rejected(v_text):
+    # values that print alike under {v:g} would share one cell directory
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text(BASIC.replace("V = 0, 1.5", f"V = {v_text}"))
+    assert exc.value.key == "V"
+    with pytest.raises(ConfigError) as exc:
+        with_overrides(preset("fig6"), v_list=parse_v_list(v_text))
+    assert exc.value.key == "V"
+
+
+@pytest.mark.parametrize("user", [1, 2])
+def test_frozen_channel_rejected(user):
+    frozen = GilbertElliotChannel(0.9, 0.6, 0.9, 0.6)
+    frozen = replace(frozen, **{f"p11_{user}": 1.0, f"p01_{user}": 0.0})
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text(render_config(replace(preset("fig6"), channel=frozen)))
+    assert exc.value.key == f"channel.p11_{user}"
 
 
 def test_malformed_lines():
@@ -185,7 +227,10 @@ def test_empty_v_override_rejected():
 probability = st.floats(0.0, 1.0)
 channels = st.one_of(
     st.builds(IIDChannel, probability, probability),
-    st.builds(GilbertElliotChannel, probability, probability, probability, probability),
+    # a chain with p11 = 1 and p01 = 0 has no stationary start and is rejected
+    st.builds(GilbertElliotChannel, probability, probability, probability, probability).filter(
+        lambda ch: (1.0, 0.0) not in (ch.params(1), ch.params(2))
+    ),
 )
 # out_dir values the grammar carries: one line, no '#', no surrounding space
 out_dirs = st.none() | st.text(min_size=1).filter(
@@ -203,7 +248,7 @@ def experiment_configs(draw):
         K=K,
         q=draw(st.floats(0.0, float(K))),
         A_max=draw(st.integers(1, 100)),
-        V=tuple(draw(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=5))),
+        V=tuple(draw(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=5, unique_by=v_dir))),
         discount=draw(st.floats(0.0, 1.0, exclude_min=True)),
         channel=draw(channels),
         horizon_slots=horizon,

@@ -23,20 +23,19 @@ def test_policy_kind_parse():
 
 
 def test_baseline_decisions():
-    cfg = reference_cfg(5.0)
-    assert baseline_decision(PolicyKind.DEADLINE_FIRST, SystemState(3, 3), 0, cfg) == Action.USER2
-    assert baseline_decision(PolicyKind.DEADLINE_FIRST, SystemState(3, 0), 0, cfg) == Action.USER1
-    assert baseline_decision(PolicyKind.AOI_GREEDY, SystemState(1, 15), 0, cfg) == Action.USER1
+    assert baseline_decision(PolicyKind.DEADLINE_FIRST, SystemState(3, 3)) == Action.USER2
+    assert baseline_decision(PolicyKind.DEADLINE_FIRST, SystemState(3, 0)) == Action.USER1
+    assert baseline_decision(PolicyKind.AOI_GREEDY, SystemState(1, 15)) == Action.USER1
     rng = np.random.default_rng(0)
     seen = {
-        baseline_decision(PolicyKind.UNIFORM_RANDOM, SystemState(1, 5), 0, cfg, rng)
+        baseline_decision(PolicyKind.UNIFORM_RANDOM, SystemState(1, 5), rng)
         for _ in range(100)
     }
     assert seen == {Action.USER1, Action.USER2, Action.IDLE}
     with pytest.raises(ValueError):
-        baseline_decision(PolicyKind.UNIFORM_RANDOM, SystemState(1, 5), 0, cfg)
+        baseline_decision(PolicyKind.UNIFORM_RANDOM, SystemState(1, 5))
     with pytest.raises(ValueError):
-        baseline_decision(PolicyKind.DRIFT_PLUS_PENALTY, SystemState(1, 5), 0, cfg)
+        baseline_decision(PolicyKind.DRIFT_PLUS_PENALTY, SystemState(1, 5))
 
 
 def test_determinism_same_seed():

@@ -1,0 +1,94 @@
+"""Golden outputs of `run_simulation`: every Metrics array, hashed.
+
+The digests pin the closed loop bit for bit across refactors of the slot
+loop, for both channel models, every policy and the discounted objective.
+A digest changes only when the simulated trajectories change.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from aoi_dpp.channel import GilbertElliotChannel, IIDChannel
+from aoi_dpp.model import FrameConfig
+from aoi_dpp.sim import PolicyKind, run_simulation
+
+CHANNELS = {
+    "ge": GilbertElliotChannel(p11_1=0.9, p01_1=0.6, p11_2=0.9, p01_2=0.6),
+    # user 1 never leaves Good, user 2 never leaves Bad once there
+    "ge-zero": GilbertElliotChannel(p11_1=1.0, p01_1=0.6, p11_2=0.9, p01_2=0.0),
+    "iid": IIDChannel(p1=0.8, p2=0.7),
+}
+ARRAYS = (
+    "aoi",
+    "queue",
+    "actions",
+    "d1",
+    "d2",
+    "z_trajectory",
+    "per_frame_deliveries",
+    "aoi_histogram",
+    "schedule_fractions",
+)
+
+CASES = {
+    f"{chan}-{policy.value}-V{v:g}": (chan, policy, v, 1.0)
+    for chan in CHANNELS
+    for policy in PolicyKind
+    for v in (0.0, 5.0)
+}
+CASES["ge-drift_plus_penalty-V5-discount0.9"] = ("ge", PolicyKind.DRIFT_PLUS_PENALTY, 5.0, 0.9)
+CASES["iid-drift_plus_penalty-V5-discount0.9"] = ("iid", PolicyKind.DRIFT_PLUS_PENALTY, 5.0, 0.9)
+
+
+def metrics_digest(chan: str, policy: PolicyKind, v: float, discount: float) -> str:
+    cfg = FrameConfig(T=20, K=15, q=12.0, A_max=20, V=v, discount=discount)
+    m = run_simulation(cfg, CHANNELS[chan], policy, 1_000, 7, warmup_slots=100)
+    h = hashlib.sha256()
+    arrays = [getattr(m, name) for name in ARRAYS]
+    if m.frame0_policy is not None:
+        arrays += [m.frame0_policy.values, m.frame0_policy.actions]
+    for arr in arrays:
+        arr = np.ascontiguousarray(arr)
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(arr.tobytes())
+    h.update(repr(m.warnings).encode())
+    return h.hexdigest()
+
+
+# Recorded with the earlier slot loop (separate baseline and channel-model
+# branches), so they also pin the table-driven loop to its behaviour.
+GOLDEN = {
+    "ge-aoi_greedy-V0": "8690e4cf6dbaf2773bfb613da401b32daea0b7d84fe097cf5ec74583ba120680",
+    "ge-aoi_greedy-V5": "8690e4cf6dbaf2773bfb613da401b32daea0b7d84fe097cf5ec74583ba120680",
+    "ge-deadline_first-V0": "e80a02ecfa9215c3146992c51469fd9936df1b566696a632f88de6d4d999dea1",
+    "ge-deadline_first-V5": "e80a02ecfa9215c3146992c51469fd9936df1b566696a632f88de6d4d999dea1",
+    "ge-drift_plus_penalty-V0": "893c4f97cd2fb826d1320f26516091d3b31c7b8a5793308ba39ef0e197f4c973",
+    "ge-drift_plus_penalty-V5": "d2e1c68daf707e63b343a328deda0bfc7d696fa4d7f217f4ccfeb067b064886e",
+    "ge-drift_plus_penalty-V5-discount0.9": "05f21a903d69073d1d13c7dcc79b0be7b0fafc61ebaa5f5a510390c821ba9908",
+    "ge-uniform_random-V0": "d7dafd58be70deabd22304ee0462d5b66246c251b8bef308713c3b648977dff5",
+    "ge-uniform_random-V5": "d7dafd58be70deabd22304ee0462d5b66246c251b8bef308713c3b648977dff5",
+    "ge-zero-aoi_greedy-V0": "d73d5c4b0f76ed88be09492055edede27cc1d1f8f9aa551103de6de7c076a927",
+    "ge-zero-aoi_greedy-V5": "d73d5c4b0f76ed88be09492055edede27cc1d1f8f9aa551103de6de7c076a927",
+    "ge-zero-deadline_first-V0": "d2fa227a6c24222205056d00ef86d0a8b15346f61107e2c721b396636efc5abf",
+    "ge-zero-deadline_first-V5": "d2fa227a6c24222205056d00ef86d0a8b15346f61107e2c721b396636efc5abf",
+    "ge-zero-drift_plus_penalty-V0": "7b53f7334bb9315fe31eebee6e4270d17ffec3b4cede2976f4b8538ba14cb814",
+    "ge-zero-drift_plus_penalty-V5": "54b36c683653229fb9f9c7624b6b7548d2e4f51645230c88058f03b445ff5e52",
+    "ge-zero-uniform_random-V0": "ae6cd6553e05a70e3f79c676b365cdcf9b686f997db8c7c3703aa38c2780ff93",
+    "ge-zero-uniform_random-V5": "ae6cd6553e05a70e3f79c676b365cdcf9b686f997db8c7c3703aa38c2780ff93",
+    "iid-aoi_greedy-V0": "4ac1637c7610bbafb15bc61676e71db2a47f4f38f6a11097448440e28ce010a1",
+    "iid-aoi_greedy-V5": "4ac1637c7610bbafb15bc61676e71db2a47f4f38f6a11097448440e28ce010a1",
+    "iid-deadline_first-V0": "72aeb950dcabc3b2cb27bcfc6304ef55fd52a9fc7c035c838572f69942fa6279",
+    "iid-deadline_first-V5": "72aeb950dcabc3b2cb27bcfc6304ef55fd52a9fc7c035c838572f69942fa6279",
+    "iid-drift_plus_penalty-V0": "e2a9c983fb21f139c60bbad70dfe0240a1a467b81471acf4a37e923a1d0964f6",
+    "iid-drift_plus_penalty-V5": "12767fcb014aab92b4130dfe66e38bef682d589efe8bde9c1f3dc3419f09f165",
+    "iid-drift_plus_penalty-V5-discount0.9": "b909095382af52ff403ea55d2fad95a756b591b1ee0013b6ff6b833960a50d02",
+    "iid-uniform_random-V0": "a7933e997e68ba6f2d23bff1825bf215fe555d92125495b7b1fed0cc271434de",
+    "iid-uniform_random-V5": "a7933e997e68ba6f2d23bff1825bf215fe555d92125495b7b1fed0cc271434de",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_metrics_match_golden(case):
+    assert metrics_digest(*CASES[case]) == GOLDEN[case]
