@@ -38,6 +38,7 @@ from .model import (
 )
 from .oracle import (
     EvaluationResult,
+    InfeasibleActionError,
     TooLargeError,
     brute_force_optimal,
     evaluate_policy_exact,
@@ -47,13 +48,10 @@ from .oracle import (
 from .sim import Metrics, PolicyKind, baseline_decision, run_simulation
 from .solver import (
     FrameSolver,
-    InfeasibleActionError,
     PolicyTable,
     StateSpace,
     UnknownStateError,
     backward_solve,
-    build_kernel,
-    stage_cost,
 )
 
 __version__ = "0.1.0"

@@ -2,8 +2,9 @@
 
 Per (V, seed) cell the runner writes slots.csv, frames.csv, aoi_hist.csv,
 sched_fractions.csv and summary.json into its own subdirectory, then
-aggregates a mean-AoI-vs-V table at the output root. AOI_DPP_THREADS caps the
-worker pool (0 or unset = sequential).
+aggregates a mean-AoI-vs-V table at the output root. AOI_DPP_THREADS, an
+integer >= 0, asks for a worker pool (0, 1 or unset = sequential); the pool
+never exceeds the number of cells or of CPUs.
 """
 
 from __future__ import annotations
@@ -233,10 +234,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _requested_workers() -> int:
+    raw = os.environ.get("AOI_DPP_THREADS", "").strip() or "0"
+    if not raw.isdecimal():
+        raise ValueError(f"AOI_DPP_THREADS: must be an integer >= 0, got {raw!r}")
+    return int(raw)
+
+
 def run_cli(args: argparse.Namespace) -> int:
     try:
         if args.thin < 1:
             raise ValueError(f"--thin must be >= 1, got {args.thin}")
+        requested = _requested_workers()
         cfg = preset(args.preset) if args.preset else load_config(args.config)
         cfg = with_overrides(
             cfg,
@@ -264,9 +273,9 @@ def run_cli(args: argparse.Namespace) -> int:
     out_root = Path(cfg.out_dir or "runs")
     out_root.mkdir(parents=True, exist_ok=True)
     cells = cfg.cells()
-    workers = int(os.environ.get("AOI_DPP_THREADS", "0") or 0)
+    workers = min(requested, len(cells), os.cpu_count() or 1)
     results: list[tuple[float, int, float, str]] = []
-    if workers > 1 and len(cells) > 1:
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_run_cell, cfg, v, seed, str(out_root), args.thin,

@@ -1,10 +1,13 @@
 """Independent verification of the frame solver.
 
-evaluate_policy_exact pushes the state distribution forward through the
-transition kernel; brute_force_optimal is a deliberately naive backward
-induction over dictionaries with its own outcome enumeration and its own
-tie-breaking, so a solver bug cannot confirm itself; monte_carlo_value
-bridges the exact numbers and the stochastic simulator.
+The oracle shares no transition or cost code with the solver: it enumerates
+each slot's channel outcomes from the channel laws itself
+(_outcome_branches) and charges each the realized cost z*(rho - d2) + V*A'.
+evaluate_policy_exact pushes the state distribution forward through those
+outcomes; brute_force_optimal is a deliberately naive backward induction
+over dictionaries with its own tie-breaking, so a solver bug cannot confirm
+itself; monte_carlo_value bridges the exact numbers and the stochastic
+simulator.
 """
 
 from __future__ import annotations
@@ -17,13 +20,17 @@ import numpy as np
 
 from .channel import BAD, GOOD, ChannelModel, GilbertElliotChannel, IIDChannel, step_channel
 from .model import Action, FrameConfig, SystemState, feasible_actions, step_aoi, step_queue
-from .solver import PolicyTable, StateSpace, build_kernel, stage_cost
+from .solver import PolicyTable, StateSpace
 
 DecisionRule = Callable[[int, SystemState], Action]
 
 
 class TooLargeError(ValueError):
     """Instance exceeds the naive enumeration guard."""
+
+
+class InfeasibleActionError(ValueError):
+    """Action not allowed in this state (user 2 with an empty queue)."""
 
 
 @dataclass
@@ -57,7 +64,11 @@ def evaluate_policy_exact(
     cfg: FrameConfig,
     model: ChannelModel,
 ) -> EvaluationResult:
-    """Exact expected frame cost of a policy, by forward recursion."""
+    """Exact expected frame cost of a policy, by forward recursion.
+
+    Raises InfeasibleActionError when the policy picks an action that a
+    reachable state does not allow.
+    """
     rule = as_rule(policy)
     dist: dict[SystemState, float] = {initial_state: 1.0}
     by_slot = [dict(dist)]
@@ -67,9 +78,12 @@ def evaluate_policy_exact(
         nxt: dict[SystemState, float] = {}
         for state, prob in dist.items():
             action = rule(t, state)
-            expected += weight * prob * stage_cost(state, action, frozen_z, cfg, model)
-            for entry in build_kernel(state, action, model, cfg):
-                nxt[entry.state] = nxt.get(entry.state, 0.0) + prob * entry.probability
+            if action not in feasible_actions(state):
+                raise InfeasibleActionError(f"action {action!r} infeasible in {state}")
+            for p, d1, d2, mem in _outcome_branches(state, action, model):
+                after, cost = _successor(state, d1, d2, mem, frozen_z, cfg)
+                expected += weight * prob * p * cost
+                nxt[after] = nxt.get(after, 0.0) + prob * p
         dist = nxt
         by_slot.append(dict(dist))
         weight *= cfg.discount
@@ -105,6 +119,24 @@ def _outcome_branches(
     return [b for b in branches if b[0] > 0.0]
 
 
+def _successor(
+    state: SystemState,
+    d1: int,
+    d2: int,
+    mem: tuple[int, int] | None,
+    frozen_z: float,
+    cfg: FrameConfig,
+) -> tuple[SystemState, float]:
+    """Mid-frame next state after deliveries (d1, d2), and its realized cost
+    z*(rho - d2) + V*A'."""
+    nxt = SystemState(
+        step_aoi(state.aoi, d1, cfg.A_max),
+        step_queue(state.queue, d2, False, cfg.K),
+        mem,
+    )
+    return nxt, frozen_z * (cfg.rho - d2) + cfg.V * nxt.aoi
+
+
 def brute_force_optimal(
     initial_state: SystemState,
     frozen_z: float,
@@ -123,7 +155,6 @@ def brute_force_optimal(
         raise TooLargeError(
             f"{space.n_states} states x {cfg.T} slots exceeds the enumeration guard"
         )
-    rho = cfg.rho
     states = list(space.states())
     value: dict[SystemState, float] = {s: 0.0 for s in states}
     rule: dict[tuple[int, SystemState], Action] = {}
@@ -137,12 +168,7 @@ def brute_force_optimal(
                     continue
                 total = 0.0
                 for prob, d1, d2, mem in _outcome_branches(state, action, model):
-                    nxt = SystemState(
-                        step_aoi(state.aoi, d1, cfg.A_max),
-                        step_queue(state.queue, d2, False, cfg.K),
-                        mem,
-                    )
-                    realized = frozen_z * (rho - d2) + cfg.V * nxt.aoi
+                    nxt, realized = _successor(state, d1, d2, mem, frozen_z, cfg)
                     total += prob * (realized + cfg.discount * value[nxt])
                 if total < best:
                     best = total
@@ -170,7 +196,6 @@ def monte_carlo_value(
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     rule = as_rule(policy)
-    rho = cfg.rho
     ge = isinstance(model, GilbertElliotChannel)
     costs = np.empty(n_runs)
     for i in range(n_runs):
@@ -194,9 +219,8 @@ def monte_carlo_value(
                 elif action == Action.USER2:
                     d2 = 1 if rng.random() < model.p2 else 0
                 mem = None
-            aoi = step_aoi(state.aoi, d1, cfg.A_max)
-            total += weight * (frozen_z * (rho - d2) + cfg.V * aoi)
-            state = SystemState(aoi, step_queue(state.queue, d2, False, cfg.K), mem)
+            state, realized = _successor(state, d1, d2, mem, frozen_z, cfg)
+            total += weight * realized
             weight *= cfg.discount
         costs[i] = total
     mean = float(costs.mean())

@@ -23,6 +23,7 @@ from .channel import (
     GOOD,
     ChannelModel,
     GilbertElliotChannel,
+    NoUniqueStationaryError,
     stationary_state,
 )
 from .model import (
@@ -133,8 +134,8 @@ def run_simulation(
 ) -> Metrics:
     """Simulate `horizon_slots` slots and collect Metrics.
 
-    An infeasible delivery target does not abort the run; it is recorded in
-    Metrics.warnings and the controller still does its best.
+    An infeasible or uncertifiable delivery target does not abort the run; it
+    is recorded in Metrics.warnings and the controller still does its best.
     """
     T, K, A_max = cfg.T, cfg.K, cfg.A_max
     if horizon_slots < T:
@@ -149,6 +150,9 @@ def run_simulation(
         lyapunov.slackness_epsilon(model, T, cfg.q)
     except lyapunov.InfeasibleError as err:
         warnings.append(str(err))
+    except NoUniqueStationaryError as err:
+        # A frozen user-2 chain has no long-run success rate to certify q with.
+        warnings.append(f"q={cfg.q} has no slackness certificate: {err}")
 
     # One channel step: user i is Good this slot when u_i[t] < g_i[previous
     # state], g_i = (P(Good | Bad), P(Good | Good)); i.i.d. users share u.

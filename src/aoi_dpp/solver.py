@@ -1,5 +1,5 @@
-"""Per-frame finite-horizon MDP: transition kernel, stage costs, and the
-backward dynamic program that minimizes the debt-weighted frame objective
+"""Per-frame finite-horizon MDP: the transition and stage-cost arrays, and
+the backward dynamic program that minimizes the debt-weighted frame objective
 
     Z(t_m) * sum_t (rho - d2(t))  +  V * sum_t A(t+1)
 
@@ -11,17 +11,13 @@ frame-boundary queue refill never enters the DP state space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from . import _kernels
-from .channel import BAD, GOOD, ChannelModel, GilbertElliotChannel, IIDChannel, success_prob
-from .model import Action, FrameConfig, SystemState, feasible_actions, step_aoi, step_queue
-
-class InfeasibleActionError(ValueError):
-    """Action not allowed in this state (user 2 with an empty queue)."""
+from .channel import BAD, GOOD, ChannelModel, GilbertElliotChannel
+from .model import Action, FrameConfig, SystemState
 
 
 class UnknownStateError(KeyError):
@@ -70,94 +66,6 @@ class StateSpace:
             yield self.state(i)
 
 
-@dataclass(frozen=True)
-class TransitionEntry:
-    state: SystemState
-    probability: float
-
-
-def build_kernel(
-    state: SystemState, action: Action, model: ChannelModel, cfg: FrameConfig
-) -> list[TransitionEntry]:
-    """One-step transition law for a (state, action) pair, mid-frame semantics.
-
-    Gilbert-Elliot branches enumerate the joint next channel pair; the
-    scheduled user's delivery coincides with its chain landing Good, and the
-    unscheduled user's chain advances independently. Zero-probability branches
-    are dropped.
-    """
-    if action not in feasible_actions(state):
-        raise InfeasibleActionError(f"action {action!r} infeasible in {state}")
-    aged = min(state.aoi + 1, cfg.A_max)
-    entries: list[TransitionEntry] = []
-    if isinstance(model, IIDChannel):
-        if action == Action.USER1:
-            p = model.p1
-            entries = [
-                TransitionEntry(SystemState(1, state.queue), p),
-                TransitionEntry(SystemState(aged, state.queue), 1.0 - p),
-            ]
-        elif action == Action.USER2:
-            p = model.p2
-            entries = [
-                TransitionEntry(SystemState(aged, state.queue - 1), p),
-                TransitionEntry(SystemState(aged, state.queue), 1.0 - p),
-            ]
-        else:
-            entries = [TransitionEntry(SystemState(aged, state.queue), 1.0)]
-    else:
-        m1, m2 = state.channel_mem
-        g1 = model.good_prob(1, m1)
-        g2 = model.good_prob(2, m2)
-        for h1 in (GOOD, BAD):
-            for h2 in (GOOD, BAD):
-                prob = (g1 if h1 == GOOD else 1.0 - g1) * (
-                    g2 if h2 == GOOD else 1.0 - g2
-                )
-                d1 = 1 if (action == Action.USER1 and h1 == GOOD) else 0
-                d2 = 1 if (action == Action.USER2 and h2 == GOOD) else 0
-                nxt = SystemState(
-                    step_aoi(state.aoi, d1, cfg.A_max),
-                    step_queue(state.queue, d2, False, cfg.K),
-                    (h1, h2),
-                )
-                entries.append(TransitionEntry(nxt, prob))
-    return [e for e in entries if e.probability > 0.0]
-
-
-def _cost_coefficients(
-    state: SystemState, action: Action, cfg: FrameConfig, model: ChannelModel
-) -> tuple[float, float]:
-    """(debt coefficient, freshness coefficient): cost = z*zc + V*vc.
-
-    Expected next-slot contribution of z*(rho - d2) + V*A'. Idle is the
-    zero-success limit of the user-2 branch: debt accrues, the age just grows.
-    """
-    aged = min(state.aoi + 1, cfg.A_max)
-    rho = cfg.rho
-    if action == Action.USER1:
-        p = success_prob(model, 1, state.channel_mem)
-        return rho, p * 1.0 + (1.0 - p) * aged
-    if action == Action.USER2:
-        p = success_prob(model, 2, state.channel_mem)
-        return rho - p, float(aged)
-    return rho, float(aged)
-
-
-def stage_cost(
-    state: SystemState,
-    action: Action,
-    frozen_z: float,
-    cfg: FrameConfig,
-    model: ChannelModel,
-) -> float:
-    """Expected one-slot cost under the frozen frame debt."""
-    if action not in feasible_actions(state):
-        raise InfeasibleActionError(f"action {action!r} infeasible in {state}")
-    zc, vc = _cost_coefficients(state, action, cfg, model)
-    return frozen_z * zc + cfg.V * vc
-
-
 class PolicyTable:
     """Backward-DP output for one frame: value-to-go and chosen action per
     (slot, state), plus the frozen debt and config they were solved for."""
@@ -189,12 +97,48 @@ class PolicyTable:
         return Action(self.actions[slot, self.space.index(state)])
 
 
+def _branch_table(model: ChannelModel, space: StateSpace):
+    """One slot's channel outcomes, the only part of the law that depends on
+    the model.
+
+    Returns (success, lands, probs, next_mem): success[m, u] is P(user u+1's
+    transmission succeeds | memory m); lands[b, u] is 1 when user u+1's
+    channel is Good in branch b; probs[m, a, b] is the probability of branch b
+    under memory m and action a; next_mem[b] is the memory index after b.
+    Gilbert-Elliot branches are the joint next pair (h1', h2') in the order
+    GG, GB, BG, BB, whatever the action. The i.i.d. branches are success and
+    failure of the scheduled user (IDLE takes the first with probability 1).
+    The kernels sum branches in this order, so it fixes the tables' last bits.
+    """
+    if space.has_memory:
+        success = np.array(
+            [[model.good_prob(1, m1), model.good_prob(2, m2)] for m1, m2 in space.memories]
+        )
+        lands = np.array([(GOOD, GOOD), (GOOD, BAD), (BAD, GOOD), (BAD, BAD)])
+        per_user = np.where(lands == GOOD, success[:, None, :], 1.0 - success[:, None, :])
+        probs = np.repeat((per_user[..., 0] * per_user[..., 1])[:, None, :], 3, axis=1)
+        return success, lands, probs, lands @ space.mem_weights
+    p1, p2 = model.p1, model.p2
+    probs = np.array([[[p1, 1.0 - p1], [p2, 1.0 - p2], [1.0, 0.0]]])
+    return np.array([[p1, p2]]), np.array([(GOOD, GOOD), (BAD, BAD)]), probs, np.zeros(2, int)
+
+
 class FrameSolver:
     """Reusable solver for one (config, model) pair.
 
-    Builds the dense kernel arrays once; each solve(frozen_z) then runs the
-    backward recursion only. An optional debt-quantization bucket caches
-    policies by rounded z (off by default: every frame re-solves exactly).
+    Builds the kernel arrays once, by broadcasting over the state layout;
+    each solve(frozen_z) then runs the backward recursion only. For state s,
+    action a and channel branch b:
+
+    - feasible[s, a] is 1 when a is allowed (USER2 needs a queued packet);
+    - cost_const[s, a] + z * cost_z[s, a] is the expected one-slot cost
+      E[z*(rho - d2) + V*A'];
+    - next_idx[s, a, b] and probs[s, a, b] are the successor index and its
+      probability. Zero-probability branches keep their slot, and every entry
+      of an infeasible action is zero.
+
+    An optional debt-quantization bucket caches policies by rounded z (off by
+    default: every frame re-solves exactly).
     """
 
     def __init__(
@@ -214,25 +158,29 @@ class FrameSolver:
         self._build_arrays()
 
     def _build_arrays(self) -> None:
-        space, cfg, model = self.space, self.cfg, self.model
-        S = space.n_states
-        n_branches = 4 if space.has_memory else 2
-        self.cost_const = np.zeros((S, 3))
-        self.cost_z = np.zeros((S, 3))
-        self.feasible = np.zeros((S, 3), dtype=np.uint8)
-        self.next_idx = np.zeros((S, 3, n_branches), dtype=np.intp)
-        self.probs = np.zeros((S, 3, n_branches))
-        for i in range(S):
-            state = space.state(i)
-            for action in feasible_actions(state):
-                a = int(action)
-                self.feasible[i, a] = 1
-                zc, vc = _cost_coefficients(state, action, cfg, model)
-                self.cost_z[i, a] = zc
-                self.cost_const[i, a] = cfg.V * vc
-                for b, entry in enumerate(build_kernel(state, action, model, cfg)):
-                    self.next_idx[i, a, b] = space.index(entry.state)
-                    self.probs[i, a, b] = entry.probability
+        cfg, space = self.cfg, self.space
+        success, lands, probs, next_mem = _branch_table(self.model, space)
+        rest, mem = np.divmod(np.arange(space.n_states), space.mem_count)
+        aoi_part, queue = np.divmod(rest, cfg.K + 1)
+        aged = np.minimum(aoi_part + 2, cfg.A_max)  # min(aoi + 1, A_max)
+        # delivered[a, b, u]: action a schedules user u+1 and its channel lands Good.
+        delivered = np.array([[1, 0], [0, 1], [0, 0]])[:, None, :] * lands
+        next_idx = space.index_parts(
+            np.where(delivered[..., 0], 1, aged[:, None, None]),
+            np.maximum(queue[:, None, None] - delivered[..., 1], 0),
+            next_mem,
+        )
+        feasible = np.ones((space.n_states, 3), dtype=bool)
+        feasible[:, Action.USER2] = queue > 0
+        p1, p2 = success[mem].T
+        rho = np.full(space.n_states, cfg.rho)
+        cost_z = np.stack([rho, rho - p2, rho], axis=1)
+        cost_v = np.stack([p1 + (1.0 - p1) * aged, aged, aged], axis=1)
+        self.feasible = feasible.astype(np.uint8)
+        self.cost_const = np.where(feasible, cfg.V * cost_v, 0.0)
+        self.cost_z = np.where(feasible, cost_z, 0.0)
+        self.next_idx = np.where(feasible[..., None], next_idx, 0).astype(np.intp)
+        self.probs = np.where(feasible[..., None], probs[mem], 0.0)
 
     def solve(self, frozen_z: float) -> PolicyTable:
         if not 0 <= frozen_z < math.inf:

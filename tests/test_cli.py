@@ -1,8 +1,11 @@
 import json
+import os
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
 
+from aoi_dpp import cli
 from aoi_dpp.cli import main
 from aoi_dpp.config import parse_config_text, render_config, with_overrides
 from aoi_dpp.solver import FrameSolver
@@ -223,3 +226,53 @@ def test_parallel_matches_sequential(small_cfg, tmp_path, monkeypatch):
     for cell in ("V0_seed3", "V2_seed3"):
         for name in ("slots.csv", "frames.csv", "aoi_hist.csv", "sched_fractions.csv"):
             assert read(seq / cell / name) == read(par / cell / name)
+
+
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize(
+    "threads, cpus, pool_size",
+    [("", 8, None), ("0", 8, None), ("1", 8, None), ("2", 8, 2), ("64", 8, 2),
+     ("64", 1, None), (" 3 ", 8, 2)],
+    ids=["unset", "zero", "one", "two", "above-cells", "one-cpu", "spaces"],
+)
+def test_thread_pool_capped(small_cfg, tmp_path, monkeypatch, threads, cpus, pool_size):
+    # 2 cells: the pool never exceeds min(AOI_DPP_THREADS, #cells, #CPUs)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setenv("AOI_DPP_THREADS", threads)
+    out = tmp_path / "out"
+    assert main(["--config", str(small_cfg), "--out", str(out)]) == 0
+    assert InlinePool.sizes == ([] if pool_size is None else [pool_size])
+    assert (out / "V0_seed3" / "summary.json").is_file()
+    assert (out / "V2_seed3" / "summary.json").is_file()
+
+
+@pytest.mark.parametrize("threads", ["x", "-1", "2.5", "+2", "1e3"])
+def test_bad_thread_count_fails_before_compute(small_cfg, tmp_path, monkeypatch, capsys,
+                                               threads):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setenv("AOI_DPP_THREADS", threads)
+    monkeypatch.chdir(tmp_path)
+    assert main(["--config", str(small_cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: AOI_DPP_THREADS: ")
+    assert [p.name for p in tmp_path.iterdir()] == [small_cfg.name]

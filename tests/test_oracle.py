@@ -6,13 +6,14 @@ from conftest import reference_cfg, reference_model, random_instance
 from aoi_dpp.channel import GOOD, GilbertElliotChannel, IIDChannel
 from aoi_dpp.model import Action, FrameConfig, SystemState
 from aoi_dpp.oracle import (
+    InfeasibleActionError,
     TooLargeError,
     brute_force_optimal,
     evaluate_policy_exact,
     monte_carlo_value,
     stationary_aoi_mean,
 )
-from aoi_dpp.solver import backward_solve, stage_cost
+from aoi_dpp.solver import FrameSolver, backward_solve
 
 TOY_CFG = FrameConfig(T=2, K=1, q=1.0, A_max=3, V=1.0)
 TOY_MODEL = IIDChannel(p1=1.0, p2=1.0)
@@ -61,11 +62,17 @@ def test_brute_force_matches_explicit_enumeration():
     for plan in plans:
         try:
             cost = evaluate_policy_exact(list(plan), TOY_S0, 0.0, TOY_CFG, TOY_MODEL).expected_cost
-        except Exception:
+        except InfeasibleActionError:
             continue  # plan hits an infeasible action along its path
         best = min(best, cost)
     value, _ = brute_force_optimal(TOY_S0, 0.0, TOY_CFG, TOY_MODEL)
     assert value == pytest.approx(best)
+
+
+def test_evaluate_rejects_infeasible_plan():
+    # USER2 delivers in slot 0 (p2 = 1), so slot 1 schedules an empty queue
+    with pytest.raises(InfeasibleActionError):
+        evaluate_policy_exact([Action.USER2, Action.USER2], TOY_S0, 0.0, TOY_CFG, TOY_MODEL)
 
 
 def test_single_slot_optimum_is_min_stage_cost():
@@ -75,10 +82,10 @@ def test_single_slot_optimum_is_min_stage_cost():
         cfg1 = FrameConfig(1, 1, min(cfg.q, 1.0), cfg.A_max, cfg.V, cfg.discount)
         state1 = SystemState(state.aoi, min(state.queue, 1), state.channel_mem)
         value, _ = brute_force_optimal(state1, z, cfg1, model)
-        feasible = [Action.USER1, Action.IDLE] + (
-            [Action.USER2] if state1.queue > 0 else []
-        )
-        expected = min(stage_cost(state1, a, z, cfg1, model) for a in feasible)
+        solver = FrameSolver(cfg1, model)
+        s = solver.space.index(state1)
+        stage = solver.cost_const[s] + z * solver.cost_z[s]
+        expected = min(stage[a] for a in Action if solver.feasible[s, a])
         assert value == pytest.approx(expected, abs=1e-12)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import reference_cfg, reference_model
 
-from aoi_dpp.channel import IIDChannel
+from aoi_dpp.channel import GilbertElliotChannel, IIDChannel
 from aoi_dpp.lyapunov import drift_bound
 from aoi_dpp.model import Action, FrameConfig, SystemState
 from aoi_dpp.oracle import stationary_aoi_mean
@@ -105,6 +105,16 @@ def test_infeasible_target_warns_but_runs():
     m = run_simulation(cfg, model, PolicyKind.DRIFT_PLUS_PENALTY, 2_000, 1)
     assert m.warnings and "not certifiably feasible" in m.warnings[0]
     assert m.horizon_slots == 2_000
+
+
+def test_frozen_user2_chain_warns_but_runs():
+    # p11_2 = 1, p01_2 = 0: user 2 has no long-run success rate to certify q with
+    m = run_simulation(FrameConfig(T=4, K=2, q=1.0, A_max=5, V=1.0),
+                       GilbertElliotChannel(0.9, 0.6, 1.0, 0.0),
+                       PolicyKind.DEADLINE_FIRST, 40, 1, initial_channel=(1, 1))
+    assert m.warnings and "no slackness certificate" in m.warnings[0]
+    assert m.horizon_slots == 40
+    assert m.d2.sum() == 20  # user 2 stays Good: 2 deliveries per frame
 
 
 def test_initial_channel_override():

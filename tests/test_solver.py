@@ -5,48 +5,65 @@ from conftest import reference_cfg, reference_model, random_instance
 
 from aoi_dpp.channel import BAD, GOOD, GilbertElliotChannel, IIDChannel
 from aoi_dpp.model import Action, FrameConfig, SystemState
-from aoi_dpp.oracle import evaluate_policy_exact
+from aoi_dpp.oracle import _outcome_branches, _successor, evaluate_policy_exact
 from aoi_dpp.solver import (
     FrameSolver,
-    InfeasibleActionError,
     StateSpace,
     UnknownStateError,
     backward_solve,
-    build_kernel,
-    stage_cost,
 )
 
 TOY_CFG = FrameConfig(T=2, K=1, q=1.0, A_max=3, V=1.0)
 TOY_MODEL = IIDChannel(p1=1.0, p2=1.0)
 
 
-def kernel_as_dict(state, action, model, cfg):
-    return {
-        (e.state.aoi, e.state.queue, e.state.channel_mem): e.probability
-        for e in build_kernel(state, action, model, cfg)
-    }
+def kernel_as_dict(solver, state, action):
+    """{(aoi, queue, mem): prob} of one (state, action), read from the arrays."""
+    s = solver.space.index(state)
+    law = {}
+    for nxt, prob in zip(solver.next_idx[s, action], solver.probs[s, action]):
+        if prob > 0.0:
+            n = solver.space.state(int(nxt))
+            key = (n.aoi, n.queue, n.channel_mem)
+            law[key] = law.get(key, 0.0) + float(prob)
+    return law
+
+
+def stage_cost(solver, state, action, z):
+    """Expected one-slot cost cost_const + z*cost_z of a feasible action."""
+    s = solver.space.index(state)
+    assert solver.feasible[s, action]
+    return solver.cost_const[s, action] + z * solver.cost_z[s, action]
+
+
+def assert_infeasible(solver, state, action):
+    s = solver.space.index(state)
+    assert solver.feasible[s, action] == 0
+    assert solver.cost_const[s, action] == 0.0 and solver.cost_z[s, action] == 0.0
+    assert not solver.probs[s, action].any() and not solver.next_idx[s, action].any()
 
 
 def test_build_kernel_iid_user1():
     cfg = FrameConfig(T=5, K=4, q=2.0, A_max=20, V=1.0)
-    model = IIDChannel(p1=0.8, p2=0.5)
-    got = kernel_as_dict(SystemState(2, 3), Action.USER1, model, cfg)
+    solver = FrameSolver(cfg, IIDChannel(p1=0.8, p2=0.5))
+    got = kernel_as_dict(solver, SystemState(2, 3), Action.USER1)
     assert got == {(1, 3, None): pytest.approx(0.8), (3, 3, None): pytest.approx(0.2)}
 
 
 def test_build_kernel_iid_user2_and_idle():
     cfg = FrameConfig(T=5, K=4, q=2.0, A_max=3, V=1.0)
-    model = IIDChannel(p1=0.8, p2=0.5)
-    got = kernel_as_dict(SystemState(3, 2), Action.USER2, model, cfg)
+    solver = FrameSolver(cfg, IIDChannel(p1=0.8, p2=0.5))
+    got = kernel_as_dict(solver, SystemState(3, 2), Action.USER2)
     assert got == {(3, 1, None): pytest.approx(0.5), (3, 2, None): pytest.approx(0.5)}
-    got = kernel_as_dict(SystemState(1, 0), Action.IDLE, model, cfg)
+    got = kernel_as_dict(solver, SystemState(1, 0), Action.IDLE)
     assert got == {(2, 0, None): 1.0}
 
 
 def test_build_kernel_gilbert_elliot_user1():
     cfg = FrameConfig(T=5, K=4, q=2.0, A_max=20, V=1.0)
     model = GilbertElliotChannel(p11_1=0.9, p01_1=0.5, p11_2=0.7, p01_2=0.6)
-    got = kernel_as_dict(SystemState(2, 3, (GOOD, BAD)), Action.USER1, model, cfg)
+    solver = FrameSolver(cfg, model)
+    got = kernel_as_dict(solver, SystemState(2, 3, (GOOD, BAD)), Action.USER1)
     assert got == {
         (1, 3, (GOOD, GOOD)): pytest.approx(0.54),
         (1, 3, (GOOD, BAD)): pytest.approx(0.36),
@@ -56,36 +73,70 @@ def test_build_kernel_gilbert_elliot_user1():
 
 
 def test_build_kernel_infeasible():
-    with pytest.raises(InfeasibleActionError):
-        build_kernel(SystemState(2, 0), Action.USER2, TOY_MODEL, TOY_CFG)
+    assert_infeasible(FrameSolver(TOY_CFG, TOY_MODEL), SystemState(2, 0), Action.USER2)
 
 
 def test_kernel_probabilities_sum_to_one():
     rng = np.random.default_rng(11)
     for _ in range(60):
-        cfg, model, state, _ = random_instance(rng)
-        for action in (Action.USER1, Action.USER2, Action.IDLE):
-            if action == Action.USER2 and state.queue == 0:
-                continue
-            entries = build_kernel(state, action, model, cfg)
-            assert abs(sum(e.probability for e in entries) - 1.0) < 1e-12
-            for e in entries:
-                assert 1 <= e.state.aoi <= cfg.A_max
-                assert 0 <= e.state.queue <= cfg.K
+        cfg, model, _, _ = random_instance(rng)
+        solver = FrameSolver(cfg, model)
+        feasible = solver.feasible.astype(bool)
+        assert np.all(np.abs(solver.probs.sum(axis=2)[feasible] - 1.0) < 1e-12)
+        assert not solver.probs[~feasible].any()
+        for nxt in np.unique(solver.next_idx[solver.probs > 0.0]):
+            n = solver.space.state(int(nxt))
+            assert 1 <= n.aoi <= cfg.A_max
+            assert 0 <= n.queue <= cfg.K
 
 
 def test_stage_cost_values():
     cfg = FrameConfig(T=20, K=15, q=12.0, A_max=20, V=5.0)
     iid = IIDChannel(p1=0.8, p2=0.7)
-    assert stage_cost(SystemState(3, 5), Action.USER1, 1.0, cfg, iid) == pytest.approx(8.6)
-    assert stage_cost(SystemState(3, 5), Action.USER2, 1.0, cfg, iid) == pytest.approx(19.9)
+    solver = FrameSolver(cfg, iid)
+    assert stage_cost(solver, SystemState(3, 5), Action.USER1, 1.0) == pytest.approx(8.6)
+    assert stage_cost(solver, SystemState(3, 5), Action.USER2, 1.0) == pytest.approx(19.9)
     cfg0 = FrameConfig(T=20, K=15, q=12.0, A_max=20, V=0.0)
-    assert stage_cost(SystemState(7, 5), Action.USER2, 1.0, cfg0, iid) == pytest.approx(-0.1)
+    solver0 = FrameSolver(cfg0, iid)
+    assert stage_cost(solver0, SystemState(7, 5), Action.USER2, 1.0) == pytest.approx(-0.1)
 
 
 def test_stage_cost_infeasible():
-    with pytest.raises(InfeasibleActionError):
-        stage_cost(SystemState(2, 0), Action.USER2, 0.0, TOY_CFG, TOY_MODEL)
+    solver = FrameSolver(TOY_CFG, TOY_MODEL)
+    for aoi in range(1, TOY_CFG.A_max + 1):
+        assert_infeasible(solver, SystemState(aoi, 0), Action.USER2)
+
+
+def random_channel(rng, ge: bool):
+    """A channel whose probabilities are 0, 1 or uniform, each with equal odds."""
+    draws = [float(rng.choice([0.0, 1.0, rng.random()])) for _ in range(4)]
+    return GilbertElliotChannel(*draws) if ge else IIDChannel(*draws[:2])
+
+
+@pytest.mark.parametrize("ge", [False, True], ids=["iid", "ge"])
+def test_arrays_match_oracle_outcomes(ge):
+    # The solver's broadcast arrays and the oracle's own outcome enumeration
+    # state one transition law: the same successors with the same
+    # probabilities (both multiply the same per-user factors), and the same
+    # expected cost up to rounding.
+    rng = np.random.default_rng(53 + ge)
+    for _ in range(40):
+        cfg, _, _, z = random_instance(rng)
+        model = random_channel(rng, ge)
+        solver = FrameSolver(cfg, model)
+        for state in solver.space.states():
+            for action in Action:
+                if action == Action.USER2 and state.queue == 0:
+                    assert_infeasible(solver, state, action)
+                    continue
+                law, cost = {}, 0.0
+                for p, d1, d2, mem in _outcome_branches(state, action, model):
+                    nxt, realized = _successor(state, d1, d2, mem, z, cfg)
+                    key = (nxt.aoi, nxt.queue, nxt.channel_mem)
+                    law[key] = law.get(key, 0.0) + p
+                    cost += p * realized
+                assert kernel_as_dict(solver, state, action) == law
+                assert stage_cost(solver, state, action, z) == pytest.approx(cost, abs=1e-12)
 
 
 def test_backward_solve_toy():
