@@ -67,25 +67,6 @@ def _check_prob(name: str, value: float) -> None:
         raise ValueError(f"{name} must be a probability in [0, 1], got {value}")
 
 
-def success_prob(
-    model: ChannelModel, user: int, mem: tuple[int, int] | None = None
-) -> float:
-    """Probability that a transmission by `user` succeeds this slot.
-
-    For the Gilbert-Elliot model `mem` is the previous slot's (h1, h2) pair and
-    success means the user's chain transitions to Good.
-    """
-    if user not in (1, 2):
-        raise ValueError(f"user must be 1 or 2, got {user}")
-    if isinstance(model, IIDChannel):
-        if mem is not None:
-            raise ValueError("i.i.d. channel takes no memory")
-        return model.p1 if user == 1 else model.p2
-    if mem is None:
-        raise ValueError("Gilbert-Elliot channel requires the previous slot's state")
-    return model.good_prob(user, mem[user - 1])
-
-
 def step_channel(
     model: GilbertElliotChannel, state: tuple[int, int], rng: np.random.Generator
 ) -> tuple[int, int]:

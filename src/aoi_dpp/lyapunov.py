@@ -26,10 +26,6 @@ class InfeasibleError(RuntimeError):
         self.epsilon = epsilon
 
 
-class BoundHypothesisViolated(ValueError):
-    """The bound requires epsilon*T > the approximation slope delta."""
-
-
 class DriftBound(NamedTuple):
     """Quadratic-drift constants under the two arrival conventions.
 
@@ -46,19 +42,23 @@ class DriftBound(NamedTuple):
 class PerformanceBounds(NamedTuple):
     z_bound: float
     aoi_bound_offset: float
-    mix_prob: float
 
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Analytics bundle serialized into each run summary."""
+    """Analytics bundle serialized into each run summary.
+
+    mix_prob is the weight the bound of an approximate per-frame solver puts
+    on its optimality gap. Every frame here is solved exactly, so it is 0.0;
+    it stays so that run summaries keep their fields.
+    """
 
     drift_frame_quota: float
     drift_slot_rate: float
     epsilon: float
     z_bound: float
     aoi_bound_offset: float
-    mix_prob: float
+    mix_prob: float = 0.0
 
     def to_dict(self) -> dict[str, float | None]:
         # JSON has no Infinity; non-finite entries serialize as null.
@@ -102,41 +102,19 @@ def slackness_epsilon(model: ChannelModel, T: int, q: float) -> float:
 
 
 def performance_bounds(
-    drift_const: float,
-    gap_const: float,
-    gap_slope: float,
-    epsilon: float,
-    T: int,
-    V: float,
-    A_max: int,
+    drift_const: float, epsilon: float, T: int, V: float, A_max: int
 ) -> PerformanceBounds:
-    """Guarantees for a controller whose per-frame solve is within a
-    (gap_const, gap_slope) additive gap of optimal (0, 0 for the exact DP).
+    """Guarantees of the controller that solves each frame exactly.
 
     z_bound caps the long-run mean of Z at frame starts; the AoI guarantee is
-    aoi_bound_offset + (1 - mix_prob) * A_opt with A_opt supplied externally.
-    Requires epsilon*T > gap_slope; the offset is +inf when V = 0.
+    aoi_bound_offset + A_opt with A_opt supplied externally. Requires
+    epsilon > 0; the offset is +inf when V = 0.
     """
-    if V < 0:
-        raise ValueError(f"V must be >= 0, got {V}")
-    denom = epsilon * T - gap_slope
-    if denom <= 0.0:
-        raise BoundHypothesisViolated(
-            f"need epsilon*T > gap_slope, got epsilon*T={epsilon * T}, "
-            f"gap_slope={gap_slope}"
-        )
-    mix_prob = gap_slope / (epsilon * T)
-    z_bound = (drift_const + gap_const + V * (A_max + gap_slope - 1)) / denom
-    if V > 0:
-        aoi_bound_offset = (
-            drift_const / (V * T)
-            + mix_prob * (A_max - 1)
-            + gap_const / (V * T)
-            + gap_slope / T
-        )
-    else:
-        aoi_bound_offset = math.inf
-    return PerformanceBounds(z_bound, aoi_bound_offset, mix_prob)
+    if V < 0 or not epsilon > 0:
+        raise ValueError(f"need V >= 0 and epsilon > 0, got V={V}, epsilon={epsilon}")
+    z_bound = (drift_const + V * (A_max - 1)) / (epsilon * T)
+    aoi_bound_offset = drift_const / (V * T) if V > 0 else math.inf
+    return PerformanceBounds(z_bound, aoi_bound_offset)
 
 
 def rate_stability_stat(z_trajectory: Sequence[float] | np.ndarray) -> float:
@@ -173,26 +151,18 @@ def convergence_time(
     return int(hits[0])
 
 
-def bounds_report(
-    cfg: FrameConfig,
-    model: ChannelModel,
-    gap_const: float = 0.0,
-    gap_slope: float = 0.0,
-) -> BoundsReport:
+def bounds_report(cfg: FrameConfig, model: ChannelModel) -> BoundsReport:
     """Assemble the full analytics bundle for a scenario.
 
     Raises InfeasibleError when no slackness certificate exists.
     """
     db = drift_bound(cfg.T, cfg.q)
     eps = slackness_epsilon(model, cfg.T, cfg.q)
-    perf = performance_bounds(
-        db.slot_rate, gap_const, gap_slope, eps, cfg.T, cfg.V, cfg.A_max
-    )
+    perf = performance_bounds(db.slot_rate, eps, cfg.T, cfg.V, cfg.A_max)
     return BoundsReport(
         drift_frame_quota=db.frame_quota,
         drift_slot_rate=db.slot_rate,
         epsilon=eps,
         z_bound=perf.z_bound,
         aoi_bound_offset=perf.aoi_bound_offset,
-        mix_prob=perf.mix_prob,
     )

@@ -1,5 +1,5 @@
 """Core state dynamics: AoI evolution, the deadline queue with per-frame
-refill/drop, the frame clock, and action feasibility."""
+refill/drop, and action feasibility."""
 
 from __future__ import annotations
 
@@ -47,8 +47,9 @@ class FrameConfig:
             raise ValueError(f"q must satisfy 0 <= q <= K, got q={self.q}, K={self.K}")
         if self.A_max < 1:
             raise ValueError(f"A_max must be >= 1, got {self.A_max}")
-        if not 0 <= self.V < math.inf:
-            raise ValueError(f"V must be finite and >= 0, got {self.V}")
+        # A frame's penalty reaches V * A_max * T, which must stay a finite float.
+        if not (self.V >= 0 and math.isfinite(self.V * self.A_max * self.T)):
+            raise ValueError(f"V must be >= 0 with V * A_max * T finite, got {self.V}")
         if not 0 < self.discount <= 1:
             raise ValueError(f"discount must be in (0, 1], got {self.discount}")
 
@@ -71,13 +72,6 @@ class SystemState:
     channel_mem: tuple[int, int] | None = None
 
 
-def frame_offset(t: int, T: int) -> int:
-    """Slots elapsed since the current frame started; 0 marks a frame start."""
-    if t < 0 or T < 1:
-        raise ValueError(f"need t >= 0 and T >= 1, got t={t}, T={T}")
-    return t % T
-
-
 def step_aoi(aoi: int, d1: int, a_max: int) -> int:
     """Age resets to 1 on a user-1 delivery, otherwise grows by 1 up to the cap."""
     if d1:
@@ -95,6 +89,11 @@ def step_queue(queue: int, d2: int, next_slot_is_frame_start: bool, k: int) -> i
     if next_slot_is_frame_start:
         return k
     return max(queue - d2, 0)
+
+
+class InfeasibleActionError(ValueError):
+    """A policy picks an action its state does not allow (user 2 with an
+    empty queue), or a solved frame table holds a non-finite value."""
 
 
 def feasible_actions(state: SystemState) -> tuple[Action, ...]:

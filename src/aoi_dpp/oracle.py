@@ -14,12 +14,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .channel import BAD, GOOD, ChannelModel, GilbertElliotChannel, IIDChannel, step_channel
-from .model import Action, FrameConfig, SystemState, feasible_actions, step_aoi, step_queue
+from .model import (
+    Action,
+    FrameConfig,
+    InfeasibleActionError,
+    SystemState,
+    feasible_actions,
+    step_aoi,
+    step_queue,
+)
 from .solver import PolicyTable, StateSpace
 
 DecisionRule = Callable[[int, SystemState], Action]
@@ -29,32 +37,31 @@ class TooLargeError(ValueError):
     """Instance exceeds the naive enumeration guard."""
 
 
-class InfeasibleActionError(ValueError):
-    """Action not allowed in this state (user 2 with an empty queue)."""
-
-
 @dataclass
 class EvaluationResult:
     expected_cost: float
     state_distribution_by_slot: list[dict[SystemState, float]]
 
 
-def as_rule(policy) -> DecisionRule:
-    """Normalize a policy argument into a (slot, state) -> Action callable.
-
-    Accepts a PolicyTable, a {(slot, state): action} mapping, a per-slot
-    action sequence, or an already-callable rule.
-    """
+def as_rule(policy: PolicyTable | Sequence[Action]) -> DecisionRule:
+    """A checked (slot, state) -> Action rule from a PolicyTable or a per-slot
+    action sequence; it raises InfeasibleActionError for an action the state
+    does not allow."""
     if isinstance(policy, PolicyTable):
-        return policy.action
-    if isinstance(policy, Mapping):
-        return lambda t, s: policy[(t, s)]
-    if isinstance(policy, Sequence):
+        pick = policy.action
+    elif isinstance(policy, Sequence):
         actions = [Action(a) for a in policy]
-        return lambda t, s: actions[t]
-    if callable(policy):
-        return policy
-    raise TypeError(f"cannot interpret {policy!r} as a decision rule")
+        pick = lambda t, s: actions[t]
+    else:
+        raise TypeError(f"cannot interpret {policy!r} as a decision rule")
+
+    def rule(t: int, state: SystemState) -> Action:
+        action = pick(t, state)
+        if action not in feasible_actions(state):
+            raise InfeasibleActionError(f"action {action!r} infeasible in {state}")
+        return action
+
+    return rule
 
 
 def evaluate_policy_exact(
@@ -78,8 +85,6 @@ def evaluate_policy_exact(
         nxt: dict[SystemState, float] = {}
         for state, prob in dist.items():
             action = rule(t, state)
-            if action not in feasible_actions(state):
-                raise InfeasibleActionError(f"action {action!r} infeasible in {state}")
             for p, d1, d2, mem in _outcome_branches(state, action, model):
                 after, cost = _successor(state, d1, d2, mem, frozen_z, cfg)
                 expected += weight * prob * p * cost
@@ -191,7 +196,9 @@ def monte_carlo_value(
     """Sample mean and standard error of the realized frame cost.
 
     Run i draws its stream from the derived seed (seed, i), so runs are
-    independent and the whole estimate is reproducible.
+    independent and the whole estimate is reproducible. Raises
+    InfeasibleActionError when the policy picks an action that a visited
+    state does not allow.
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")

@@ -31,7 +31,6 @@ from .model import (
     FrameConfig,
     SystemState,
     feasible_actions,
-    frame_offset,
     step_aoi,
     step_queue,
 )
@@ -195,7 +194,7 @@ def run_simulation(
     aoi, queue, z = 1, K, 0.0
     rho = cfg.rho
     for t in range(horizon_slots):
-        j = frame_offset(t, T)
+        j = t % T
         if frame_solver is not None and j == 0:
             solved = frame_solver.solve(z)
             table = solved.actions

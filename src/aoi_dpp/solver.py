@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _kernels
 from .channel import BAD, GOOD, ChannelModel, GilbertElliotChannel
-from .model import Action, FrameConfig, SystemState
+from .model import Action, FrameConfig, InfeasibleActionError, SystemState
 
 
 class UnknownStateError(KeyError):
@@ -137,8 +137,11 @@ class FrameSolver:
       probability. Zero-probability branches keep their slot, and every entry
       of an infeasible action is zero.
 
-    An optional debt-quantization bucket caches policies by rounded z (off by
-    default: every frame re-solves exactly).
+    solve() raises InfeasibleActionError on a table that holds a non-finite
+    value or an action outside its state's feasible set, which only a broken
+    kernel or an overflowing cost can produce. An optional debt-quantization
+    bucket caches policies by rounded z (off by default: every frame
+    re-solves exactly).
     """
 
     def __init__(
@@ -177,6 +180,10 @@ class FrameSolver:
         cost_z = np.stack([rho, rho - p2, rho], axis=1)
         cost_v = np.stack([p1 + (1.0 - p1) * aged, aged, aged], axis=1)
         self.feasible = feasible.astype(np.uint8)
+        # (action, states whose mask forbids it), read by the post-solve check
+        self._forbidden = [
+            (a, np.flatnonzero(~feasible[:, a])) for a in Action if not feasible[:, a].all()
+        ]
         self.cost_const = np.where(feasible, cfg.V * cost_v, 0.0)
         self.cost_z = np.where(feasible, cost_z, 0.0)
         self.next_idx = np.where(feasible[..., None], next_idx, 0).astype(np.intp)
@@ -205,6 +212,14 @@ class FrameSolver:
             values,
             actions,
         )
+        if not np.isfinite(values).all():
+            raise InfeasibleActionError(f"solve at z={key} wrote a non-finite value")
+        if (
+            actions.min() < 0
+            or actions.max() > Action.IDLE
+            or any((actions[:, states] == a).any() for a, states in self._forbidden)
+        ):
+            raise InfeasibleActionError(f"solve at z={key} wrote an infeasible action")
         table = PolicyTable(self.cfg, self.space, key, values, actions)
         if self.z_bucket > 0:
             self._cache[key] = table

@@ -126,11 +126,11 @@ def test_criterion_6_performance_bound_check():
     cfg = metrics.cfg
     b = drift_bound(cfg.T, cfg.q).slot_rate
     eps = slackness_epsilon(reference_model(), cfg.T, cfg.q)
-    bounds = performance_bounds(b, 0.0, 0.0, eps, cfg.T, cfg.V, cfg.A_max)
+    bounds = performance_bounds(b, eps, cfg.T, cfg.V, cfg.A_max)
     z_mean = float(metrics.frame_start_z[:-1].mean())
     greedy, _ = scenario_run(5.0, PolicyKind.AOI_GREEDY)
     a_opt_est = min(greedy.mean_aoi, metrics.mean_aoi)
-    aoi_cap = bounds.aoi_bound_offset + (1 - bounds.mix_prob) * a_opt_est
+    aoi_cap = bounds.aoi_bound_offset + a_opt_est
     check(
         6,
         f"frame-start mean Z {z_mean:.2f} <= z_bound {bounds.z_bound:.2f}; "

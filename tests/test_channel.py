@@ -15,39 +15,18 @@ from aoi_dpp.channel import (
     stationary_good_prob,
     stationary_state,
     step_channel,
-    success_prob,
 )
 
 probs = st.floats(0.0, 1.0, allow_nan=False)
 
 
-def test_success_prob_iid():
-    model = IIDChannel(p1=0.4, p2=0.7)
-    assert success_prob(model, 2) == 0.7
-    assert success_prob(model, 1) == 0.4
-
-
-def test_success_prob_gilbert_elliot():
+def test_good_prob_gilbert_elliot():
     model = GilbertElliotChannel(p11_1=0.9, p01_1=0.6, p11_2=0.8, p01_2=0.3)
-    assert success_prob(model, 1, (GOOD, BAD)) == 0.9
-    assert success_prob(model, 1, (BAD, GOOD)) == 0.6
-    assert success_prob(model, 2, (GOOD, BAD)) == 0.3
-
-
-def test_success_prob_memory_mismatch():
+    assert model.good_prob(1, GOOD) == 0.9
+    assert model.good_prob(1, BAD) == 0.6
+    assert model.good_prob(2, BAD) == 0.3
     with pytest.raises(ValueError):
-        success_prob(IIDChannel(0.5, 0.5), 1, (GOOD, GOOD))
-    with pytest.raises(ValueError):
-        success_prob(GilbertElliotChannel(0.9, 0.6, 0.9, 0.6), 1)
-    with pytest.raises(ValueError):
-        success_prob(IIDChannel(0.5, 0.5), 3)
-
-
-@given(probs, probs, st.integers(1, 2))
-def test_success_prob_in_unit_interval(p11, p01, user):
-    model = GilbertElliotChannel(p11, p01, p11, p01)
-    for mem in ((GOOD, GOOD), (BAD, BAD)):
-        assert 0.0 <= success_prob(model, user, mem) <= 1.0
+        model.good_prob(3, GOOD)
 
 
 def test_step_channel_absorbing():

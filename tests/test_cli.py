@@ -188,9 +188,10 @@ def test_unknown_preset_fails(capsys):
         (["--out", "out#1"], "out_dir"),
         (["--out", "out "], "out_dir"),
         (["--v-list", "2 2.0"], "V"),
+        (["--v-list", "1e307"], "error: V:"),
     ],
     ids=["v-nan", "v-inf", "thin-zero", "seed-negative", "v-empty", "out-hash",
-         "out-space", "v-duplicate"],
+         "out-space", "v-duplicate", "v-overflow"],
 )
 def test_bad_arguments_fail_before_compute(small_cfg, tmp_path, monkeypatch, capsys,
                                            flags, named):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from aoi_dpp.channel import GilbertElliotChannel, IIDChannel
 from aoi_dpp.lyapunov import (
-    BoundHypothesisViolated,
     InfeasibleError,
     bounds_report,
     convergence_time,
@@ -66,24 +65,23 @@ def test_slackness_epsilon_infeasible():
 
 def test_performance_bounds_reference_numbers():
     eps = 9 / 35
-    b = performance_bounds(203.6, 0.0, 0.0, eps, 20, 5.0, 20)
+    b = performance_bounds(203.6, eps, 20, 5.0, 20)
     # (203.6 + 5*19) / (20 * 9/35), computed independently
     assert b.z_bound == pytest.approx(298.6 * 7 / 36, abs=1e-9)
     assert b.z_bound == pytest.approx(58.061, abs=1e-3)
     assert b.aoi_bound_offset == pytest.approx(2.036, abs=1e-12)
-    assert b.mix_prob == 0.0
-
-
-def test_performance_bounds_hypothesis_violation():
-    eps = 0.25
-    with pytest.raises(BoundHypothesisViolated):
-        performance_bounds(100.0, 0.0, eps * 20, eps, 20, 5.0, 20)
 
 
 def test_performance_bounds_v_zero():
-    b = performance_bounds(203.6, 0.0, 0.0, 0.25, 20, 0.0, 20)
+    b = performance_bounds(203.6, 0.25, 20, 0.0, 20)
     assert math.isinf(b.aoi_bound_offset)
     assert b.z_bound == pytest.approx(203.6 / 5.0)
+
+
+@pytest.mark.parametrize("eps, v", [(0.0, 5.0), (-0.1, 5.0), (float("nan"), 5.0), (0.25, -1.0)])
+def test_performance_bounds_need_slack_and_nonnegative_v(eps, v):
+    with pytest.raises(ValueError):
+        performance_bounds(203.6, eps, 20, v, 20)
 
 
 def test_rate_stability_stat():
@@ -124,6 +122,7 @@ def test_bounds_report_roundtrip():
         "mix_prob",
     }
     assert all(v is None or math.isfinite(v) for v in d.values())
+    assert d["mix_prob"] == 0.0  # the exact solver's value
 
 
 def test_bounds_report_infeasible():

@@ -7,23 +7,9 @@ from aoi_dpp.model import (
     FrameConfig,
     SystemState,
     feasible_actions,
-    frame_offset,
     step_aoi,
     step_queue,
 )
-
-
-def test_frame_offset():
-    assert frame_offset(7, 6) == 1
-    assert frame_offset(12, 6) == 0
-    assert frame_offset(0, 20) == 0
-
-
-def test_frame_offset_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        frame_offset(-1, 6)
-    with pytest.raises(ValueError):
-        frame_offset(3, 0)
 
 
 def test_step_aoi():
@@ -88,6 +74,13 @@ def test_frame_config_validation():
 def test_frame_config_rejects_non_finite_v(v):
     with pytest.raises(ValueError, match="finite"):
         FrameConfig(T=20, K=15, q=12.0, A_max=20, V=v)
+
+
+def test_frame_config_rejects_overflowing_v():
+    # A frame's costs reach V * A_max * T = 4e309, which overflows a float.
+    with pytest.raises(ValueError, match="^V must .*finite"):
+        FrameConfig(T=20, K=15, q=12.0, A_max=20, V=1e307)
+    FrameConfig(T=1, K=1, q=1.0, A_max=1, V=1e307)
 
 
 def test_rho():

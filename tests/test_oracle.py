@@ -151,6 +151,14 @@ def test_stationary_aoi_mean_ge_reduces_to_iid():
     )
 
 
+def test_monte_carlo_rejects_infeasible_plan():
+    # as in test_evaluate_rejects_infeasible_plan: slot 1 serves an empty queue
+    with pytest.raises(InfeasibleActionError):
+        monte_carlo_value([Action.USER2, Action.USER2], SystemState(2, 1), 1.0,
+                          FrameConfig(T=2, K=1, q=1.0, A_max=3, V=0.0),
+                          IIDChannel(1.0, 1.0), n_runs=3, seed=0)
+
+
 def test_monte_carlo_rejects_bad_n():
     with pytest.raises(ValueError):
         monte_carlo_value([Action.USER1], SystemState(1, 1), 0.0,

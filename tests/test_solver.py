@@ -3,8 +3,9 @@ import pytest
 
 from conftest import reference_cfg, reference_model, random_instance
 
+from aoi_dpp import _kernels
 from aoi_dpp.channel import BAD, GOOD, GilbertElliotChannel, IIDChannel
-from aoi_dpp.model import Action, FrameConfig, SystemState
+from aoi_dpp.model import Action, FrameConfig, InfeasibleActionError, SystemState
 from aoi_dpp.oracle import _outcome_branches, _successor, evaluate_policy_exact
 from aoi_dpp.solver import (
     FrameSolver,
@@ -238,6 +239,33 @@ def test_non_finite_frozen_z_rejected(z):
         FrameSolver(TOY_CFG, TOY_MODEL).solve(z)
     with pytest.raises(ValueError, match="finite"):
         FrameSolver(TOY_CFG, TOY_MODEL, z_bucket=z)
+
+
+def schedule_empty_queue(values, actions, s):
+    actions[3, s] = Action.USER2
+
+
+def write_no_action(values, actions, s):
+    actions[0, s] = -1
+
+
+def write_nan(values, actions, s):
+    values[5, s] = np.nan
+
+
+@pytest.mark.parametrize("corrupt", [schedule_empty_queue, write_no_action, write_nan])
+def test_solve_rejects_bad_table(monkeypatch, corrupt):
+    cfg, model = reference_cfg(5.0), reference_model()
+    empty = StateSpace(cfg, model).index(SystemState(4, 0, (GOOD, BAD)))
+    kernel = _kernels.get_solver()
+
+    def broken_kernel(*args):
+        kernel(*args)
+        corrupt(args[-2], args[-1], empty)
+
+    monkeypatch.setattr(_kernels, "get_solver", lambda: broken_kernel)
+    with pytest.raises(InfeasibleActionError):
+        FrameSolver(cfg, model).solve(2.0)
 
 
 def test_discounted_solve_matches_brute_force():
