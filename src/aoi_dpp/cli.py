@@ -14,9 +14,12 @@ import json
 import os
 import sys
 import time
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from . import lyapunov
 from ._kernels import BACKEND
@@ -59,6 +62,28 @@ class RunSummary:
         )
 
 
+#: Rows converted from NumPy to Python objects at a time when writing a
+#: long table; whole 100k-slot columns would raise the peak memory of a run.
+BLOCK_ROWS = 1024
+
+
+def _write(path: Path, head: str, rows: Iterable[str] = ()) -> Path:
+    """Write one artifact file: UTF-8 with `\\n` newlines, `head` (a CSV header,
+    or the whole summary.json) and a newline, then `rows`, each ending in a
+    newline. Rows write floats as `repr`, the shortest round-trip form."""
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write(head + "\n")
+        fh.writelines(rows)
+    return path
+
+
+def _column_rows(n: int, *columns: np.ndarray, thin: int = 1) -> Iterator[tuple]:
+    """(row index, value of each column) for every `thin`-th of the first n rows."""
+    for start in range(0, n, BLOCK_ROWS * thin):
+        rows = slice(start, min(start + BLOCK_ROWS * thin, n), thin)
+        yield from zip(range(n)[rows], *(col[rows].tolist() for col in columns))
+
+
 def emit_outputs(
     metrics: Metrics,
     summary: RunSummary,
@@ -66,67 +91,38 @@ def emit_outputs(
     thin: int = 1,
 ) -> list[Path]:
     """Write the per-cell artifact files; returns the paths written."""
+    if thin < 1:
+        raise ValueError(f"thin must be >= 1, got {thin}")
     out = Path(out_dir)
+    hist = metrics.aoi_histogram
     try:
         out.mkdir(parents=True, exist_ok=True)
-        paths = [
-            _write_slots(metrics, out / "slots.csv", thin),
-            _write_frames(metrics, out / "frames.csv"),
-            _write_hist(metrics, out / "aoi_hist.csv"),
-            _write_fractions(metrics, out / "sched_fractions.csv"),
-            _write_summary(summary, out / "summary.json"),
+        return [
+            _write(out / "slots.csv", "t,A,Z,action,d1,d2", (
+                f"{t},{aoi},{z!r},{ACTION_LABELS[a]},{d1},{d2}\n"
+                for t, aoi, z, a, d1, d2 in _column_rows(
+                    metrics.horizon_slots, metrics.aoi, metrics.z_trajectory,
+                    metrics.actions, metrics.d1, metrics.d2, thin=thin,
+                )
+            )),
+            _write(out / "frames.csv", "frame_index,deliveries,Z_at_frame_start", (
+                f"{m},{d},{z!r}\n" for m, d, z in _column_rows(
+                    metrics.frames, metrics.per_frame_deliveries, metrics.frame_start_z
+                )
+            )),
+            _write(out / "aoi_hist.csv", "aoi_value,count,fraction", (
+                f"{i + 1},{count},{frac!r}\n"
+                for i, count, frac in _column_rows(hist.size, hist, hist / hist.sum())
+            )),
+            _write(out / "sched_fractions.csv", "slot_in_frame,frac_u1,frac_u2,frac_idle", (
+                f"{j},{u1!r},{u2!r},{idle!r}\n"
+                for j, u1, u2, idle in _column_rows(metrics.cfg.T, *metrics.schedule_fractions.T)
+            )),
+            _write(out / "summary.json",
+                   json.dumps(summary.to_dict(), indent=2, sort_keys=True)),
         ]
     except OSError as err:
         raise OSError(f"writing outputs under {out}: {err}") from err
-    return paths
-
-
-def _write_slots(metrics: Metrics, path: Path, thin: int) -> Path:
-    if thin < 1:
-        raise ValueError(f"thin must be >= 1, got {thin}")
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,A,Z,action,d1,d2\n")
-        for t in range(0, metrics.horizon_slots, thin):
-            fh.write(
-                f"{t},{metrics.aoi[t]},{float(metrics.z_trajectory[t])!r},"
-                f"{ACTION_LABELS[metrics.actions[t]]},"
-                f"{metrics.d1[t]},{metrics.d2[t]}\n"
-            )
-    return path
-
-
-def _write_frames(metrics: Metrics, path: Path) -> Path:
-    z_starts = metrics.frame_start_z
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("frame_index,deliveries,Z_at_frame_start\n")
-        for m in range(metrics.frames):
-            fh.write(f"{m},{metrics.per_frame_deliveries[m]},{float(z_starts[m])!r}\n")
-    return path
-
-
-def _write_hist(metrics: Metrics, path: Path) -> Path:
-    total = metrics.aoi_histogram.sum()
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("aoi_value,count,fraction\n")
-        for value, count in enumerate(metrics.aoi_histogram, start=1):
-            fh.write(f"{value},{count},{float(count / total)!r}\n")
-    return path
-
-
-def _write_fractions(metrics: Metrics, path: Path) -> Path:
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("slot_in_frame,frac_u1,frac_u2,frac_idle\n")
-        for j in range(metrics.cfg.T):
-            u1, u2, idle = (float(x) for x in metrics.schedule_fractions[j])
-            fh.write(f"{j},{u1!r},{u2!r},{idle!r}\n")
-    return path
-
-
-def _write_summary(summary: RunSummary, path: Path) -> Path:
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
 
 
 def _write_policy_dump(table: PolicyTable, out: Path) -> Path:
@@ -135,19 +131,15 @@ def _write_policy_dump(table: PolicyTable, out: Path) -> Path:
     for state in table.space.states():
         h1, h2 = state.channel_mem or ("", "")
         states.append(f"{state.aoi},{state.queue},{h1},{h2}")
-    path = out / "policy_frame0.csv"
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("slot,aoi,queue,h1,h2,action,value\n")
-        for slot, actions in enumerate(table.actions.tolist()):
-            fh.writelines(
-                f"{slot},{state},{ACTION_LABELS[a]},{v!r}\n"
-                for state, a, v in zip(states, actions, table.values[slot].tolist())
-            )
-    return path
+    return _write(out / "policy_frame0.csv", "slot,aoi,queue,h1,h2,action,value", (
+        f"{slot},{state},{ACTION_LABELS[a]},{v!r}\n"
+        for slot, actions in enumerate(table.actions.tolist())
+        for state, a, v in zip(states, actions, table.values[slot].tolist())
+    ))
 
 
 def _run_cell(cfg: ExperimentConfig, v: float, seed: int, out_root: str,
-              thin: int, dump_policy: bool) -> tuple[float, int, float, str]:
+              thin: int, dump_policy: bool) -> RunSummary:
     """Run one (V, seed) cell and write its artifacts. Worker-safe."""
     t0 = time.perf_counter()
     frame_cfg = cfg.frame_config(v)
@@ -180,24 +172,20 @@ def _run_cell(cfg: ExperimentConfig, v: float, seed: int, out_root: str,
     emit_outputs(metrics, summary, cell_dir, thin=thin)
     if dump_policy and metrics.frame0_policy is not None:
         _write_policy_dump(metrics.frame0_policy, cell_dir)
-    return v, seed, metrics.mean_aoi, summary.line()
+    return summary
 
 
-def _write_aoi_tables(results: list[tuple[float, int, float]], out_root: Path) -> None:
-    with (out_root / "aoi_vs_v.csv").open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("V,seed,mean_aoi\n")
-        for v, seed, mean_aoi in results:
-            fh.write(f"{v!r},{seed},{mean_aoi!r}\n")
+def _write_aoi_tables(summaries: list[RunSummary], out_root: Path) -> None:
+    _write(out_root / "aoi_vs_v.csv", "V,seed,mean_aoi", (
+        f"{s.V!r},{s.seed},{s.mean_aoi!r}\n" for s in summaries
+    ))
     pooled: dict[float, list[float]] = {}
-    for v, _, mean_aoi in results:
-        pooled.setdefault(v, []).append(mean_aoi)
-    with (out_root / "aoi_vs_v_pooled.csv").open(
-        "w", encoding="utf-8", newline="\n"
-    ) as fh:
-        fh.write("V,mean_aoi,n_seeds\n")
-        for v in sorted(pooled):
-            means = pooled[v]
-            fh.write(f"{v!r},{sum(means) / len(means)!r},{len(means)}\n")
+    for s in summaries:
+        pooled.setdefault(s.V, []).append(s.mean_aoi)
+    _write(out_root / "aoi_vs_v_pooled.csv", "V,mean_aoi,n_seeds", (
+        f"{v!r},{sum(means) / len(means)!r},{len(means)}\n"
+        for v, means in sorted(pooled.items())
+    ))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -271,10 +259,13 @@ def run_cli(args: argparse.Namespace) -> int:
         print(f"warning: {msg}; running anyway", file=sys.stderr)
 
     out_root = Path(cfg.out_dir or "runs")
-    out_root.mkdir(parents=True, exist_ok=True)
+    try:
+        out_root.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        print(f"error: out_dir: {err}", file=sys.stderr)
+        return 1
     cells = cfg.cells()
     workers = min(requested, len(cells), os.cpu_count() or 1)
-    results: list[tuple[float, int, float, str]] = []
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
@@ -282,16 +273,16 @@ def run_cli(args: argparse.Namespace) -> int:
                             args.dump_policy)
                 for v, seed in cells
             ]
-            results = [f.result() for f in futures]
+            summaries = [f.result() for f in futures]
     else:
-        for v, seed in cells:
-            results.append(
-                _run_cell(cfg, v, seed, str(out_root), args.thin, args.dump_policy)
-            )
+        summaries = [
+            _run_cell(cfg, v, seed, str(out_root), args.thin, args.dump_policy)
+            for v, seed in cells
+        ]
 
-    for _, _, _, line in results:
-        print(line)
-    _write_aoi_tables([(v, s, m) for v, s, m, _ in results], out_root)
+    for summary in summaries:
+        print(summary.line())
+    _write_aoi_tables(summaries, out_root)
     print(f"wrote {len(cells)} run(s) under {out_root} (kernel backend: {BACKEND})")
     return 0
 

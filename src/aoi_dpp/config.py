@@ -203,13 +203,21 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"must be >= 0, got {cfg.seed}", "seed")
     if cfg.replications < 1:
         raise ConfigError("must be >= 1", "replications")
-    if not 0 <= cfg.z_cache_bucket < math.inf:
+    # Frame-start Z grows by rho <= 1 per slot, so it never exceeds the
+    # horizon, and the solver's Z / z_cache_bucket stays finite.
+    bucket = cfg.z_cache_bucket
+    if not (bucket == 0 or 0 < bucket < math.inf and math.isfinite(cfg.horizon_slots / bucket)):
         raise ConfigError(
-            f"must be finite and >= 0, got {cfg.z_cache_bucket}", "z_cache_bucket"
+            f"must be 0, or finite and > 0 with horizon_slots / z_cache_bucket finite, "
+            f"got {bucket}",
+            "z_cache_bucket",
         )
-    if not 0 <= cfg.warmup_slots <= cfg.horizon_slots - cfg.T:
+    # The delivery mean needs one full frame after warmup.
+    last = (cfg.horizon_slots // cfg.T - 1) * cfg.T
+    if not 0 <= cfg.warmup_slots <= last:
         raise ConfigError(
-            f"must be in [0, horizon_slots - T], got {cfg.warmup_slots}",
+            f"must be in [0, (horizon_slots // T - 1) * T] = [0, {last}], "
+            f"got {cfg.warmup_slots}",
             "warmup_slots",
         )
     # summary.json echoes out_dir, and the echo must parse back to this config.

@@ -139,9 +139,10 @@ def run_simulation(
     T, K, A_max = cfg.T, cfg.K, cfg.A_max
     if horizon_slots < T:
         raise ValueError(f"horizon_slots must be >= T={T}, got {horizon_slots}")
-    if not 0 <= warmup_slots <= horizon_slots - T:
+    # The delivery mean needs one full frame after warmup.
+    if not 0 <= warmup_slots <= (horizon_slots // T - 1) * T:
         raise ValueError(
-            f"warmup_slots must be in [0, horizon-T], got {warmup_slots}"
+            f"warmup_slots must be in [0, (horizon // T - 1) * T], got {warmup_slots}"
         )
 
     warnings: list[str] = []

@@ -194,7 +194,10 @@ class FrameSolver:
             raise ValueError(f"frozen_z must be finite and >= 0, got {frozen_z}")
         key = frozen_z
         if self.z_bucket > 0:
-            key = round(frozen_z / self.z_bucket) * self.z_bucket
+            steps = frozen_z / self.z_bucket
+            if steps == math.inf:
+                raise ValueError(f"frozen_z / z_bucket overflows: {frozen_z} / {self.z_bucket}")
+            key = round(steps) * self.z_bucket
             cached = self._cache.get(key)
             if cached is not None:
                 return cached

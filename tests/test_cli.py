@@ -204,6 +204,18 @@ def test_bad_arguments_fail_before_compute(small_cfg, tmp_path, monkeypatch, cap
     assert [p.name for p in tmp_path.iterdir()] == [small_cfg.name]
 
 
+@pytest.mark.parametrize("out", ["blocker", "blocker/x"], ids=["file", "under-file"])
+def test_uncreatable_out_dir_fails_before_compute(small_cfg, tmp_path, monkeypatch, capsys,
+                                                  out):
+    # --out names a regular file, or a path below one
+    (tmp_path / "blocker").write_text("", encoding="utf-8")
+    monkeypatch.setattr(cli, "run_simulation", None)  # any cell run would fail
+    assert main(["--config", str(small_cfg), "--out", str(tmp_path / out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out_dir: ") and len(err.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", small_cfg.name]
+
+
 @pytest.mark.parametrize("user", [1, 2])
 def test_frozen_channel_fails_before_compute(tmp_path, monkeypatch, capsys, user):
     # p11 = 1 and p01 = 0: the chain never moves, so no stationary start exists

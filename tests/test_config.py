@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -191,11 +192,21 @@ def test_negative_seed_rejected():
     assert exc.value.key == "seed"
 
 
-@pytest.mark.parametrize("bucket", ["nan", "inf"])
+# "1e-320" and "1e-307": positive, but horizon_slots / z_cache_bucket overflows
+@pytest.mark.parametrize("bucket", ["nan", "inf", "1e-320", "1e-307"])
 def test_non_finite_z_cache_bucket_rejected(bucket):
     with pytest.raises(ConfigError) as exc:
         parse_config_text(BASIC + f"z_cache_bucket = {bucket}\n")
     assert exc.value.key == "z_cache_bucket"
+
+
+def test_warmup_must_leave_a_full_frame():
+    # T = 4, 41 slots: frames start at 0, 4, ..., 36, and frame 9 ends at 40
+    short = BASIC.replace("horizon_slots = 200", "horizon_slots = 41")
+    assert parse_config_text(short + "warmup_slots = 36\n").warmup_slots == 36
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text(short + "warmup_slots = 37\n")
+    assert exc.value.key == "warmup_slots"
 
 
 def test_load_config_missing_file(tmp_path):
@@ -255,8 +266,10 @@ def experiment_configs(draw):
         seed=draw(st.integers(0, 2**32)),
         replications=draw(st.integers(1, 10)),
         policy=draw(st.sampled_from(PolicyKind)),
-        z_cache_bucket=draw(st.floats(0.0, 1e3)),
-        warmup_slots=draw(st.integers(0, horizon - T)),
+        z_cache_bucket=draw(
+            st.floats(0.0, 1e3).filter(lambda b: b == 0 or math.isfinite(horizon / b))
+        ),
+        warmup_slots=draw(st.integers(0, (horizon // T - 1) * T)),
         out_dir=draw(out_dirs),
     )
 

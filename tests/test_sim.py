@@ -99,6 +99,16 @@ def test_warmup_validation():
         run_simulation(reference_cfg(5.0), reference_model(), PolicyKind.DRIFT_PLUS_PENALTY, 10, 1)
 
 
+def test_warmup_must_leave_a_full_frame():
+    # T = 4, 41 slots: warmup 37 would leave no full frame for the delivery mean
+    cfg = FrameConfig(T=4, K=2, q=1.0, A_max=5, V=1.0)
+    model = IIDChannel(p1=0.9, p2=0.8)
+    m = run_simulation(cfg, model, PolicyKind.DEADLINE_FIRST, 41, 1, warmup_slots=36)
+    assert math.isfinite(m.delivery_mean)
+    with pytest.raises(ValueError, match="warmup_slots"):
+        run_simulation(cfg, model, PolicyKind.DEADLINE_FIRST, 41, 1, warmup_slots=37)
+
+
 def test_infeasible_target_warns_but_runs():
     cfg = FrameConfig(T=20, K=15, q=12.0, A_max=20, V=5.0)
     model = IIDChannel(p1=0.9, p2=0.5)  # 10 expected < 12 required

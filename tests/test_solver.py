@@ -241,6 +241,14 @@ def test_non_finite_frozen_z_rejected(z):
         FrameSolver(TOY_CFG, TOY_MODEL, z_bucket=z)
 
 
+def test_overflowing_z_bucket_ratio_rejected():
+    # frozen_z / z_bucket = inf cannot be rounded to a cache key
+    solver = FrameSolver(TOY_CFG, TOY_MODEL, z_bucket=1e-320)
+    with pytest.raises(ValueError, match="overflows"):
+        solver.solve(40.0)
+    assert solver.solve(0.0).frozen_z == 0.0
+
+
 def schedule_empty_queue(values, actions, s):
     actions[3, s] = Action.USER2
 
