@@ -1,5 +1,10 @@
 # cython: boundscheck=False, wraparound=False, initializedcheck=False, cdivision=True
-"""Compiled backward-DP inner loop; see _dp_numpy for the reference semantics."""
+"""Compiled backward-DP inner loop.
+
+Reference semantics: the plain-Python `loop_kernel` in tests/test_kernels.py
+mirrors this loop statement for statement, and the NumPy kernel (_dp_numpy)
+reproduces it bit for bit.
+"""
 
 from libc.math cimport INFINITY
 

@@ -1,10 +1,30 @@
 """NumPy fallback for the backward-DP inner loop.
 
-Kept operation-for-operation aligned with the compiled kernel so both
-backends produce bit-identical value tables and action choices: branch
-contributions accumulate in the same left-to-right order (padded
-zero-probability branches included, not skipped) and ties resolve by the
-same action priority.
+Reference semantics: the plain-Python `loop_kernel` in tests/test_kernels.py,
+which mirrors the compiled kernel statement for statement. This kernel
+produces the same tables bit for bit.
+
+Layout. Once per call the (S, 3) and (S, 3, B) inputs are laid out
+action-major in tie-priority order (USER2, USER1, IDLE): the stage cost
+becomes one (3*S,) row, and each channel branch b one contiguous (3*S,) row
+of successor indices and one of probabilities, stacked branch after branch.
+Each backward step then works on whole rows in preallocated buffers, with
+no allocation: one gather of the successor values of every branch, one
+multiply by the probabilities, one add per branch into an accumulator, and
+three strict-less selections. Successor indices are in range by contract,
+so the gather uses mode="wrap", which skips the buffered bounds check of
+np.take's default mode.
+
+Invariants that fix the tables' last bits:
+
+- the accumulator starts at 0.0 at every step and adds every branch in
+  index order, zero-probability branches included (0.0 + -0.0 is 0.0, so
+  skipping one could flip a sign);
+- q = (cost_const + frozen_z * cost_z) + discount * acc, with +inf as the
+  cost of an infeasible action;
+- the first strictly smaller q wins, in priority order, starting from +inf
+  and action -1, so ties keep the earlier action and a q that is NaN or
+  +inf is never chosen.
 """
 
 from __future__ import annotations
@@ -30,20 +50,29 @@ def solve_backward(
     T = actions.shape[0]
     S = cost_const.shape[0]
     n_branches = probs.shape[2]
-    cost = cost_const + frozen_z * cost_z
-    cost = np.where(feasible.astype(bool), cost, np.inf)
-    cost_ord = cost[:, _ORDER]
-    next_ord = next_idx[:, _ORDER, :]
-    probs_ord = probs[:, _ORDER, :]
-    rows = np.arange(S)
-    values[T, :] = 0.0
+    cost = np.where(feasible.astype(bool), cost_const + frozen_z * cost_z, np.inf)
+    cost = np.ascontiguousarray(cost[:, _ORDER].T).reshape(3 * S)
+    # Row b of nxt/pr (as (B, 3*S)) is branch b, action-major in _ORDER.
+    nxt = np.ascontiguousarray(next_idx[:, _ORDER, :].transpose(2, 1, 0)).reshape(-1)
+    pr = np.ascontiguousarray(probs[:, _ORDER, :].transpose(2, 1, 0)).reshape(-1)
+    gathered = np.empty(n_branches * 3 * S)
+    branch_rows = gathered.reshape(n_branches, 3 * S)
+    q = np.empty(3 * S)
+    q_rows = q.reshape(3, S)
+    wins = np.empty(S, dtype=bool)
+    values[T] = 0.0
     for t in range(T - 1, -1, -1):
-        vnext = values[t + 1]
-        # Explicit branch-order accumulation (matches the compiled kernel).
-        cont = np.zeros((S, 3))
-        for b in range(n_branches):
-            cont = cont + probs_ord[:, :, b] * vnext[next_ord[:, :, b]]
-        q = cost_ord + discount * cont
-        pick = np.argmin(q, axis=1)
-        values[t, :] = q[rows, pick]
-        actions[t, :] = _ORDER[pick]
+        best, pick = values[t], actions[t]
+        np.take(values[t + 1], nxt, out=gathered, mode="wrap")
+        np.multiply(gathered, pr, out=gathered)
+        q.fill(0.0)
+        for row in branch_rows:
+            np.add(q, row, out=q)
+        np.multiply(q, discount, out=q)
+        np.add(cost, q, out=q)
+        best.fill(np.inf)
+        pick.fill(-1)
+        for k in range(3):
+            np.less(q_rows[k], best, out=wins)
+            np.copyto(best, q_rows[k], where=wins)
+            np.copyto(pick, _ORDER[k], where=wins)

@@ -89,15 +89,17 @@ def emit_outputs(
     summary: RunSummary,
     out_dir: str | Path,
     thin: int = 1,
+    dump_policy: bool = False,
 ) -> list[Path]:
-    """Write the per-cell artifact files; returns the paths written."""
+    """Write the per-cell artifact files, plus the frame-0 policy table when
+    `dump_policy` is set and the run solved one; returns the paths written."""
     if thin < 1:
         raise ValueError(f"thin must be >= 1, got {thin}")
     out = Path(out_dir)
     hist = metrics.aoi_histogram
     try:
         out.mkdir(parents=True, exist_ok=True)
-        return [
+        paths = [
             _write(out / "slots.csv", "t,A,Z,action,d1,d2", (
                 f"{t},{aoi},{z!r},{ACTION_LABELS[a]},{d1},{d2}\n"
                 for t, aoi, z, a, d1, d2 in _column_rows(
@@ -121,6 +123,9 @@ def emit_outputs(
             _write(out / "summary.json",
                    json.dumps(summary.to_dict(), indent=2, sort_keys=True)),
         ]
+        if dump_policy and metrics.frame0_policy is not None:
+            paths.append(_write_policy_dump(metrics.frame0_policy, out))
+        return paths
     except OSError as err:
         raise OSError(f"writing outputs under {out}: {err}") from err
 
@@ -169,9 +174,7 @@ def _run_cell(cfg: ExperimentConfig, v: float, seed: int, out_root: str,
         wall_clock_s=time.perf_counter() - t0,
     )
     cell_dir = Path(out_root) / f"{v_dir(v)}_seed{seed}"
-    emit_outputs(metrics, summary, cell_dir, thin=thin)
-    if dump_policy and metrics.frame0_policy is not None:
-        _write_policy_dump(metrics.frame0_policy, cell_dir)
+    emit_outputs(metrics, summary, cell_dir, thin=thin, dump_policy=dump_policy)
     return summary
 
 

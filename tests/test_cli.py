@@ -162,6 +162,29 @@ def test_dump_policy_builds_one_solver_per_cell(small_cfg, tmp_path, monkeypatch
     assert (out / "V0_seed3" / "policy_frame0.csv").is_file()
 
 
+@pytest.mark.parametrize("dump", [False, True])
+def test_emit_outputs_returns_every_cell_file(small_cfg, tmp_path, monkeypatch, dump):
+    # the policy dump is one of the files emit_outputs writes and returns
+    monkeypatch.delenv("AOI_DPP_THREADS", raising=False)
+    returned = []
+    emit = cli.emit_outputs
+
+    def recording_emit(*args, **kwargs):
+        paths = emit(*args, **kwargs)
+        returned.append(paths)
+        return paths
+
+    monkeypatch.setattr(cli, "emit_outputs", recording_emit)
+    out = tmp_path / "out"
+    assert main(["--config", str(small_cfg), "--out", str(out)]
+                + ["--dump-policy"] * dump) == 0
+    for paths in returned:
+        cell_dir = paths[0].parent
+        assert sorted(p.name for p in paths) == sorted(p.name for p in cell_dir.iterdir())
+        assert ("policy_frame0.csv" in {p.name for p in paths}) == dump
+    assert len(returned) == 2
+
+
 def test_preset_with_overrides_runs(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["--preset", "fig6", "--horizon", "800", "--v-list", "0 5",

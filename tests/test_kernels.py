@@ -3,14 +3,18 @@ bit, so a run is reproducible no matter which kernel carried it, and the
 solver must take its kernel from `_kernels.get_solver` at construction."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import reference_cfg, reference_model, random_instance
 
 from aoi_dpp import _kernels
+from aoi_dpp.channel import GilbertElliotChannel, IIDChannel
 from aoi_dpp.model import FrameConfig
 from aoi_dpp.solver import FrameSolver
 
@@ -66,11 +70,20 @@ def loop_kernel(cost_const, cost_z, feasible, next_idx, probs, frozen_z, discoun
         vnext = vt
 
 
+def assert_same_tables(expected, actual) -> None:
+    """Bitwise equality of two (values, actions) pairs. `np.array_equal` calls
+    -0.0 and 0.0 equal, but a sign flip changes the text policy_frame0.csv
+    writes, so the values are compared as their int64 bit patterns."""
+    (expected_values, expected_actions), (values, actions) = expected, actual
+    assert np.array_equal(expected_values.view(np.int64), values.view(np.int64))
+    assert np.array_equal(expected_actions, actions)
+
+
 def assert_kernels_agree(solver: FrameSolver, z: float) -> None:
-    cy_values, cy_actions = kernel_tables(_kernels._dp_cython.solve_backward, solver, z)
-    np_values, np_actions = kernel_tables(_kernels._dp_numpy.solve_backward, solver, z)
-    assert np.array_equal(cy_values, np_values)
-    assert np.array_equal(cy_actions, np_actions)
+    assert_same_tables(
+        kernel_tables(_kernels._dp_cython.solve_backward, solver, z),
+        kernel_tables(_kernels._dp_numpy.solve_backward, solver, z),
+    )
 
 
 def test_backend_matches_extension():
@@ -129,10 +142,45 @@ def test_numpy_kernel_matches_loop_contract():
                             ("probs", np.float64)):
             array = getattr(solver, name)
             assert array.dtype == dtype and array.flags.c_contiguous, name
-        loop_values, loop_actions = kernel_tables(loop_kernel, solver, z)
-        np_values, np_actions = kernel_tables(_kernels._dp_numpy.solve_backward, solver, z)
-        assert np.array_equal(loop_values, np_values)
-        assert np.array_equal(loop_actions, np_actions)
+        assert_same_tables(
+            kernel_tables(loop_kernel, solver, z),
+            kernel_tables(_kernels._dp_numpy.solve_backward, solver, z),
+        )
+
+
+probabilities = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def kernel_instances(draw):
+    """A small solver and frozen debt: both channel models, 0/1 probabilities,
+    V = z = 0 ties and the discounts 1, 0.9 and 0.5."""
+    T = draw(st.integers(1, 4))
+    K = draw(st.integers(1, min(T, 2)))
+    cfg = FrameConfig(
+        T=T,
+        K=K,
+        q=draw(st.floats(0.0, K)),
+        A_max=draw(st.integers(1, 5)),
+        V=draw(st.sampled_from([0.0, 1.0, 5.0]) | st.floats(0.0, 50.0)),
+        discount=draw(st.sampled_from([1.0, 0.9, 0.5])),
+    )
+    if draw(st.booleans()):
+        model = IIDChannel(draw(probabilities), draw(probabilities))
+    else:
+        model = GilbertElliotChannel(*(draw(probabilities) for _ in range(4)))
+    z = draw(st.sampled_from([0.0, 1.0, 10.0]) | st.floats(0.0, 100.0))
+    return FrameSolver(cfg, model), z
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_instances())
+def test_numpy_kernel_equals_loop_kernel_bitwise(instance):
+    solver, z = instance
+    assert_same_tables(
+        kernel_tables(loop_kernel, solver, z),
+        kernel_tables(_kernels._dp_numpy.solve_backward, solver, z),
+    )
 
 
 def test_solve_is_repeatable():
@@ -140,5 +188,60 @@ def test_solve_is_repeatable():
     solver = FrameSolver(cfg, reference_model())
     a = solver.solve(3.7)
     b = solver.solve(3.7)
-    assert np.array_equal(a.values, b.values)
-    assert np.array_equal(a.actions, b.actions)
+    assert_same_tables((a.values, a.actions), (b.values, b.actions))
+
+
+#: sha256 of `values.tobytes()` and `actions.tobytes()` for the reference
+#: scenario solved at (V, z), recorded with the column-wise argmin kernel that
+#: the action-major one replaced; they pin the benchmark scenario's tables.
+GOLDEN_TABLES = {
+    (0.0, 0.0): ("2ec3a6d3c0274e885a97dda06c53eb2e4d02aeaed87ff502d7435a8efc3fe7a9",
+        "77348364124ea35b0bdd32d7048fff634464df57c7f1cd7af2f93b592bb97cbe"),
+    (0.0, 0.3): ("391f4519a29eb4a1f2b4208e39603a2a4c2af5f0fe61e7b928ea56c16f3ff728",
+        "77348364124ea35b0bdd32d7048fff634464df57c7f1cd7af2f93b592bb97cbe"),
+    (0.0, 1.7): ("2989be00aaa912f330d7ac5cfd75e28ae452416fe2b3352fb4795b84538ba138",
+        "77348364124ea35b0bdd32d7048fff634464df57c7f1cd7af2f93b592bb97cbe"),
+    (0.0, 12.9): ("408183cb8c9a1c259a7d798f817bbf91f786e729947725232dd1a5ce2bde32fa",
+        "77348364124ea35b0bdd32d7048fff634464df57c7f1cd7af2f93b592bb97cbe"),
+    (0.0, 250.0): ("fe41fecf951e3c10d47b9eaebcc08a8ea3ac0a3f5d08ca4e96bdd652346b6029",
+        "77348364124ea35b0bdd32d7048fff634464df57c7f1cd7af2f93b592bb97cbe"),
+    (0.0, 1000.2): ("45c0d01c7cd16edc363719e0402b9bbf9f2255748933c759ef186fd7ec85a118",
+        "77348364124ea35b0bdd32d7048fff634464df57c7f1cd7af2f93b592bb97cbe"),
+    (5.0, 0.0): ("2f58d11b289dfa7f17e284c740f7649c3ebeed9c65bf6c6433a5cb3cbec89048",
+        "c65206769723a13afe80c0d925531639ceef9c2eb97eee3b1b542739ec40597f"),
+    (5.0, 0.3): ("b75f4c3e01ffd45359496cd8d307d3c714ac762b685cc9b8d07ca98dbcda2b2d",
+        "c65206769723a13afe80c0d925531639ceef9c2eb97eee3b1b542739ec40597f"),
+    (5.0, 1.7): ("66c6cd653e19db26623ea37513d66ba04b1995459b1386ff04a460024ccd6192",
+        "c65206769723a13afe80c0d925531639ceef9c2eb97eee3b1b542739ec40597f"),
+    (5.0, 12.9): ("aa8f446c9a494200b02c963070bc153cdcfa5d9af5e1b45f374e723feb989a76",
+        "e0e42d703b84ce6eb804554bff1d83ff397f1c3bfacfade5b153936cd8bd3ec7"),
+    (5.0, 250.0): ("5d57146e6a522b646220ae32251bf3c6c1a6f952ccbd8e77a3bad6b378b71c0d",
+        "f49ac4018919e98d887db405f2666b1a8fc17784c462c222d1db0c96a8d2a225"),
+    (5.0, 1000.2): ("75fa8281278f067113b943b5a10be357a928b61f7028749e88ece36399b2e712",
+        "f42f05e951539ef799191cab79ae01933eb5d0c304584c76f9912cf1c25190ed"),
+    (150.0, 0.0): ("00c57f6b9abeadfb5837757e8cf84386feaa86f5e890674ca60be6b280b81721",
+        "c65206769723a13afe80c0d925531639ceef9c2eb97eee3b1b542739ec40597f"),
+    (150.0, 0.3): ("3f2415d344d6d2ef09ded4cd79d89c159cd4b52979ae16e9fa9a894ce1eab7cd",
+        "c65206769723a13afe80c0d925531639ceef9c2eb97eee3b1b542739ec40597f"),
+    (150.0, 1.7): ("bfd08ff76a7c51d69791c0c57ad18958852e4fe3227cb341ad4c69df1c359dad",
+        "c65206769723a13afe80c0d925531639ceef9c2eb97eee3b1b542739ec40597f"),
+    (150.0, 12.9): ("754372183f2aba1dfed6418ddbc3535509663a57da4bda9cec4959d9eefa4310",
+        "c65206769723a13afe80c0d925531639ceef9c2eb97eee3b1b542739ec40597f"),
+    (150.0, 250.0): ("7f674bcac9acc4f592383db2bf4f4355150e96d614559118a2fb2693edea7082",
+        "080017b5fca57614098fda2cf924088e2e09ff1b4d4b2be08384986a169ded84"),
+    (150.0, 1000.2): ("292a79b211a52f82d53c8d70c896f2a6832c635eca3d617d74430317bf34e5bb",
+        "dea1c07d667bb3b40be51239208c196c2fcd943781f2c0cebdf43b942c11eb62"),
+}
+
+
+def test_reference_tables_match_golden():
+    digests = {}
+    for v in (0.0, 5.0, 150.0):
+        solver = FrameSolver(reference_cfg(v), reference_model())
+        for z in (0.0, 0.3, 1.7, 12.9, 250.0, 1000.2):
+            table = solver.solve(z)
+            digests[v, z] = (
+                hashlib.sha256(table.values.tobytes()).hexdigest(),
+                hashlib.sha256(table.actions.tobytes()).hexdigest(),
+            )
+    assert digests == GOLDEN_TABLES
