@@ -7,6 +7,11 @@ run as fixed action tables through the same lookup; only the uniform baseline
 decides slot by slot. Runs are bit-reproducible from (config, model, policy,
 horizon, seed): channel randomness, action randomness (uniform baseline) and the
 initial channel draw come from separately spawned streams of one seed.
+
+The slot loop is the hot path of every long run, so it runs at interpreter
+speed on plain ints and floats, reading and writing arrays through memoryviews,
+with the age, queue and debt laws of `model` and `lyapunov` inlined; those
+functions stay its executable specification (see `run_simulation`).
 """
 
 from __future__ import annotations
@@ -26,14 +31,7 @@ from .channel import (
     NoUniqueStationaryError,
     stationary_state,
 )
-from .model import (
-    Action,
-    FrameConfig,
-    SystemState,
-    feasible_actions,
-    step_aoi,
-    step_queue,
-)
+from .model import Action, FrameConfig, SystemState, feasible_actions
 from .solver import FrameSolver, PolicyTable, StateSpace
 
 
@@ -135,6 +133,16 @@ def run_simulation(
 
     An infeasible or uncertifiable delivery target does not abort the run; it
     is recorded in Metrics.warnings and the controller still does its best.
+
+    The loop runs frame by frame: at each frame start the controller solves
+    its table, then an inner loop steps the frame's slots (the last frame may
+    be partial). Per slot it reads the channel uniforms and the frame's
+    (T, S) action table, and writes the six trajectory arrays, through
+    memoryviews, so no slot touches a NumPy scalar. It inlines the model laws
+    `model.step_aoi`, `model.step_queue` (the refill to K happens once, after
+    a full frame's last slot) and `lyapunov.update_virtual_queue`;
+    `tests/test_sim.py::test_loop_follows_model_laws` checks every slot
+    against them.
     """
     T, K, A_max = cfg.T, cfg.K, cfg.A_max
     if horizon_slots < T:
@@ -144,6 +152,15 @@ def run_simulation(
         raise ValueError(
             f"warmup_slots must be in [0, (horizon // T - 1) * T], got {warmup_slots}"
         )
+    memory = isinstance(model, GilbertElliotChannel)
+    if initial_channel is not None:
+        if not memory:
+            raise ValueError("initial_channel applies to the Gilbert-Elliot model only")
+        if len(initial_channel) != 2 or any(h not in (BAD, GOOD) for h in initial_channel):
+            raise ValueError(
+                f"initial_channel must be a pair of BAD={BAD}/GOOD={GOOD}, got {initial_channel!r}"
+            )
+        initial_channel = (int(initial_channel[0]), int(initial_channel[1]))
 
     warnings: list[str] = []
     try:
@@ -159,19 +176,19 @@ def run_simulation(
     chan_ss, act_ss, init_ss = np.random.SeedSequence(seed).spawn(3)
     chan_rng = np.random.default_rng(chan_ss)
     act_rng = np.random.default_rng(act_ss)
-    if isinstance(model, GilbertElliotChannel):
+    if memory:
         u1, u2 = chan_rng.random((horizon_slots, 2)).T
         g1, g2 = (model.p01_1, model.p11_1), (model.p01_2, model.p11_2)
         m1, m2 = initial_channel or stationary_state(model, np.random.default_rng(init_ss))
-    elif initial_channel is not None:
-        raise ValueError("initial_channel applies to the Gilbert-Elliot model only")
     else:
         u1 = u2 = chan_rng.random(horizon_slots)
         g1, g2 = (model.p1, model.p1), (model.p2, model.p2)
         m1 = m2 = BAD
+    u1, u2 = memoryview(u1), memoryview(u2)
 
-    # Every policy but uniform_random reads a (T, S) action table: the controller
-    # solves one per frame, a deterministic baseline's is built once.
+    # Every policy but uniform_random reads a (T, S) action table, flattened:
+    # the controller solves one per frame, a deterministic baseline's is built
+    # once.
     frame_solver = table = frame0_policy = None
     if policy == PolicyKind.DRIFT_PLUS_PENALTY:
         frame_solver = FrameSolver(cfg, model, z_bucket=z_cache_bucket)
@@ -180,10 +197,11 @@ def run_simulation(
         space = StateSpace(cfg, model)
         states = list(space.states())
         if policy != PolicyKind.UNIFORM_RANDOM:
-            row = [baseline_decision(policy, state) for state in states]
-            table = np.broadcast_to(np.array(row, dtype=np.int8), (T, space.n_states))
+            row = np.array([baseline_decision(policy, state) for state in states], dtype=np.int8)
+            table = memoryview(np.tile(row, T))
     index = space.index_parts
     w1, w2 = space.mem_weights
+    S = space.n_states
 
     aoi_arr = np.empty(horizon_slots, dtype=np.int32)
     queue_arr = np.empty(horizon_slots, dtype=np.int32)
@@ -191,38 +209,52 @@ def run_simulation(
     d1_arr = np.zeros(horizon_slots, dtype=np.int8)
     d2_arr = np.zeros(horizon_slots, dtype=np.int8)
     z_arr = np.empty(horizon_slots + 1)
+    aoi_out, queue_out, act_out = memoryview(aoi_arr), memoryview(queue_arr), memoryview(act_arr)
+    d1_out, d2_out, z_out = memoryview(d1_arr), memoryview(d2_arr), memoryview(z_arr)
 
+    USER1, USER2 = int(Action.USER1), int(Action.USER2)
     aoi, queue, z = 1, K, 0.0
     rho = cfg.rho
-    for t in range(horizon_slots):
-        j = t % T
-        if frame_solver is not None and j == 0:
+    for start in range(0, horizon_slots, T):
+        if frame_solver is not None:
             solved = frame_solver.solve(z)
-            table = solved.actions
-            if t == 0:
+            table = memoryview(solved.actions.reshape(-1))
+            if start == 0:
                 frame0_policy = solved
-        aoi_arr[t] = aoi
-        queue_arr[t] = queue
-        z_arr[t] = z
+        stop = min(start + T, horizon_slots)
+        offset = 0  # of slot t's row in the flattened table
+        for t in range(start, stop):
+            aoi_out[t] = aoi
+            queue_out[t] = queue
+            z_out[t] = z
 
-        idx = index(aoi, queue, w1 * m1 + w2 * m2)
-        if table is None:
-            action = int(baseline_decision(policy, states[idx], act_rng))
-        else:
-            action = int(table[j, idx])
+            idx = index(aoi, queue, w1 * m1 + w2 * m2)
+            if table is None:
+                action = int(baseline_decision(policy, states[idx], act_rng))
+            else:
+                action = table[offset + idx]
+            offset += S
+            act_out[t] = action
 
-        m1 = GOOD if u1[t] < g1[m1] else BAD
-        m2 = GOOD if u2[t] < g2[m2] else BAD
-        d1 = m1 if action == Action.USER1 else 0
-        d2 = m2 if action == Action.USER2 else 0
-
-        act_arr[t] = action
-        d1_arr[t] = d1
-        d2_arr[t] = d2
-        aoi = step_aoi(aoi, d1, A_max)
-        queue = step_queue(queue, d2, j == T - 1, K)
-        z = lyapunov.update_virtual_queue(z, d2, rho)
-    z_arr[horizon_slots] = z
+            m1 = GOOD if u1[t] < g1[m1] else BAD
+            m2 = GOOD if u2[t] < g2[m2] else BAD
+            # step_aoi, then step_queue mid-frame and update_virtual_queue
+            if action == USER1 and m1:
+                d1_out[t] = 1
+                aoi = 1
+            elif aoi < A_max:
+                aoi += 1
+            if action == USER2 and m2:
+                d2_out[t] = 1
+                if queue:
+                    queue -= 1
+                z -= 1
+                if z < 0.0:
+                    z = 0.0
+            z += rho
+        if stop - start == T:  # step_queue at a full frame's last slot
+            queue = K
+    z_out[horizon_slots] = z
 
     frames = horizon_slots // T
     per_frame = d2_arr[: frames * T].reshape(frames, T).sum(axis=1).astype(np.int32)

@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import reference_cfg, reference_model
+from test_sim_golden import CHANNELS, PARTIAL_HORIZON
 
+from aoi_dpp import sim
 from aoi_dpp.channel import GilbertElliotChannel, IIDChannel
-from aoi_dpp.lyapunov import drift_bound
-from aoi_dpp.model import Action, FrameConfig, SystemState
+from aoi_dpp.lyapunov import drift_bound, update_virtual_queue
+from aoi_dpp.model import Action, FrameConfig, SystemState, step_aoi, step_queue
 from aoi_dpp.oracle import stationary_aoi_mean
 from aoi_dpp.sim import PolicyKind, baseline_decision, run_simulation
 
@@ -139,6 +142,64 @@ def test_initial_channel_override():
             1,
             initial_channel=(0, 0),
         )
+
+
+@pytest.mark.parametrize("channel", [(-1, 0), (2, 0), (0, 0.5), (0,), (0, 1, 1), ("1", 0)])
+def test_initial_channel_must_be_a_state_pair(channel, monkeypatch):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("drew or solved before validating initial_channel")
+
+    monkeypatch.setattr(sim, "FrameSolver", no_compute)
+    monkeypatch.setattr(np.random, "SeedSequence", no_compute)
+    with pytest.raises(ValueError, match="initial_channel"):
+        small_run(horizon=1_000, initial_channel=channel)
+
+
+def test_initial_channel_entries_become_ints():
+    as_ints = small_run(horizon=1_000, initial_channel=(1, 0))
+    for channel in [(1.0, 0.0), (True, False), (np.int64(1), np.int8(0))]:
+        other = small_run(horizon=1_000, initial_channel=channel)
+        assert np.array_equal(other.actions, as_ints.actions), channel
+        assert np.array_equal(other.z_trajectory, as_ints.z_trajectory), channel
+
+
+@pytest.mark.parametrize("chan", sorted(CHANNELS))
+@pytest.mark.parametrize("policy", list(PolicyKind))
+def test_loop_follows_model_laws(policy, chan):
+    # The slot loop inlines step_aoi, step_queue and update_virtual_queue;
+    # every slot of a run ending in a partial frame must agree with them.
+    cfg = reference_cfg(5.0)
+    m = run_simulation(cfg, CHANNELS[chan], policy, PARTIAL_HORIZON, 3)
+    T, K, A_max, rho = cfg.T, cfg.K, cfg.A_max, cfg.rho
+    aoi, queue, actions, d1, d2, z = (
+        getattr(m, name).tolist()
+        for name in ("aoi", "queue", "actions", "d1", "d2", "z_trajectory")
+    )
+    assert (aoi[0], queue[0], z[0]) == (1, K, 0.0)
+    for t in range(m.horizon_slots):
+        if t + 1 < m.horizon_slots:
+            assert aoi[t + 1] == step_aoi(aoi[t], d1[t], A_max), t
+            assert queue[t + 1] == step_queue(queue[t], d2[t], (t + 1) % T == 0, K), t
+        assert z[t + 1].hex() == update_virtual_queue(z[t], d2[t], rho).hex(), t
+        assert d1[t] in (0, 1) and d2[t] in (0, 1), t
+        assert not d1[t] or actions[t] == Action.USER1, t
+        assert not d2[t] or actions[t] == Action.USER2, t
+
+
+def test_long_baseline_run_memory_peak():
+    # The loop reads the channel uniforms and writes the trajectories through
+    # memoryviews. Its traced peak at 200,000 slots was 10.4 MB with the
+    # earlier loop; a whole-column .tolist() of the two uniform columns would
+    # add about 13 MB.
+    baseline = dict(policy=PolicyKind.DEADLINE_FIRST, seed=0)
+    small_run(horizon=1_000, **baseline)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        small_run(horizon=200_000, **baseline)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 13.5e6
 
 
 def test_z_cache_bucket_changes_little():

@@ -1,8 +1,9 @@
 """Golden outputs of `run_simulation`: every Metrics array, hashed.
 
 The digests pin the closed loop bit for bit across refactors of the slot
-loop, for both channel models, every policy and the discounted objective.
-A digest changes only when the simulated trajectories change.
+loop, for both channel models, every policy and the discounted objective,
+over whole frames and over a horizon that ends in a partial frame. A digest
+changes only when the simulated trajectories change.
 """
 
 import hashlib
@@ -40,11 +41,23 @@ CASES = {
 }
 CASES["ge-drift_plus_penalty-V5-discount0.9"] = ("ge", PolicyKind.DRIFT_PLUS_PENALTY, 5.0, 0.9)
 CASES["iid-drift_plus_penalty-V5-discount0.9"] = ("iid", PolicyKind.DRIFT_PLUS_PENALTY, 5.0, 0.9)
+# 1,013 slots = 50 frames of T = 20 plus a partial frame of 13 slots.
+PARTIAL_HORIZON = 1_013
+CASES.update(
+    (f"{chan}-{policy.value}-V5-partial", (chan, policy, 5.0, 1.0, PARTIAL_HORIZON))
+    for chan in ("ge", "iid")
+    for policy in PolicyKind
+)
+CASES["ge-zero-drift_plus_penalty-V5-partial"] = (
+    "ge-zero", PolicyKind.DRIFT_PLUS_PENALTY, 5.0, 1.0, PARTIAL_HORIZON
+)
 
 
-def metrics_digest(chan: str, policy: PolicyKind, v: float, discount: float) -> str:
+def metrics_digest(
+    chan: str, policy: PolicyKind, v: float, discount: float, horizon: int = 1_000
+) -> str:
     cfg = FrameConfig(T=20, K=15, q=12.0, A_max=20, V=v, discount=discount)
-    m = run_simulation(cfg, CHANNELS[chan], policy, 1_000, 7, warmup_slots=100)
+    m = run_simulation(cfg, CHANNELS[chan], policy, horizon, 7, warmup_slots=100)
     h = hashlib.sha256()
     arrays = [getattr(m, name) for name in ARRAYS]
     if m.frame0_policy is not None:
@@ -86,6 +99,17 @@ GOLDEN = {
     "iid-drift_plus_penalty-V5-discount0.9": "b909095382af52ff403ea55d2fad95a756b591b1ee0013b6ff6b833960a50d02",
     "iid-uniform_random-V0": "a7933e997e68ba6f2d23bff1825bf215fe555d92125495b7b1fed0cc271434de",
     "iid-uniform_random-V5": "a7933e997e68ba6f2d23bff1825bf215fe555d92125495b7b1fed0cc271434de",
+    # Recorded with the loop that stepped t % T slot by slot, before the
+    # frame-by-frame loop, so they pin its partial last frame.
+    "ge-aoi_greedy-V5-partial": "ebbd1fb1acae2c5a343e5823331df6968cc311cdad4ec36d89d92a36cf6491ee",
+    "ge-deadline_first-V5-partial": "b1fec2bd8948732f3321566cc6d9c7ba2baa6deb9bbc22aa3dcb9dafb42b6fec",
+    "ge-drift_plus_penalty-V5-partial": "d1b68a90dbb6430388d2711be624fddb57ba826ce411e1525e37b4f7c86bc02a",
+    "ge-uniform_random-V5-partial": "b97ae3c35660b962a0d5e5b218c72d30cc78e96fe95d0a6304d8658730827500",
+    "ge-zero-drift_plus_penalty-V5-partial": "78457490e0dc24a9842f13c1c89be5f0edcc3cde5af393fd8169d05934da86ac",
+    "iid-aoi_greedy-V5-partial": "357b530027182cf13d7b05ea59e3374b61b7e25ff3a0f5340f96161ba0f07e6e",
+    "iid-deadline_first-V5-partial": "ae9bd07b29752fa05b51dc5741cc8797e016810d2f99513f5ac4af9aa48b0747",
+    "iid-drift_plus_penalty-V5-partial": "857a228e96e617608b6bc11e3cf69a21267c96cbd90a3db03fdd87fc07ee4b50",
+    "iid-uniform_random-V5-partial": "3564addeec19274ffaa71ea07634710adcaa50d1ca6f3564e8d55f560a774872",
 }
 
 
