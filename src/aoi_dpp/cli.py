@@ -62,26 +62,62 @@ class RunSummary:
         )
 
 
-#: Rows converted from NumPy to Python objects at a time when writing a
-#: long table; whole 100k-slot columns would raise the peak memory of a run.
+#: Rows converted from NumPy to Python objects, formatted and written at a
+#: time when writing a long table; whole 100k-slot columns would raise the
+#: peak memory of a run.
 BLOCK_ROWS = 1024
 
+#: The `action,d1,d2\n` tail of a slots.csv row, indexed by 4*action + 2*d1 + d2.
+_SLOT_TAILS = tuple(f"{label},{d1},{d2}\n" for label in ACTION_LABELS
+                    for d1 in (0, 1) for d2 in (0, 1))
 
-def _write(path: Path, head: str, rows: Iterable[str] = ()) -> Path:
+
+class _TailCodes:
+    """The _SLOT_TAILS index of a run's slots, computed for the rows asked for."""
+
+    def __init__(self, metrics: Metrics):
+        self.metrics = metrics
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        m = self.metrics
+        return 4 * m.actions[rows] + 2 * m.d1[rows] + m.d2[rows]
+
+
+class _Reprs(dict):
+    """float -> repr(float), filled on first lookup. Zeros and NaN are never
+    stored: 0.0 == -0.0 though their reprs differ, and NaN never finds itself.
+    Make one per block, so it holds at most one block's distinct values."""
+
+    __slots__ = ()
+
+    def __missing__(self, x: float) -> str:
+        text = repr(x)
+        if x and x == x:
+            self[x] = text
+        return text
+
+
+def _write(path: Path, head: str, blocks: Iterable[str] = ()) -> Path:
     """Write one artifact file: UTF-8 with `\\n` newlines, `head` (a CSV header,
-    or the whole summary.json) and a newline, then `rows`, each ending in a
-    newline. Rows write floats as `repr`, the shortest round-trip form."""
+    or the whole summary.json) and a newline, then each of `blocks` with one
+    `write` call. A block is the text of consecutive table rows (at most
+    BLOCK_ROWS, or one slot of the policy dump), each ending in a newline,
+    joined into one string. Rows write floats as `repr`, the shortest
+    round-trip form."""
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(head + "\n")
-        fh.writelines(rows)
+        fh.writelines(blocks)
     return path
 
 
-def _column_rows(n: int, *columns: np.ndarray, thin: int = 1) -> Iterator[tuple]:
-    """(row index, value of each column) for every `thin`-th of the first n rows."""
-    for start in range(0, n, BLOCK_ROWS * thin):
-        rows = slice(start, min(start + BLOCK_ROWS * thin, n), thin)
-        yield from zip(range(n)[rows], *(col[rows].tolist() for col in columns))
+def _column_blocks(n: int, *columns: np.ndarray, thin: int = 1) -> Iterator[tuple]:
+    """(row indices, list of each column's values) for each block of at most
+    BLOCK_ROWS of every `thin`-th of the first n rows. A column is an array,
+    or any object whose slices are arrays."""
+    step = BLOCK_ROWS * thin
+    for start in range(0, n, step):
+        rows = slice(start, min(start + step, n), thin)
+        yield (range(n)[rows], *(col[rows].tolist() for col in columns))
 
 
 def emit_outputs(
@@ -92,7 +128,15 @@ def emit_outputs(
     dump_policy: bool = False,
 ) -> list[Path]:
     """Write the per-cell artifact files, plus the frame-0 policy table when
-    `dump_policy` is set and the run solved one; returns the paths written."""
+    `dump_policy` is set and the run solved one; returns the paths written.
+
+    Tables are formatted a block of BLOCK_ROWS rows at a time, each block
+    joined into one string and written in one call. The Z columns of
+    slots.csv and frames.csv repeat values, so each block formats them
+    through a fresh `_Reprs` memo; its size is bounded by the block, never by
+    the horizon. The action, d1 and d2 fields of a slots.csv row come from
+    one tuple lookup. The bytes are those of formatting every row on its own.
+    """
     if thin < 1:
         raise ValueError(f"thin must be >= 1, got {thin}")
     out = Path(out_dir)
@@ -101,24 +145,32 @@ def emit_outputs(
         out.mkdir(parents=True, exist_ok=True)
         paths = [
             _write(out / "slots.csv", "t,A,Z,action,d1,d2", (
-                f"{t},{aoi},{z!r},{ACTION_LABELS[a]},{d1},{d2}\n"
-                for t, aoi, z, a, d1, d2 in _column_rows(
+                "".join([
+                    f"{t},{aoi},{reprs[z]},{_SLOT_TAILS[c]}"
+                    for t, aoi, z, c in zip(rows, aois, zs, codes)
+                ])
+                for rows, aois, zs, codes in _column_blocks(
                     metrics.horizon_slots, metrics.aoi, metrics.z_trajectory,
-                    metrics.actions, metrics.d1, metrics.d2, thin=thin,
+                    _TailCodes(metrics), thin=thin,
                 )
+                for reprs in (_Reprs(),)
             )),
             _write(out / "frames.csv", "frame_index,deliveries,Z_at_frame_start", (
-                f"{m},{d},{z!r}\n" for m, d, z in _column_rows(
+                "".join([f"{m},{d},{reprs[z]}\n" for m, d, z in zip(rows, ds, zs)])
+                for rows, ds, zs in _column_blocks(
                     metrics.frames, metrics.per_frame_deliveries, metrics.frame_start_z
                 )
+                for reprs in (_Reprs(),)
             )),
             _write(out / "aoi_hist.csv", "aoi_value,count,fraction", (
-                f"{i + 1},{count},{frac!r}\n"
-                for i, count, frac in _column_rows(hist.size, hist, hist / hist.sum())
+                "".join([f"{i + 1},{count},{frac!r}\n"
+                         for i, count, frac in zip(rows, counts, fracs)])
+                for rows, counts, fracs in _column_blocks(hist.size, hist, hist / hist.sum())
             )),
             _write(out / "sched_fractions.csv", "slot_in_frame,frac_u1,frac_u2,frac_idle", (
-                f"{j},{u1!r},{u2!r},{idle!r}\n"
-                for j, u1, u2, idle in _column_rows(metrics.cfg.T, *metrics.schedule_fractions.T)
+                "".join([f"{j},{u1!r},{u2!r},{idle!r}\n"
+                         for j, u1, u2, idle in zip(*block)])
+                for block in _column_blocks(metrics.cfg.T, *metrics.schedule_fractions.T)
             )),
             _write(out / "summary.json",
                    json.dumps(summary.to_dict(), indent=2, sort_keys=True)),
@@ -131,15 +183,23 @@ def emit_outputs(
 
 
 def _write_policy_dump(table: PolicyTable, out: Path) -> Path:
-    """Frame-0 policy table (solved at Z = 0), for debugging."""
-    states = []
+    """Frame-0 policy table (solved at Z = 0), for debugging. Each slot of the
+    table is one block: its rows are joined into one string, and its values
+    are formatted through a fresh `_Reprs` memo: at Z = 0 they repeat across
+    queue levels (about 55 distinct values among the reference scenario's
+    1,280 states per slot)."""
+    # "aoi,queue,h1,h2,action," of every state, for each action
+    prefixes = []
     for state in table.space.states():
         h1, h2 = state.channel_mem or ("", "")
-        states.append(f"{state.aoi},{state.queue},{h1},{h2}")
+        prefixes.append(
+            [f"{state.aoi},{state.queue},{h1},{h2},{label}," for label in ACTION_LABELS]
+        )
     return _write(out / "policy_frame0.csv", "slot,aoi,queue,h1,h2,action,value", (
-        f"{slot},{state},{ACTION_LABELS[a]},{v!r}\n"
+        "".join([f"{slot},{prefix[a]}{reprs[v]}\n"
+                 for prefix, a, v in zip(prefixes, actions, table.values[slot].tolist())])
         for slot, actions in enumerate(table.actions.tolist())
-        for state, a, v in zip(states, actions, table.values[slot].tolist())
+        for reprs in (_Reprs(),)
     ))
 
 

@@ -188,17 +188,22 @@ def run_simulation(
 
     # Every policy but uniform_random reads a (T, S) action table, flattened:
     # the controller solves one per frame, a deterministic baseline's is built
-    # once.
+    # once. uniform_random draws from feasible_actions of the state, indexed by
+    # queue > 0, with the same act_rng call as baseline_decision.
     frame_solver = table = frame0_policy = None
     if policy == PolicyKind.DRIFT_PLUS_PENALTY:
         frame_solver = FrameSolver(cfg, model, z_bucket=z_cache_bucket)
         space = frame_solver.space
     else:
         space = StateSpace(cfg, model)
-        states = list(space.states())
         if policy != PolicyKind.UNIFORM_RANDOM:
-            row = np.array([baseline_decision(policy, state) for state in states], dtype=np.int8)
+            row = np.array([baseline_decision(policy, state) for state in space.states()],
+                           dtype=np.int8)
             table = memoryview(np.tile(row, T))
+    options = tuple(
+        tuple(map(int, feasible_actions(SystemState(1, queue)))) for queue in (0, 1)
+    )
+    draw = act_rng.integers
     index = space.index_parts
     w1, w2 = space.mem_weights
     S = space.n_states
@@ -228,11 +233,11 @@ def run_simulation(
             queue_out[t] = queue
             z_out[t] = z
 
-            idx = index(aoi, queue, w1 * m1 + w2 * m2)
             if table is None:
-                action = int(baseline_decision(policy, states[idx], act_rng))
+                choices = options[queue > 0]
+                action = choices[draw(len(choices))]
             else:
-                action = table[offset + idx]
+                action = table[offset + index(aoi, queue, w1 * m1 + w2 * m2)]
             offset += S
             act_out[t] = action
 
