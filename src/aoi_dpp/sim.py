@@ -1,12 +1,16 @@
 """Multi-frame closed-loop simulation.
 
-The drift-plus-penalty controller re-solves the frame DP at every frame start
+The drift-plus-penalty controller solves the frame DP at every frame start
 with the debt value frozen at Z(t_m), executes the resulting policy slot by
-slot, and updates age, queue and debt every slot. The deterministic baselines
-run as fixed action tables through the same lookup; only the uniform baseline
-decides slot by slot. Runs are bit-reproducible from (config, model, policy,
-horizon, seed): channel randomness, action randomness (uniform baseline) and the
-initial channel draw come from separately spawned streams of one seed.
+slot, and updates age, queue and debt every slot. A frame whose start debt
+equals, as a float, that of a recent frame reuses that frame's action table
+instead of solving again (see `_TABLE_MEMO_BYTES`); a solve is a pure
+function of the debt, so the trajectories are the same bit for bit. The
+deterministic baselines run as fixed action tables through the same lookup;
+only the uniform baseline decides slot by slot. Runs are bit-reproducible
+from (config, model, policy, horizon, seed): channel randomness, action
+randomness (uniform baseline) and the initial channel draw come from
+separately spawned streams of one seed.
 
 The slot loop is the hot path of every long run, so it runs at interpreter
 speed on plain ints and floats, reading and writing arrays through memoryviews,
@@ -33,6 +37,11 @@ from .channel import (
 )
 from .model import Action, FrameConfig, SystemState, feasible_actions
 from .solver import FrameSolver, PolicyTable, StateSpace
+
+#: Bytes of int8 action tables one run keeps for reuse, least recently used
+#: first out: 40 tables of the reference scenario (T = 20, 1280 states).
+#: A frame whose (T, S) table is larger than this always solves afresh.
+_TABLE_MEMO_BYTES = 1 << 20
 
 
 class PolicyKind(enum.Enum):
@@ -134,11 +143,12 @@ def run_simulation(
     An infeasible or uncertifiable delivery target does not abort the run; it
     is recorded in Metrics.warnings and the controller still does its best.
 
-    The loop runs frame by frame: at each frame start the controller solves
-    its table, then an inner loop steps the frame's slots (the last frame may
-    be partial). Per slot it reads the channel uniforms and the frame's
-    (T, S) action table, and writes the six trajectory arrays, through
-    memoryviews, so no slot touches a NumPy scalar. It inlines the model laws
+    The loop runs frame by frame: at each frame start the controller takes
+    its table, solved for the frame-start debt or reused from a recent frame
+    that started at the same float debt, then an inner loop steps the frame's
+    slots (the last frame may be partial). Per slot it reads the channel
+    uniforms and the frame's (T, S) action table, and writes the six
+    trajectory arrays, through memoryviews, so no slot touches a NumPy scalar. It inlines the model laws
     `model.step_aoi`, `model.step_queue` (the refill to K happens once, after
     a full frame's last slot) and `lyapunov.update_virtual_queue`;
     `tests/test_sim.py::test_loop_follows_model_laws` checks every slot
@@ -207,6 +217,10 @@ def run_simulation(
     index = space.index_parts
     w1, w2 = space.mem_weights
     S = space.n_states
+    # Frame-start debt -> that frame's flattened action table, least recently
+    # used first; at most memo_size tables.
+    memo: dict[float, memoryview] = {}
+    memo_size = _TABLE_MEMO_BYTES // (T * S)
 
     aoi_arr = np.empty(horizon_slots, dtype=np.int32)
     queue_arr = np.empty(horizon_slots, dtype=np.int32)
@@ -222,10 +236,16 @@ def run_simulation(
     rho = cfg.rho
     for start in range(0, horizon_slots, T):
         if frame_solver is not None:
-            solved = frame_solver.solve(z)
-            table = memoryview(solved.actions.reshape(-1))
-            if start == 0:
-                frame0_policy = solved
+            table = memo.pop(z, None)
+            if table is None:
+                solved = frame_solver.solve(z)
+                table = memoryview(solved.actions.reshape(-1))
+                if start == 0:
+                    frame0_policy = solved
+            if memo_size:
+                if len(memo) == memo_size:
+                    del memo[next(iter(memo))]
+                memo[z] = table
         stop = min(start + T, horizon_slots)
         offset = 0  # of slot t's row in the flattened table
         for t in range(start, stop):

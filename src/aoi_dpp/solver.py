@@ -140,8 +140,8 @@ class FrameSolver:
     solve() raises InfeasibleActionError on a table that holds a non-finite
     value or an action outside its state's feasible set, which only a broken
     kernel or an overflowing cost can produce. An optional debt-quantization
-    bucket caches policies by rounded z (off by default: every frame
-    re-solves exactly).
+    bucket caches policies by rounded z (off by default: every call solves
+    exactly, into fresh tables).
     """
 
     def __init__(
@@ -180,10 +180,8 @@ class FrameSolver:
         cost_z = np.stack([rho, rho - p2, rho], axis=1)
         cost_v = np.stack([p1 + (1.0 - p1) * aged, aged, aged], axis=1)
         self.feasible = feasible.astype(np.uint8)
-        # (action, states whose mask forbids it), read by the post-solve check
-        self._forbidden = [
-            (a, np.flatnonzero(~feasible[:, a])) for a in Action if not feasible[:, a].all()
-        ]
+        # Bit a of _allowed[s] is set when action a is feasible in state s.
+        self._allowed = (feasible << np.arange(3)).sum(axis=1).astype(np.uint8)
         self.cost_const = np.where(feasible, cfg.V * cost_v, 0.0)
         self.cost_z = np.where(feasible, cost_z, 0.0)
         self.next_idx = np.where(feasible[..., None], next_idx, 0).astype(np.intp)
@@ -217,11 +215,9 @@ class FrameSolver:
         )
         if not np.isfinite(values).all():
             raise InfeasibleActionError(f"solve at z={key} wrote a non-finite value")
-        if (
-            actions.min() < 0
-            or actions.max() > Action.IDLE
-            or any((actions[:, states] == a).any() for a, states in self._forbidden)
-        ):
+        # 1 << a, with a read as a byte, keeps its bit only for a in 0..7 (-1
+        # reads as 255), so the one test also rejects codes outside 0..2.
+        if not (np.left_shift(1, actions.view(np.uint8)) & self._allowed).all():
             raise InfeasibleActionError(f"solve at z={key} wrote an infeasible action")
         table = PolicyTable(self.cfg, self.space, key, values, actions)
         if self.z_bucket > 0:

@@ -183,6 +183,42 @@ def test_numpy_kernel_equals_loop_kernel_bitwise(instance):
     )
 
 
+def order_sensitive_instance(rng: np.random.Generator, S: int = 256):
+    """Kernel arrays, 4 branches, whose branch sums change in the last bits
+    when the branches are added in another order. Every action of a state
+    costs the same constant c_s, so a 2-slot solve has values[1] = c; the c_s
+    span 20 orders of magnitude with both signs, and each (s, a) mixes four
+    of them."""
+    c = rng.choice([-1.0, 1.0], S) * rng.random(S) * 10.0 ** rng.integers(-3, 17, S)
+    return (
+        np.repeat(c[:, None], 3, axis=1),
+        np.zeros((S, 3)),
+        np.ones((S, 3), dtype=np.uint8),
+        rng.integers(S, size=(S, 3, 4)).astype(np.intp),
+        rng.random((S, 3, 4)),
+    )
+
+
+@pytest.mark.parametrize("discount", [1.0, 0.9])
+def test_numpy_kernel_sums_branches_in_index_order(discount):
+    arrays = order_sensitive_instance(np.random.default_rng(5))
+    T, S = 2, arrays[0].shape[0]
+
+    def tables(kernel, next_idx, probs):
+        values = np.empty((T + 1, S))
+        actions = np.empty((T, S), dtype=np.int8)
+        kernel(*arrays[:3], next_idx, probs, 0.0, discount, values, actions)
+        return values, actions
+
+    next_idx, probs = arrays[3:]
+    expected = tables(loop_kernel, next_idx, probs)
+    # Summing the four products in reverse order moves many values' last bits.
+    reordered = tables(loop_kernel, next_idx[..., ::-1].copy(), probs[..., ::-1].copy())
+    moved = expected[0][0].view(np.int64) != reordered[0][0].view(np.int64)
+    assert moved.sum() > S // 8
+    assert_same_tables(expected, tables(_kernels._dp_numpy.solve_backward, next_idx, probs))
+
+
 def test_solve_is_repeatable():
     cfg = reference_cfg(5.0)
     solver = FrameSolver(cfg, reference_model())

@@ -202,6 +202,102 @@ def test_long_baseline_run_memory_peak():
     assert peak < 13.5e6
 
 
+def fresh_solve_every_frame(monkeypatch):
+    monkeypatch.setattr(sim, "_TABLE_MEMO_BYTES", 0)
+
+
+def assert_same_metrics(expected, actual) -> None:
+    for name in ("aoi", "queue", "actions", "d1", "d2", "z_trajectory",
+                 "per_frame_deliveries", "aoi_histogram", "schedule_fractions"):
+        a, b = getattr(expected, name), getattr(actual, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    a, b = expected.frame0_policy, actual.frame0_policy
+    assert a.frozen_z == b.frozen_z
+    assert a.values.tobytes() == b.values.tobytes()
+    assert a.actions.tobytes() == b.actions.tobytes()
+    assert expected.warnings == actual.warnings
+
+
+#: Budgets of the table memo: the default, and two reference tables, which
+#: evicts on most frames of a run whose frame-start debt cycles.
+MEMO_BUDGETS = {"default": None, "two-tables": 2 * 20 * 1280}
+
+
+@pytest.mark.parametrize("budget", sorted(MEMO_BUDGETS))
+@pytest.mark.parametrize("bucket", [0.0, 0.05])
+@pytest.mark.parametrize("chan", ["ge", "iid"])
+@pytest.mark.parametrize("v", [0.0, 5.0, 150.0])
+def test_table_memo_matches_fresh_solves(v, chan, bucket, budget, monkeypatch):
+    # Reusing a frame's action table by its float frame-start debt gives the
+    # same run, bit for bit, as a fresh solve at every frame start; the
+    # horizon ends in a partial frame.
+    def run():
+        return run_simulation(reference_cfg(v), CHANNELS[chan], PolicyKind.DRIFT_PLUS_PENALTY,
+                              PARTIAL_HORIZON, 3, warmup_slots=100, z_cache_bucket=bucket)
+
+    if MEMO_BUDGETS[budget] is not None:
+        monkeypatch.setattr(sim, "_TABLE_MEMO_BYTES", MEMO_BUDGETS[budget])
+    memo = run()
+    fresh_solve_every_frame(monkeypatch)
+    assert_same_metrics(run(), memo)
+
+
+def count_solves(monkeypatch) -> list[float]:
+    """Record the debt of every FrameSolver.solve call from now on."""
+    calls = []
+    solve = sim.FrameSolver.solve
+
+    def counting_solve(self, frozen_z):
+        calls.append(frozen_z)
+        return solve(self, frozen_z)
+
+    monkeypatch.setattr(sim.FrameSolver, "solve", counting_solve)
+    return calls
+
+
+def test_table_memo_reuses_tables_at_v0(monkeypatch):
+    calls = count_solves(monkeypatch)
+    m = small_run(v=0.0, horizon=3_000)
+    # The run's distinct frame-start debts all fit the memo, so each is
+    # solved once, and the 150 frames start at fewer than half as many.
+    assert len(calls) == len(set(calls)) == len(set(m.frame_start_z[: m.frames].tolist()))
+    assert len(calls) < m.frames // 2
+    calls.clear()
+    fresh_solve_every_frame(monkeypatch)
+    small_run(v=0.0, horizon=3_000)
+    assert len(calls) == m.frames
+
+
+@pytest.mark.parametrize("cfg, frames", [
+    (reference_cfg(150.0), 125),
+    # 99,200-byte tables, of which 10 fit the budget
+    (FrameConfig(T=40, K=30, q=24.0, A_max=20, V=150.0), 30),
+], ids=["reference", "large-tables"])
+def test_table_memo_memory_is_bounded_by_its_budget(cfg, frames, monkeypatch):
+    # At V = 150 the frame-start debt never repeats, so every frame adds a
+    # table and the memo holds as many as its budget allows. The traced peak
+    # with the memo exceeds that of fresh solves by at most the budget plus
+    # the per-entry objects; a memo that kept every table would add 3.2 MB
+    # over the 125 reference frames and 3.0 MB over the 30 larger ones.
+    model = reference_model()
+
+    def traced_peak() -> tuple[int, sim.Metrics]:
+        run_simulation(cfg, model, PolicyKind.DRIFT_PLUS_PENALTY, cfg.T, 0)  # warm caches
+        tracemalloc.start()
+        try:
+            m = run_simulation(cfg, model, PolicyKind.DRIFT_PLUS_PENALTY, frames * cfg.T, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak, m
+
+    budget = sim._TABLE_MEMO_BYTES
+    with_memo, m = traced_peak()
+    assert len(set(m.frame_start_z[:frames].tolist())) == frames
+    fresh_solve_every_frame(monkeypatch)
+    assert with_memo - traced_peak()[0] < budget + 64 * 1024
+
+
 def test_z_cache_bucket_changes_little():
     exact = small_run(horizon=10_000)
     bucketed = small_run(horizon=10_000, z_cache_bucket=0.05)

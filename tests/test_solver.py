@@ -276,6 +276,19 @@ def test_solve_rejects_bad_table(monkeypatch, corrupt):
         FrameSolver(cfg, model).solve(2.0)
 
 
+@pytest.mark.parametrize("code", [3, 7, 8, 100, 127, -2, -128])
+def test_solve_rejects_out_of_range_action(monkeypatch, code):
+    kernel = _kernels.get_solver()
+
+    def broken_kernel(*args):
+        kernel(*args)
+        args[-1][-1, 0] = code
+
+    monkeypatch.setattr(_kernels, "get_solver", lambda: broken_kernel)
+    with pytest.raises(InfeasibleActionError, match="infeasible action"):
+        FrameSolver(reference_cfg(5.0), reference_model()).solve(2.0)
+
+
 def test_discounted_solve_matches_brute_force():
     from aoi_dpp.oracle import brute_force_optimal
 
