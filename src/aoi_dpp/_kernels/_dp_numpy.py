@@ -1,8 +1,8 @@
-"""NumPy fallback for the backward-DP inner loop.
+"""The backward-DP inner loop, in NumPy.
 
 Reference semantics: the plain-Python `loop_kernel` in tests/test_kernels.py,
-which mirrors the compiled kernel statement for statement. This kernel
-produces the same tables bit for bit.
+one state, action and branch at a time. This kernel produces the same tables
+bit for bit.
 
 Layout. Once per call the (S, 3) and (S, 3, B) inputs are laid out
 action-major in natural action order (USER1, USER2, IDLE): the stage cost

@@ -204,7 +204,7 @@ def _validate(cfg: ExperimentConfig) -> None:
     if cfg.replications < 1:
         raise ConfigError("must be >= 1", "replications")
     # Frame-start Z grows by rho <= 1 per slot, so it never exceeds the
-    # horizon, and the solver's Z / z_cache_bucket stays finite.
+    # horizon, and run_simulation's Z / z_cache_bucket stays finite.
     bucket = cfg.z_cache_bucket
     if not (bucket == 0 or 0 < bucket < math.inf and math.isfinite(cfg.horizon_slots / bucket)):
         raise ConfigError(

@@ -1,11 +1,12 @@
 """Multi-frame closed-loop simulation.
 
 The drift-plus-penalty controller solves the frame DP at every frame start
-with the debt value frozen at Z(t_m), executes the resulting policy slot by
-slot, and updates age, queue and debt every slot. A frame whose start debt
-equals, as a float, that of a recent frame reuses that frame's action table
-instead of solving again (see `_TABLE_MEMO_BYTES`); a solve is a pure
-function of the debt, so the trajectories are the same bit for bit. The
+with the debt value frozen at Z(t_m), or at Z(t_m) rounded to a multiple of
+a positive `z_cache_bucket`, executes the resulting policy slot by slot, and
+updates age, queue and debt every slot. A frame whose frozen debt equals, as
+a float, that of a recent frame reuses that frame's action table instead of
+solving again (see `_TABLE_MEMO_BYTES`); a solve is a pure function of the
+frozen debt, so the trajectories are the same bit for bit. The
 deterministic baselines run as fixed action tables through the same lookup;
 only the uniform baseline decides slot by slot. Runs are bit-reproducible
 from (config, model, policy, horizon, seed): channel randomness, action
@@ -39,8 +40,9 @@ from .model import Action, FrameConfig, SystemState, feasible_actions
 from .solver import FrameSolver, PolicyTable, StateSpace
 
 #: Bytes of int8 action tables one run keeps for reuse, least recently used
-#: first out: 40 tables of the reference scenario (T = 20, 1280 states).
-#: A frame whose (T, S) table is larger than this always solves afresh.
+#: first out: 40 tables of the reference scenario (T = 20, 1280 states),
+#: with or without a `z_cache_bucket`. A frame whose (T, S) table is larger
+#: than this always solves afresh.
 _TABLE_MEMO_BYTES = 1 << 20
 
 
@@ -143,9 +145,15 @@ def run_simulation(
     An infeasible or uncertifiable delivery target does not abort the run; it
     is recorded in Metrics.warnings and the controller still does its best.
 
+    `z_cache_bucket` must be 0, or finite and > 0 with `horizon_slots /
+    z_cache_bucket` finite; anything else raises ValueError before any
+    compute. Above 0, each frame is solved at its start debt rounded to the
+    nearest multiple of the bucket, so frames whose debts round alike share
+    one table.
+
     The loop runs frame by frame: at each frame start the controller takes
-    its table, solved for the frame-start debt or reused from a recent frame
-    that started at the same float debt, then an inner loop steps the frame's
+    its table, solved for the frame's frozen debt or reused from a recent
+    frame frozen at the same float debt, then an inner loop steps the frame's
     slots (the last frame may be partial). Per slot it reads the channel
     uniforms and the frame's (T, S) action table, and writes the six
     trajectory arrays, through memoryviews, so no slot touches a NumPy scalar. It inlines the model laws
@@ -161,6 +169,14 @@ def run_simulation(
     if not 0 <= warmup_slots <= (horizon_slots // T - 1) * T:
         raise ValueError(
             f"warmup_slots must be in [0, (horizon // T - 1) * T], got {warmup_slots}"
+        )
+    # Frame-start Z grows by rho <= 1 per slot, so it never exceeds the
+    # horizon, and Z / z_cache_bucket stays finite once this ratio is.
+    bucket = z_cache_bucket
+    if not (bucket == 0 or 0 < bucket < math.inf and math.isfinite(horizon_slots / bucket)):
+        raise ValueError(
+            "z_cache_bucket must be 0, or finite and > 0 with horizon_slots / z_cache_bucket "
+            f"finite, got {bucket}"
         )
     memory = isinstance(model, GilbertElliotChannel)
     if initial_channel is not None:
@@ -202,7 +218,7 @@ def run_simulation(
     # queue > 0, with the same act_rng call as baseline_decision.
     frame_solver = table = frame0_policy = None
     if policy == PolicyKind.DRIFT_PLUS_PENALTY:
-        frame_solver = FrameSolver(cfg, model, z_bucket=z_cache_bucket)
+        frame_solver = FrameSolver(cfg, model)
         space = frame_solver.space
     else:
         space = StateSpace(cfg, model)
@@ -217,8 +233,8 @@ def run_simulation(
     index = space.index_parts
     w1, w2 = space.mem_weights
     S = space.n_states
-    # Frame-start debt -> that frame's flattened action table, least recently
-    # used first; at most memo_size tables.
+    # Frozen debt -> that frame's flattened action table, least recently used
+    # first; at most memo_size tables.
     memo: dict[float, memoryview] = {}
     memo_size = _TABLE_MEMO_BYTES // (T * S)
 
@@ -236,16 +252,17 @@ def run_simulation(
     rho = cfg.rho
     for start in range(0, horizon_slots, T):
         if frame_solver is not None:
-            table = memo.pop(z, None)
+            frozen_z = round(z / bucket) * bucket if bucket else z
+            table = memo.pop(frozen_z, None)
             if table is None:
-                solved = frame_solver.solve(z)
+                solved = frame_solver.solve(frozen_z)
                 table = memoryview(solved.actions.reshape(-1))
                 if start == 0:
                     frame0_policy = solved
             if memo_size:
                 if len(memo) == memo_size:
                     del memo[next(iter(memo))]
-                memo[z] = table
+                memo[frozen_z] = table
         stop = min(start + T, horizon_slots)
         offset = 0  # of slot t's row in the flattened table
         for t in range(start, stop):

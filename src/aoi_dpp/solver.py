@@ -139,25 +139,15 @@ class FrameSolver:
 
     solve() raises InfeasibleActionError on a table that holds a non-finite
     value or an action outside its state's feasible set, which only a broken
-    kernel or an overflowing cost can produce. An optional debt-quantization
-    bucket caches policies by rounded z (off by default: every call solves
-    exactly, into fresh tables).
+    kernel or an overflowing cost can produce. The solver keeps no tables:
+    reuse across frames is `run_simulation`'s table memo.
     """
 
-    def __init__(
-        self,
-        cfg: FrameConfig,
-        model: ChannelModel,
-        z_bucket: float = 0.0,
-    ):
+    def __init__(self, cfg: FrameConfig, model: ChannelModel):
         self.cfg = cfg
         self.model = model
         self.space = StateSpace(cfg, model)
         self._solve_kernel = _kernels.get_solver()
-        if not 0 <= z_bucket < math.inf:
-            raise ValueError(f"z_bucket must be finite and >= 0, got {z_bucket}")
-        self.z_bucket = z_bucket
-        self._cache: dict[float, PolicyTable] = {}
         self._build_arrays()
 
     def _build_arrays(self) -> None:
@@ -188,17 +178,9 @@ class FrameSolver:
         self.probs = np.where(feasible[..., None], probs[mem], 0.0)
 
     def solve(self, frozen_z: float) -> PolicyTable:
+        """Solve the frame at `frozen_z`, into fresh read-only tables."""
         if not 0 <= frozen_z < math.inf:
             raise ValueError(f"frozen_z must be finite and >= 0, got {frozen_z}")
-        key = frozen_z
-        if self.z_bucket > 0:
-            steps = frozen_z / self.z_bucket
-            if steps == math.inf:
-                raise ValueError(f"frozen_z / z_bucket overflows: {frozen_z} / {self.z_bucket}")
-            key = round(steps) * self.z_bucket
-            cached = self._cache.get(key)
-            if cached is not None:
-                return cached
         T, S = self.cfg.T, self.space.n_states
         values = np.empty((T + 1, S))
         actions = np.empty((T, S), dtype=np.int8)
@@ -208,21 +190,18 @@ class FrameSolver:
             self.feasible,
             self.next_idx,
             self.probs,
-            key,
+            frozen_z,
             self.cfg.discount,
             values,
             actions,
         )
         if not np.isfinite(values).all():
-            raise InfeasibleActionError(f"solve at z={key} wrote a non-finite value")
+            raise InfeasibleActionError(f"solve at z={frozen_z} wrote a non-finite value")
         # 1 << a, with a read as a byte, keeps its bit only for a in 0..7 (-1
         # reads as 255), so the one test also rejects codes outside 0..2.
         if not (np.left_shift(1, actions.view(np.uint8)) & self._allowed).all():
-            raise InfeasibleActionError(f"solve at z={key} wrote an infeasible action")
-        table = PolicyTable(self.cfg, self.space, key, values, actions)
-        if self.z_bucket > 0:
-            self._cache[key] = table
-        return table
+            raise InfeasibleActionError(f"solve at z={frozen_z} wrote an infeasible action")
+        return PolicyTable(self.cfg, self.space, frozen_z, values, actions)
 
 
 def backward_solve(cfg: FrameConfig, frozen_z: float, model: ChannelModel) -> PolicyTable:

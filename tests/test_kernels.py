@@ -1,6 +1,6 @@
-"""Kernel checks: the compiled core and the NumPy fallback must agree bit for
-bit, so a run is reproducible no matter which kernel carried it, and the
-solver must take its kernel from `_kernels.get_solver` at construction."""
+"""Kernel checks: the NumPy kernel must equal the plain-Python `loop_kernel`
+bit for bit, and the solver must take its kernel from `_kernels.get_solver`
+at construction."""
 
 import dataclasses
 import hashlib
@@ -17,10 +17,6 @@ from aoi_dpp import _kernels
 from aoi_dpp.channel import GilbertElliotChannel, IIDChannel
 from aoi_dpp.model import FrameConfig
 from aoi_dpp.solver import FrameSolver
-
-needs_cython = pytest.mark.skipif(
-    _kernels._dp_cython is None, reason="compiled kernel not built"
-)
 
 
 def kernel_tables(kernel, solver: FrameSolver, z: float):
@@ -44,9 +40,9 @@ def kernel_tables(kernel, solver: FrameSolver, z: float):
 
 def loop_kernel(cost_const, cost_z, feasible, next_idx, probs, frozen_z, discount,
                 values, actions):
-    """Plain-Python mirror of `_dp_cython.solve_backward`: branches accumulate
-    in order, infeasible actions are skipped, and a strictly smaller q wins in
-    USER2, USER1, IDLE order."""
+    """The kernel contract's reference semantics, one state, action and branch
+    at a time: branches accumulate in order, infeasible actions are skipped,
+    and a strictly smaller q wins in USER2, USER1, IDLE order."""
     T, S, n_branches = actions.shape[0], cost_const.shape[0], probs.shape[2]
     cc, cz, ok = cost_const.tolist(), cost_z.tolist(), feasible.tolist()
     nxt, pr = next_idx.tolist(), probs.tolist()
@@ -79,18 +75,9 @@ def assert_same_tables(expected, actual) -> None:
     assert np.array_equal(expected_actions, actions)
 
 
-def assert_kernels_agree(solver: FrameSolver, z: float) -> None:
-    assert_same_tables(
-        kernel_tables(_kernels._dp_cython.solve_backward, solver, z),
-        kernel_tables(_kernels._dp_numpy.solve_backward, solver, z),
-    )
-
-
-def test_backend_matches_extension():
-    built = _kernels._dp_cython is not None
-    assert _kernels.BACKEND == ("cython" if built else "numpy")
-    module = _kernels._dp_cython if built else _kernels._dp_numpy
-    assert _kernels.get_solver() is module.solve_backward
+def test_backend_is_numpy():
+    assert _kernels.BACKEND == "numpy"
+    assert _kernels.get_solver() is _kernels._dp_numpy.solve_backward
 
 
 def test_frame_solver_uses_get_solver(monkeypatch):
@@ -108,24 +95,9 @@ def test_frame_solver_uses_get_solver(monkeypatch):
     assert calls == [9, 9]
 
 
-@needs_cython
-def test_backends_bit_identical_reference_scenario():
-    solver = FrameSolver(reference_cfg(5.0), reference_model())
-    for z in (0.0, 0.3, 1.7, 12.9, 250.0):
-        assert_kernels_agree(solver, z)
-
-
-@needs_cython
-def test_backends_bit_identical_random_instances():
-    rng = np.random.default_rng(101)
-    for _ in range(40):
-        cfg, model, _, z = random_instance(rng)
-        assert_kernels_agree(FrameSolver(cfg, model), z)
-
-
 def test_numpy_kernel_matches_loop_contract():
-    # Runs without the compiled kernel: the NumPy fallback must equal the
-    # compiled loop's semantics bit for bit, on arrays typed as it expects.
+    # The NumPy kernel must equal the loop semantics bit for bit, on arrays
+    # typed as it expects.
     # Channels with 0/1 probabilities and V = z = 0 instances make ties.
     rng = np.random.default_rng(7)
     for i in range(60):

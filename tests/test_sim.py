@@ -112,6 +112,31 @@ def test_warmup_must_leave_a_full_frame():
         run_simulation(cfg, model, PolicyKind.DEADLINE_FIRST, 41, 1, warmup_slots=37)
 
 
+def forbid_solver(monkeypatch):
+    """Fail the test if a run gets as far as building its FrameSolver."""
+    def no_solver(*args):
+        raise AssertionError("the run started computing")
+
+    monkeypatch.setattr(sim, "FrameSolver", no_solver)
+
+
+@pytest.mark.parametrize("bucket", [-0.1, float("nan"), float("inf")])
+def test_invalid_z_cache_bucket_rejected_before_compute(bucket, monkeypatch):
+    forbid_solver(monkeypatch)
+    with pytest.raises(ValueError, match="z_cache_bucket"):
+        small_run(horizon=40, z_cache_bucket=bucket)
+
+
+def test_overflowing_z_cache_bucket_ratio_rejected(monkeypatch):
+    # Frame-start Z never exceeds the horizon, so a bucket that keeps
+    # horizon / bucket finite keeps every Z / bucket finite, and roundable.
+    m = small_run(horizon=40, z_cache_bucket=1e-300)
+    assert m.frame0_policy.frozen_z == 0.0
+    forbid_solver(monkeypatch)
+    with pytest.raises(ValueError, match="z_cache_bucket"):
+        small_run(horizon=40, z_cache_bucket=1e-320)
+
+
 def test_infeasible_target_warns_but_runs():
     cfg = FrameConfig(T=20, K=15, q=12.0, A_max=20, V=5.0)
     model = IIDChannel(p1=0.9, p2=0.5)  # 10 expected < 12 required
@@ -268,34 +293,56 @@ def test_table_memo_reuses_tables_at_v0(monkeypatch):
     assert len(calls) == m.frames
 
 
-@pytest.mark.parametrize("cfg, frames", [
-    (reference_cfg(150.0), 125),
+@pytest.mark.parametrize("cfg, frames, bucket", [
+    (reference_cfg(150.0), 125, 0.0),
     # 99,200-byte tables, of which 10 fit the budget
-    (FrameConfig(T=40, K=30, q=24.0, A_max=20, V=150.0), 30),
-], ids=["reference", "large-tables"])
-def test_table_memo_memory_is_bounded_by_its_budget(cfg, frames, monkeypatch):
-    # At V = 150 the frame-start debt never repeats, so every frame adds a
-    # table and the memo holds as many as its budget allows. The traced peak
-    # with the memo exceeds that of fresh solves by at most the budget plus
-    # the per-entry objects; a memo that kept every table would add 3.2 MB
-    # over the 125 reference frames and 3.0 MB over the 30 larger ones.
+    (FrameConfig(T=40, K=30, q=24.0, A_max=20, V=150.0), 30, 0.0),
+    # 121 distinct bucket multiples over the 125 frames
+    (reference_cfg(150.0), 125, 0.2),
+], ids=["reference", "large-tables", "bucketed"])
+def test_table_memo_memory_is_bounded_by_its_budget(cfg, frames, bucket, monkeypatch):
+    # At V = 150 the frame-start debt never repeats, so nearly every frame
+    # adds a table and the memo holds as many as its budget allows, with or
+    # without a z_cache_bucket. The traced peak with the memo exceeds that of
+    # fresh solves at the exact debt by at most the budget plus the per-entry
+    # objects; a memo that kept every action table would add 3.2 MB over the
+    # 125 reference frames and 3.0 MB over the 30 larger ones, and a cache
+    # of every bucketed PolicyTable, values included, about 28 MB.
     model = reference_model()
 
-    def traced_peak() -> tuple[int, sim.Metrics]:
-        run_simulation(cfg, model, PolicyKind.DRIFT_PLUS_PENALTY, cfg.T, 0)  # warm caches
+    def traced_peak(bucket: float) -> tuple[int, sim.Metrics]:
+        run = (cfg, model, PolicyKind.DRIFT_PLUS_PENALTY)
+        run_simulation(*run, cfg.T, 0, z_cache_bucket=bucket)  # warm caches
         tracemalloc.start()
         try:
-            m = run_simulation(cfg, model, PolicyKind.DRIFT_PLUS_PENALTY, frames * cfg.T, 0)
+            m = run_simulation(*run, frames * cfg.T, 0, z_cache_bucket=bucket)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         return peak, m
 
     budget = sim._TABLE_MEMO_BYTES
-    with_memo, m = traced_peak()
-    assert len(set(m.frame_start_z[:frames].tolist())) == frames
+    with_memo, m = traced_peak(bucket)
+    start_z = m.frame_start_z[:frames].tolist()
+    if bucket:
+        keys = {round(z / bucket) * bucket for z in start_z}
+        assert len(keys) > budget // m.frame0_policy.actions.nbytes
+    else:
+        assert len(set(start_z)) == frames
     fresh_solve_every_frame(monkeypatch)
-    assert with_memo - traced_peak()[0] < budget + 64 * 1024
+    assert with_memo - traced_peak(0.0)[0] < budget + 64 * 1024
+
+
+def test_z_cache_bucket_solves_each_multiple_once(monkeypatch):
+    # Frames whose start debts round to the same multiple of the bucket share
+    # one table, solved at that multiple; the first frame's is solved at 0.
+    monkeypatch.setattr(sim, "_TABLE_MEMO_BYTES", 1 << 30)
+    calls = count_solves(monkeypatch)
+    m = small_run(horizon=3_000, z_cache_bucket=0.5)
+    keys = [round(z / 0.5) * 0.5 for z in m.frame_start_z[: m.frames].tolist()]
+    assert calls == list(dict.fromkeys(keys))
+    assert len(calls) < m.frames
+    assert m.frame0_policy.frozen_z == 0.0
 
 
 def test_z_cache_bucket_changes_little():

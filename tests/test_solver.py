@@ -217,17 +217,6 @@ def test_state_space_roundtrip():
             assert space.index(space.state(i)) == i
 
 
-def test_frame_solver_z_bucket_cache():
-    cfg = reference_cfg(5.0)
-    solver = FrameSolver(cfg, reference_model(), z_bucket=0.5)
-    t1 = solver.solve(1.1)
-    t2 = solver.solve(0.9)  # both round to 1.0
-    assert t1 is t2
-    assert t1.frozen_z == pytest.approx(1.0)
-    exact = FrameSolver(cfg, reference_model())
-    assert exact.solve(1.1) is not exact.solve(1.1)
-
-
 def test_negative_frozen_z_rejected():
     with pytest.raises(ValueError):
         backward_solve(TOY_CFG, -0.1, TOY_MODEL)
@@ -237,16 +226,6 @@ def test_negative_frozen_z_rejected():
 def test_non_finite_frozen_z_rejected(z):
     with pytest.raises(ValueError, match="finite"):
         FrameSolver(TOY_CFG, TOY_MODEL).solve(z)
-    with pytest.raises(ValueError, match="finite"):
-        FrameSolver(TOY_CFG, TOY_MODEL, z_bucket=z)
-
-
-def test_overflowing_z_bucket_ratio_rejected():
-    # frozen_z / z_bucket = inf cannot be rounded to a cache key
-    solver = FrameSolver(TOY_CFG, TOY_MODEL, z_bucket=1e-320)
-    with pytest.raises(ValueError, match="overflows"):
-        solver.solve(40.0)
-    assert solver.solve(0.0).frozen_z == 0.0
 
 
 def schedule_empty_queue(values, actions, s):
