@@ -13,7 +13,7 @@ from .lyapunov import InfeasibleError, bounds_report
 from .model import FrameConfig, InfeasibleActionError
 from .oracle import TooLargeError
 from .sim import PolicyKind, run_simulation
-from .solver import FrameSolver, UnknownStateError, backward_solve
+from .solver import FrameSolver, UnknownStateError
 
 __all__ = [
     "BACKEND",
@@ -28,7 +28,6 @@ __all__ = [
     "PolicyKind",
     "TooLargeError",
     "UnknownStateError",
-    "backward_solve",
     "bounds_report",
     "run_simulation",
 ]

@@ -10,13 +10,13 @@ field's, and the `channel.*` keys are the fields of the channel classes.
 
 from __future__ import annotations
 
-import math
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 from .channel import ChannelModel, GilbertElliotChannel, IIDChannel
 from .model import FrameConfig
-from .sim import PolicyKind
+from .sim import PolicyKind, check_run_inputs
 
 
 class ConfigError(ValueError):
@@ -160,10 +160,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
     for name in names:
         if name not in probs:
             raise ConfigError("required for this channel type", f"channel.{name}")
-    try:
+    with _keyed_errors("channel."):
         values["channel"] = cls(**probs)
-    except ValueError as err:
-        raise ConfigError(str(err), "channel") from None
 
     if "policy" in values:
         try:
@@ -176,50 +174,30 @@ def parse_config_text(text: str) -> ExperimentConfig:
     return cfg
 
 
+@contextmanager
+def _keyed_errors(prefix: str = ""):
+    """Turn a ValueError("<name> must ...") into ConfigError(key=prefix + name)."""
+    try:
+        yield
+    except ValueError as err:
+        name, _, message = str(err).partition(" ")
+        raise ConfigError(message, prefix + name) from None
+
+
 def _validate(cfg: ExperimentConfig) -> None:
     if not cfg.V:
         raise ConfigError("needs at least one value", "V")
-    # FrameConfig re-checks the model invariants for every V value; its
-    # messages name the field first.
-    for v in cfg.V:
-        try:
+    with _keyed_errors():
+        # FrameConfig re-checks the model invariants for every V value.
+        for v in cfg.V:
             cfg.frame_config(v)
-        except ValueError as err:
-            key, _, message = str(err).partition(" ")
-            raise ConfigError(message, key) from None
+        check_run_inputs(cfg.T, cfg.channel, cfg.horizon_slots, cfg.seed,
+                         cfg.warmup_slots, cfg.z_cache_bucket)
     dirs = [v_dir(v) for v in cfg.V]
     if len(set(dirs)) < len(dirs):
         raise ConfigError(f"two values share a cell directory: {' '.join(dirs)}", "V")
-    # A run draws each Gilbert-Elliot chain's first state from its stationary law.
-    for user in (1, 2):
-        if isinstance(cfg.channel, GilbertElliotChannel) and cfg.channel.params(user) == (1, 0):
-            message = f"must be < 1 if channel.p01_{user} = 0 (frozen chain, no stationary law)"
-            raise ConfigError(message, f"channel.p11_{user}")
-    if cfg.horizon_slots < cfg.T:
-        raise ConfigError(
-            f"must be >= T={cfg.T}, got {cfg.horizon_slots}", "horizon_slots"
-        )
-    if cfg.seed < 0:
-        raise ConfigError(f"must be >= 0, got {cfg.seed}", "seed")
     if cfg.replications < 1:
         raise ConfigError("must be >= 1", "replications")
-    # Frame-start Z grows by rho <= 1 per slot, so it never exceeds the
-    # horizon, and run_simulation's Z / z_cache_bucket stays finite.
-    bucket = cfg.z_cache_bucket
-    if not (bucket == 0 or 0 < bucket < math.inf and math.isfinite(cfg.horizon_slots / bucket)):
-        raise ConfigError(
-            f"must be 0, or finite and > 0 with horizon_slots / z_cache_bucket finite, "
-            f"got {bucket}",
-            "z_cache_bucket",
-        )
-    # The delivery mean needs one full frame after warmup.
-    last = (cfg.horizon_slots // cfg.T - 1) * cfg.T
-    if not 0 <= cfg.warmup_slots <= last:
-        raise ConfigError(
-            f"must be in [0, (horizon_slots // T - 1) * T] = [0, {last}], "
-            f"got {cfg.warmup_slots}",
-            "warmup_slots",
-        )
     # summary.json echoes out_dir, and the echo must parse back to this config.
     out = cfg.out_dir
     if out is not None and ("#" in out or out != out.strip() or len(out.splitlines()) != 1):

@@ -33,7 +33,6 @@ from .channel import (
     GOOD,
     ChannelModel,
     GilbertElliotChannel,
-    NoUniqueStationaryError,
     stationary_state,
 )
 from .model import Action, FrameConfig, SystemState, feasible_actions
@@ -129,6 +128,48 @@ def baseline_decision(
     raise ValueError(f"{policy} is not a baseline; run it through the controller")
 
 
+def check_run_inputs(
+    T: int,
+    model: ChannelModel,
+    horizon_slots: int,
+    seed: int,
+    warmup_slots: int,
+    z_cache_bucket: float,
+) -> None:
+    """Raise ValueError("<config key> must ...") for run inputs that cannot run.
+
+    `run_simulation` calls this before it draws or builds anything, and
+    `config` checks every experiment with it, mapping the leading key name to
+    a `ConfigError`.
+    """
+    # A run draws each Gilbert-Elliot chain's first state from its stationary law.
+    for user in (1, 2):
+        if isinstance(model, GilbertElliotChannel) and model.params(user) == (1, 0):
+            raise ValueError(
+                f"channel.p11_{user} must be < 1 if channel.p01_{user} = 0 "
+                "(frozen chain, no stationary law)"
+            )
+    if horizon_slots < T:
+        raise ValueError(f"horizon_slots must be >= T={T}, got {horizon_slots}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    # Frame-start Z grows by rho <= 1 per slot, so it never exceeds the
+    # horizon, and Z / z_cache_bucket stays finite once this ratio is.
+    bucket = z_cache_bucket
+    if not (bucket == 0 or 0 < bucket < math.inf and math.isfinite(horizon_slots / bucket)):
+        raise ValueError(
+            "z_cache_bucket must be 0, or finite and > 0 with horizon_slots / z_cache_bucket "
+            f"finite, got {bucket}"
+        )
+    # The delivery mean needs one full frame after warmup.
+    last = (horizon_slots // T - 1) * T
+    if not 0 <= warmup_slots <= last:
+        raise ValueError(
+            f"warmup_slots must be in [0, (horizon_slots // T - 1) * T] = [0, {last}], "
+            f"got {warmup_slots}"
+        )
+
+
 def run_simulation(
     cfg: FrameConfig,
     model: ChannelModel,
@@ -138,18 +179,17 @@ def run_simulation(
     *,
     warmup_slots: int = 0,
     z_cache_bucket: float = 0.0,
-    initial_channel: tuple[int, int] | None = None,
 ) -> Metrics:
     """Simulate `horizon_slots` slots and collect Metrics.
 
-    An infeasible or uncertifiable delivery target does not abort the run; it
-    is recorded in Metrics.warnings and the controller still does its best.
+    Inputs that `check_run_inputs` rejects raise ValueError, naming the
+    argument, before any compute. An infeasible delivery target does not
+    abort the run; it is recorded in Metrics.warnings and the controller
+    still does its best.
 
-    `z_cache_bucket` must be 0, or finite and > 0 with `horizon_slots /
-    z_cache_bucket` finite; anything else raises ValueError before any
-    compute. Above 0, each frame is solved at its start debt rounded to the
-    nearest multiple of the bucket, so frames whose debts round alike share
-    one table.
+    A `z_cache_bucket` above 0 solves each frame at its start debt rounded
+    to the nearest multiple of the bucket, so frames whose debts round alike
+    share one table.
 
     The loop runs frame by frame: at each frame start the controller takes
     its table, solved for the frame's frozen debt or reused from a recent
@@ -162,50 +202,24 @@ def run_simulation(
     `tests/test_sim.py::test_loop_follows_model_laws` checks every slot
     against them.
     """
+    check_run_inputs(cfg.T, model, horizon_slots, seed, warmup_slots, z_cache_bucket)
     T, K, A_max = cfg.T, cfg.K, cfg.A_max
-    if horizon_slots < T:
-        raise ValueError(f"horizon_slots must be >= T={T}, got {horizon_slots}")
-    # The delivery mean needs one full frame after warmup.
-    if not 0 <= warmup_slots <= (horizon_slots // T - 1) * T:
-        raise ValueError(
-            f"warmup_slots must be in [0, (horizon // T - 1) * T], got {warmup_slots}"
-        )
-    # Frame-start Z grows by rho <= 1 per slot, so it never exceeds the
-    # horizon, and Z / z_cache_bucket stays finite once this ratio is.
     bucket = z_cache_bucket
-    if not (bucket == 0 or 0 < bucket < math.inf and math.isfinite(horizon_slots / bucket)):
-        raise ValueError(
-            "z_cache_bucket must be 0, or finite and > 0 with horizon_slots / z_cache_bucket "
-            f"finite, got {bucket}"
-        )
-    memory = isinstance(model, GilbertElliotChannel)
-    if initial_channel is not None:
-        if not memory:
-            raise ValueError("initial_channel applies to the Gilbert-Elliot model only")
-        if len(initial_channel) != 2 or any(h not in (BAD, GOOD) for h in initial_channel):
-            raise ValueError(
-                f"initial_channel must be a pair of BAD={BAD}/GOOD={GOOD}, got {initial_channel!r}"
-            )
-        initial_channel = (int(initial_channel[0]), int(initial_channel[1]))
-
     warnings: list[str] = []
     try:
         lyapunov.slackness_epsilon(model, T, cfg.q)
     except lyapunov.InfeasibleError as err:
         warnings.append(str(err))
-    except NoUniqueStationaryError as err:
-        # A frozen user-2 chain has no long-run success rate to certify q with.
-        warnings.append(f"q={cfg.q} has no slackness certificate: {err}")
 
     # One channel step: user i is Good this slot when u_i[t] < g_i[previous
     # state], g_i = (P(Good | Bad), P(Good | Good)); i.i.d. users share u.
     chan_ss, act_ss, init_ss = np.random.SeedSequence(seed).spawn(3)
     chan_rng = np.random.default_rng(chan_ss)
     act_rng = np.random.default_rng(act_ss)
-    if memory:
+    if isinstance(model, GilbertElliotChannel):
         u1, u2 = chan_rng.random((horizon_slots, 2)).T
         g1, g2 = (model.p01_1, model.p11_1), (model.p01_2, model.p11_2)
-        m1, m2 = initial_channel or stationary_state(model, np.random.default_rng(init_ss))
+        m1, m2 = stationary_state(model, np.random.default_rng(init_ss))
     else:
         u1 = u2 = chan_rng.random(horizon_slots)
         g1, g2 = (model.p1, model.p1), (model.p2, model.p2)

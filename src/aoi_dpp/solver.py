@@ -203,7 +203,3 @@ class FrameSolver:
             raise InfeasibleActionError(f"solve at z={frozen_z} wrote an infeasible action")
         return PolicyTable(self.cfg, self.space, frozen_z, values, actions)
 
-
-def backward_solve(cfg: FrameConfig, frozen_z: float, model: ChannelModel) -> PolicyTable:
-    """Solve one frame exactly for the given frozen debt value."""
-    return FrameSolver(cfg, model).solve(frozen_z)

@@ -24,7 +24,7 @@ from aoi_dpp.lyapunov import (
 )
 from aoi_dpp.oracle import brute_force_optimal, evaluate_policy_exact
 from aoi_dpp.sim import PolicyKind, run_simulation
-from aoi_dpp.solver import backward_solve
+from aoi_dpp.solver import FrameSolver
 
 HORIZON = 500_000
 SEED = 1
@@ -53,7 +53,7 @@ def test_criterion_1_oracle_equivalence():
     worst_gap = worst_replay = 0.0
     for _ in range(100):
         cfg, model, state, z = random_instance(rng)
-        table = backward_solve(cfg, z, model)
+        table = FrameSolver(cfg, model).solve(z)
         dp_value = table.value(0, state)
         brute_value, _ = brute_force_optimal(state, z, cfg, model)
         worst_gap = max(worst_gap, abs(dp_value - brute_value))

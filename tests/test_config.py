@@ -1,6 +1,5 @@
 import math
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -112,8 +111,9 @@ def test_model_invariants_revalidated():
         ("A_max = 5", "A_max = 0", "A_max"),
         ("V = 0, 1.5", "V = 0, -1", "V"),
         ("seed = 3", "seed = 3\ndiscount = 0", "discount"),
+        ("channel.p1 = 0.9", "channel.p1 = 1.7", "channel.p1"),
     ],
-    ids=["T", "K", "q", "A_max", "V", "discount"],
+    ids=["T", "K", "q", "A_max", "V", "discount", "channel.p1"],
 )
 def test_model_invariant_names_key(old, new, key):
     with pytest.raises(ConfigError) as exc:
@@ -131,15 +131,6 @@ def test_duplicate_v_rejected(v_text):
     with pytest.raises(ConfigError) as exc:
         with_overrides(preset("fig6"), v_list=parse_v_list(v_text))
     assert exc.value.key == "V"
-
-
-@pytest.mark.parametrize("user", [1, 2])
-def test_frozen_channel_rejected(user):
-    frozen = GilbertElliotChannel(0.9, 0.6, 0.9, 0.6)
-    frozen = replace(frozen, **{f"p11_{user}": 1.0, f"p01_{user}": 0.0})
-    with pytest.raises(ConfigError) as exc:
-        parse_config_text(render_config(replace(preset("fig6"), channel=frozen)))
-    assert exc.value.key == f"channel.p11_{user}"
 
 
 def test_malformed_lines():
@@ -181,32 +172,6 @@ def test_overrides():
     assert out.V == (5.0,) and out.out_dir == "x"
     with pytest.raises(ConfigError):
         with_overrides(cfg, horizon=7)  # below T
-
-
-def test_negative_seed_rejected():
-    with pytest.raises(ConfigError) as exc:
-        parse_config_text(BASIC.replace("seed = 3", "seed = -1"))
-    assert exc.value.key == "seed"
-    with pytest.raises(ConfigError) as exc:
-        with_overrides(preset("fig6"), seed=-1)
-    assert exc.value.key == "seed"
-
-
-# "1e-320" and "1e-307": positive, but horizon_slots / z_cache_bucket overflows
-@pytest.mark.parametrize("bucket", ["nan", "inf", "1e-320", "1e-307"])
-def test_non_finite_z_cache_bucket_rejected(bucket):
-    with pytest.raises(ConfigError) as exc:
-        parse_config_text(BASIC + f"z_cache_bucket = {bucket}\n")
-    assert exc.value.key == "z_cache_bucket"
-
-
-def test_warmup_must_leave_a_full_frame():
-    # T = 4, 41 slots: frames start at 0, 4, ..., 36, and frame 9 ends at 40
-    short = BASIC.replace("horizon_slots = 200", "horizon_slots = 41")
-    assert parse_config_text(short + "warmup_slots = 36\n").warmup_slots == 36
-    with pytest.raises(ConfigError) as exc:
-        parse_config_text(short + "warmup_slots = 37\n")
-    assert exc.value.key == "warmup_slots"
 
 
 def test_load_config_missing_file(tmp_path):

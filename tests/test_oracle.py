@@ -13,7 +13,7 @@ from aoi_dpp.oracle import (
     monte_carlo_value,
     stationary_aoi_mean,
 )
-from aoi_dpp.solver import FrameSolver, backward_solve
+from aoi_dpp.solver import FrameSolver
 
 TOY_CFG = FrameConfig(T=2, K=1, q=1.0, A_max=3, V=1.0)
 TOY_MODEL = IIDChannel(p1=1.0, p2=1.0)
@@ -37,7 +37,7 @@ def test_evaluate_distributions_sum_to_one():
     rng = np.random.default_rng(23)
     for _ in range(25):
         cfg, model, state, z = random_instance(rng)
-        table = backward_solve(cfg, z, model)
+        table = FrameSolver(cfg, model).solve(z)
         res = evaluate_policy_exact(table, state, z, cfg, model)
         assert len(res.state_distribution_by_slot) == cfg.T + 1
         for dist in res.state_distribution_by_slot:
@@ -115,7 +115,7 @@ def test_monte_carlo_deterministic_toy():
 def test_monte_carlo_seed_reproducible():
     cfg = reference_cfg(5.0)
     model = reference_model()
-    table = backward_solve(cfg, 0.0, model)
+    table = FrameSolver(cfg, model).solve(0.0)
     s0 = SystemState(1, 15, (GOOD, GOOD))
     a = monte_carlo_value(table, s0, 0.0, cfg, model, n_runs=1, seed=99)
     b = monte_carlo_value(table, s0, 0.0, cfg, model, n_runs=1, seed=99)
@@ -126,7 +126,7 @@ def test_monte_carlo_seed_reproducible():
 def test_monte_carlo_consistent_with_exact():
     cfg = reference_cfg(5.0)
     model = reference_model()
-    table = backward_solve(cfg, 0.0, model)
+    table = FrameSolver(cfg, model).solve(0.0)
     s0 = SystemState(1, 15, (GOOD, GOOD))
     exact = evaluate_policy_exact(table, s0, 0.0, cfg, model).expected_cost
     mean, stderr = monte_carlo_value(table, s0, 0.0, cfg, model, n_runs=100_000, seed=12)

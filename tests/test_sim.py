@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,13 @@ from test_sim_golden import CHANNELS, PARTIAL_HORIZON
 
 from aoi_dpp import sim
 from aoi_dpp.channel import GilbertElliotChannel, IIDChannel
+from aoi_dpp.config import (
+    ConfigError,
+    ExperimentConfig,
+    parse_config_text,
+    render_config,
+    with_overrides,
+)
 from aoi_dpp.lyapunov import drift_bound, update_virtual_queue
 from aoi_dpp.model import Action, FrameConfig, SystemState, step_aoi, step_queue
 from aoi_dpp.oracle import stationary_aoi_mean
@@ -95,46 +103,89 @@ def test_warmup_cut():
     assert cut.delivery_mean == pytest.approx(float(full.per_frame_deliveries[100:].mean()))
 
 
-def test_warmup_validation():
-    with pytest.raises(ValueError):
-        small_run(horizon=100, warmup_slots=90)
-    with pytest.raises(ValueError):
-        run_simulation(reference_cfg(5.0), reference_model(), PolicyKind.DRIFT_PLUS_PENALTY, 10, 1)
+# T = 4, 41 slots: frames start at 0, 4, ..., 36, and frame 9 ends at 40
+SMALL_RUN = ExperimentConfig(T=4, K=2, q=1.0, A_max=5, V=(1.0,), channel=IIDChannel(0.9, 0.8),
+                             horizon_slots=41, policy=PolicyKind.DEADLINE_FIRST)
+REFERENCE_RUN = ExperimentConfig(T=20, K=15, q=12.0, A_max=20, V=(5.0,),
+                                 channel=reference_model(), horizon_slots=40)
 
 
-def test_warmup_must_leave_a_full_frame():
-    # T = 4, 41 slots: warmup 37 would leave no full frame for the delivery mean
-    cfg = FrameConfig(T=4, K=2, q=1.0, A_max=5, V=1.0)
-    model = IIDChannel(p1=0.9, p2=0.8)
-    m = run_simulation(cfg, model, PolicyKind.DEADLINE_FIRST, 41, 1, warmup_slots=36)
-    assert math.isfinite(m.delivery_mean)
-    with pytest.raises(ValueError, match="warmup_slots"):
-        run_simulation(cfg, model, PolicyKind.DEADLINE_FIRST, 41, 1, warmup_slots=37)
+def frozen(user: int) -> GilbertElliotChannel:
+    """The reference link with one user's chain stuck in its first state."""
+    return replace(reference_model(), **{f"p11_{user}": 1.0, f"p01_{user}": 0.0})
 
 
-def forbid_solver(monkeypatch):
-    """Fail the test if a run gets as far as building its FrameSolver."""
-    def no_solver(*args):
-        raise AssertionError("the run started computing")
-
-    monkeypatch.setattr(sim, "FrameSolver", no_solver)
-
-
-@pytest.mark.parametrize("bucket", [-0.1, float("nan"), float("inf")])
-def test_invalid_z_cache_bucket_rejected_before_compute(bucket, monkeypatch):
-    forbid_solver(monkeypatch)
-    with pytest.raises(ValueError, match="z_cache_bucket"):
-        small_run(horizon=40, z_cache_bucket=bucket)
-
-
-def test_overflowing_z_cache_bucket_ratio_rejected(monkeypatch):
+#: Run inputs and the key `check_run_inputs` names for them; None = runs.
+RUN_RULES = {
+    "horizon-below-T": (replace(REFERENCE_RUN, horizon_slots=10), "horizon_slots"),
+    "seed-negative": (replace(SMALL_RUN, seed=-1), "seed"),
+    "warmup-negative": (replace(SMALL_RUN, warmup_slots=-1), "warmup_slots"),
+    "warmup-last-full-frame": (replace(SMALL_RUN, warmup_slots=36), None),
+    # warmup 37 would leave no full frame for the delivery mean
+    "warmup-no-full-frame": (replace(SMALL_RUN, warmup_slots=37), "warmup_slots"),
+    "warmup-90-of-100": (replace(REFERENCE_RUN, horizon_slots=100, warmup_slots=90),
+                         "warmup_slots"),
+    "bucket-negative": (replace(REFERENCE_RUN, z_cache_bucket=-0.1), "z_cache_bucket"),
+    "bucket-nan": (replace(REFERENCE_RUN, z_cache_bucket=math.nan), "z_cache_bucket"),
+    "bucket-inf": (replace(REFERENCE_RUN, z_cache_bucket=math.inf), "z_cache_bucket"),
     # Frame-start Z never exceeds the horizon, so a bucket that keeps
     # horizon / bucket finite keeps every Z / bucket finite, and roundable.
-    m = small_run(horizon=40, z_cache_bucket=1e-300)
-    assert m.frame0_policy.frozen_z == 0.0
-    forbid_solver(monkeypatch)
-    with pytest.raises(ValueError, match="z_cache_bucket"):
-        small_run(horizon=40, z_cache_bucket=1e-320)
+    "bucket-1e-300": (replace(REFERENCE_RUN, z_cache_bucket=1e-300), None),
+    "bucket-1e-320": (replace(REFERENCE_RUN, z_cache_bucket=1e-320), "z_cache_bucket"),
+    "bucket-1e-307": (replace(SMALL_RUN, horizon_slots=200, z_cache_bucket=1e-307),
+                      "z_cache_bucket"),
+    # a frozen chain has no stationary law to draw its first state from
+    "frozen-user-1": (replace(REFERENCE_RUN, channel=frozen(1)), "channel.p11_1"),
+    "frozen-user-2": (replace(REFERENCE_RUN, channel=frozen(2)), "channel.p11_2"),
+}
+
+
+def forbid_compute(monkeypatch):
+    """Fail the test if a run draws randomness or builds its FrameSolver."""
+    def no_compute(*args, **kwargs):
+        raise AssertionError("the run started computing")
+
+    monkeypatch.setattr(sim, "FrameSolver", no_compute)
+    monkeypatch.setattr(np.random, "SeedSequence", no_compute)
+
+
+@pytest.mark.parametrize("rule", sorted(RUN_RULES))
+def test_run_rule_at_library_boundary(rule, monkeypatch):
+    cfg, key = RUN_RULES[rule]
+
+    def run():
+        return run_simulation(cfg.frame_config(cfg.V[0]), cfg.channel, cfg.policy,
+                              cfg.horizon_slots, cfg.seed, warmup_slots=cfg.warmup_slots,
+                              z_cache_bucket=cfg.z_cache_bucket)
+
+    if key is None:
+        m = run()
+        assert math.isfinite(m.delivery_mean)
+        assert m.frame0_policy is None or m.frame0_policy.frozen_z == 0.0
+        return
+    forbid_compute(monkeypatch)
+    with pytest.raises(ValueError) as exc:
+        run()
+    assert str(exc.value).startswith(f"{key} must ")
+
+
+@pytest.mark.parametrize("rule", sorted(RUN_RULES))
+def test_run_rule_at_config_boundary(rule):
+    cfg, key = RUN_RULES[rule]
+    checks = [
+        lambda: parse_config_text(render_config(cfg)),
+        # --seed and --horizon, applied over other values, are checked alike
+        lambda: with_overrides(replace(cfg, seed=1, horizon_slots=10**6),
+                               seed=cfg.seed, horizon=cfg.horizon_slots),
+    ]
+    for check in checks:
+        if key is None:
+            assert check() == cfg
+            continue
+        with pytest.raises(ConfigError) as exc:
+            check()
+        assert exc.value.key == key
+        assert str(exc.value).startswith(f"{key}: must ")
 
 
 def test_infeasible_target_warns_but_runs():
@@ -145,56 +196,16 @@ def test_infeasible_target_warns_but_runs():
     assert m.horizon_slots == 2_000
 
 
-def test_frozen_user2_chain_warns_but_runs():
-    # p11_2 = 1, p01_2 = 0: user 2 has no long-run success rate to certify q with
-    m = run_simulation(FrameConfig(T=4, K=2, q=1.0, A_max=5, V=1.0),
-                       GilbertElliotChannel(0.9, 0.6, 1.0, 0.0),
-                       PolicyKind.DEADLINE_FIRST, 40, 1, initial_channel=(1, 1))
-    assert m.warnings and "no slackness certificate" in m.warnings[0]
-    assert m.horizon_slots == 40
-    assert m.d2.sum() == 20  # user 2 stays Good: 2 deliveries per frame
-
-
-def test_initial_channel_override():
-    m = small_run(horizon=1_000, initial_channel=(0, 0))
-    assert m.horizon_slots == 1_000
-    with pytest.raises(ValueError):
-        run_simulation(
-            FrameConfig(T=4, K=2, q=1.0, A_max=5, V=1.0),
-            IIDChannel(0.5, 0.9),
-            PolicyKind.DRIFT_PLUS_PENALTY,
-            100,
-            1,
-            initial_channel=(0, 0),
-        )
-
-
-@pytest.mark.parametrize("channel", [(-1, 0), (2, 0), (0, 0.5), (0,), (0, 1, 1), ("1", 0)])
-def test_initial_channel_must_be_a_state_pair(channel, monkeypatch):
-    def no_compute(*args, **kwargs):
-        raise AssertionError("drew or solved before validating initial_channel")
-
-    monkeypatch.setattr(sim, "FrameSolver", no_compute)
-    monkeypatch.setattr(np.random, "SeedSequence", no_compute)
-    with pytest.raises(ValueError, match="initial_channel"):
-        small_run(horizon=1_000, initial_channel=channel)
-
-
-def test_initial_channel_entries_become_ints():
-    as_ints = small_run(horizon=1_000, initial_channel=(1, 0))
-    for channel in [(1.0, 0.0), (True, False), (np.int64(1), np.int8(0))]:
-        other = small_run(horizon=1_000, initial_channel=channel)
-        assert np.array_equal(other.actions, as_ints.actions), channel
-        assert np.array_equal(other.z_trajectory, as_ints.z_trajectory), channel
-
-
 @pytest.mark.parametrize("chan", sorted(CHANNELS))
 @pytest.mark.parametrize("policy", list(PolicyKind))
 def test_loop_follows_model_laws(policy, chan):
-    # The slot loop inlines step_aoi, step_queue and update_virtual_queue;
-    # every slot of a run ending in a partial frame must agree with them.
-    cfg = reference_cfg(5.0)
-    m = run_simulation(cfg, CHANNELS[chan], policy, PARTIAL_HORIZON, 3)
+    # The slot loop inlines step_aoi, step_queue, update_virtual_queue and
+    # the baselines' baseline_decision; every slot of a run ending in a
+    # partial frame must agree with them.
+    cfg, seed = reference_cfg(5.0), 3
+    m = run_simulation(cfg, CHANNELS[chan], policy, PARTIAL_HORIZON, seed)
+    # uniform_random draws from the second of the run's three seed streams
+    act_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[1])
     T, K, A_max, rho = cfg.T, cfg.K, cfg.A_max, cfg.rho
     aoi, queue, actions, d1, d2, z = (
         getattr(m, name).tolist()
@@ -209,6 +220,9 @@ def test_loop_follows_model_laws(policy, chan):
         assert d1[t] in (0, 1) and d2[t] in (0, 1), t
         assert not d1[t] or actions[t] == Action.USER1, t
         assert not d2[t] or actions[t] == Action.USER2, t
+        if policy != PolicyKind.DRIFT_PLUS_PENALTY:
+            state = SystemState(aoi[t], queue[t])
+            assert actions[t] == baseline_decision(policy, state, act_rng), t
 
 
 def test_long_baseline_run_memory_peak():

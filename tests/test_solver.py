@@ -7,12 +7,7 @@ from aoi_dpp import _kernels
 from aoi_dpp.channel import BAD, GOOD, GilbertElliotChannel, IIDChannel
 from aoi_dpp.model import Action, FrameConfig, InfeasibleActionError, SystemState
 from aoi_dpp.oracle import _outcome_branches, _successor, evaluate_policy_exact
-from aoi_dpp.solver import (
-    FrameSolver,
-    StateSpace,
-    UnknownStateError,
-    backward_solve,
-)
+from aoi_dpp.solver import FrameSolver, StateSpace, UnknownStateError
 
 TOY_CFG = FrameConfig(T=2, K=1, q=1.0, A_max=3, V=1.0)
 TOY_MODEL = IIDChannel(p1=1.0, p2=1.0)
@@ -141,7 +136,7 @@ def test_arrays_match_oracle_outcomes(ge):
 
 
 def test_backward_solve_toy():
-    table = backward_solve(TOY_CFG, 0.0, TOY_MODEL)
+    table = FrameSolver(TOY_CFG, TOY_MODEL).solve(0.0)
     s0 = SystemState(2, 1)
     assert table.value(0, s0) == pytest.approx(2.0, abs=1e-12)
     assert table.action(0, s0) == Action.USER1
@@ -152,14 +147,14 @@ def test_backward_solve_degenerate_tie_break():
     # V = 0 and z = 0: every cost is zero; the tie-break prefers USER2 when
     # feasible, then USER1.
     cfg = FrameConfig(T=2, K=1, q=0.0, A_max=3, V=0.0)
-    table = backward_solve(cfg, 0.0, TOY_MODEL)
+    table = FrameSolver(cfg, TOY_MODEL).solve(0.0)
     assert np.all(table.values == 0.0)
     assert table.action(0, SystemState(1, 1)) == Action.USER2
     assert table.action(0, SystemState(1, 0)) == Action.USER1
 
 
 def test_policy_table_action_domain_errors():
-    table = backward_solve(TOY_CFG, 0.0, TOY_MODEL)
+    table = FrameSolver(TOY_CFG, TOY_MODEL).solve(0.0)
     with pytest.raises(UnknownStateError):
         table.action(TOY_CFG.T, SystemState(1, 1))
     with pytest.raises(UnknownStateError):
@@ -169,7 +164,7 @@ def test_policy_table_action_domain_errors():
 
 
 def test_reference_scenario_v0_schedules_user2_first():
-    table = backward_solve(reference_cfg(0.0), 0.0, reference_model())
+    table = FrameSolver(reference_cfg(0.0), reference_model()).solve(0.0)
     for mem in ((GOOD, GOOD), (GOOD, BAD), (BAD, GOOD), (BAD, BAD)):
         assert table.action(0, SystemState(1, 15, mem)) == Action.USER2
 
@@ -181,7 +176,7 @@ def test_value_monotone_in_v():
         values = []
         for v in (0.0, 1.0, 5.0):
             cfg_v = FrameConfig(cfg.T, cfg.K, cfg.q, cfg.A_max, v, cfg.discount)
-            values.append(backward_solve(cfg_v, z, model).value(0, state))
+            values.append(FrameSolver(cfg_v, model).solve(z).value(0, state))
         assert values[0] <= values[1] + 1e-12 <= values[2] + 2e-12
 
 
@@ -191,10 +186,10 @@ def test_actions_invariant_under_uniform_scaling():
     rng = np.random.default_rng(17)
     for _ in range(15):
         cfg, model, state, z = random_instance(rng)
-        base = backward_solve(cfg, z, model)
+        base = FrameSolver(cfg, model).solve(z)
         for c in (0.5, 2.0, 8.0):
             cfg_c = FrameConfig(cfg.T, cfg.K, cfg.q, cfg.A_max, cfg.V * c, cfg.discount)
-            scaled = backward_solve(cfg_c, z * c, model)
+            scaled = FrameSolver(cfg_c, model).solve(z * c)
             assert np.array_equal(base.actions, scaled.actions)
 
 
@@ -203,7 +198,7 @@ def test_reference_scenario_bellman_consistency():
     # DP value at the frame-start state.
     cfg = reference_cfg(5.0)
     model = reference_model()
-    table = backward_solve(cfg, 0.0, model)
+    table = FrameSolver(cfg, model).solve(0.0)
     s0 = SystemState(1, 15, (GOOD, GOOD))
     result = evaluate_policy_exact(table, s0, 0.0, cfg, model)
     assert result.expected_cost == pytest.approx(table.value(0, s0), abs=1e-9)
@@ -219,7 +214,7 @@ def test_state_space_roundtrip():
 
 def test_negative_frozen_z_rejected():
     with pytest.raises(ValueError):
-        backward_solve(TOY_CFG, -0.1, TOY_MODEL)
+        FrameSolver(TOY_CFG, TOY_MODEL).solve(-0.1)
 
 
 @pytest.mark.parametrize("z", [float("nan"), float("inf")])
@@ -275,6 +270,6 @@ def test_discounted_solve_matches_brute_force():
     for _ in range(10):
         cfg, model, state, z = random_instance(rng)
         disc = FrameConfig(cfg.T, cfg.K, cfg.q, cfg.A_max, cfg.V, discount=0.9)
-        dp = backward_solve(disc, z, model).value(0, state)
+        dp = FrameSolver(disc, model).solve(z).value(0, state)
         brute, _ = brute_force_optimal(state, z, disc, model)
         assert dp == pytest.approx(brute, abs=1e-9)
