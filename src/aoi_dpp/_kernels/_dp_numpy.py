@@ -26,15 +26,26 @@ Invariants that fix the tables' last bits:
   where x * 1.0 is x bit for bit;
 - the first strictly smaller q wins, in priority order, starting from +inf
   and action -1, so ties keep the earlier action and a q that is NaN or
-  +inf is never chosen.
+  +inf is never chosen. The kernel keeps the running best with np.fmin,
+  which returns the same float: fmin skips a NaN, and q is never -0.0
+  (acc starts from +0.0, and x + y is -0.0 only when both are), so no
+  signed-zero tie can pick the other operand.
+
+Margins invariant. margins[t] is the smallest gap, over all states, between
+the second-smallest and the smallest q of slot t. Per state, the running
+second-smallest is updated as min(second, max(q_a, best)) for each action
+after the first in priority order, with np.minimum and np.maximum (exact,
+NaN-propagating), and the chosen q (values[t]) is subtracted once the
+backward pass is done. So a state with one feasible action has margin +inf
+(inf - q), one with none NaN (inf - inf), and a NaN q anywhere makes
+margins[t] NaN: np.min propagates it. `FrameSolver.solve` turns the
+margins into the radius of frozen debts around frozen_z at which the
+actions provably stay the same, and certifies nothing from a NaN.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-# Tie-break order: USER2, USER1, IDLE.
-_PRIORITY = (1, 0, 2)
 
 
 def solve_backward(
@@ -45,26 +56,39 @@ def solve_backward(
     probs: np.ndarray,
     frozen_z: float,
     discount: float,
+    margins: np.ndarray,
     values: np.ndarray,
     actions: np.ndarray,
 ) -> None:
-    """Fill `values` ((T+1, S)) and `actions` ((T, S)) in place."""
+    """Fill `margins` ((T,)), `values` ((T+1, S)) and `actions` ((T, S)) in
+    place."""
     T = actions.shape[0]
     S = cost_const.shape[0]
     n_branches = probs.shape[2]
-    cost = np.where(feasible.astype(bool), cost_const + frozen_z * cost_z, np.inf)
-    cost = np.ascontiguousarray(cost.T).reshape(3 * S)
+    cost_rows = np.empty((3, S))
+    np.multiply(cost_z.T, frozen_z, out=cost_rows)
+    np.add(cost_rows, cost_const.T, out=cost_rows)
+    np.copyto(cost_rows, np.inf, where=feasible.T == 0)
+    cost = cost_rows.reshape(3 * S)
     # Row b of nxt/pr (as (B, 3*S)) is branch b, action-major.
     nxt = np.ascontiguousarray(next_idx.transpose(2, 1, 0)).reshape(-1)
     pr = np.ascontiguousarray(probs.transpose(2, 1, 0)).reshape(-1)
     gathered = np.empty(n_branches * 3 * S)
     branch_rows = gathered.reshape(n_branches, 3 * S)
     q = np.empty(3 * S)
-    q_rows = q.reshape(3, S)
+    q_user1, q_user2, q_idle = q.reshape(3, S)
     wins = np.empty(S, dtype=bool)
+    wins_i8 = wins.view(np.int8)
+    seconds = np.empty((T, S))
+    spare = np.empty(S)
+    # Constant operands as rows: a ufunc takes a scalar operand more slowly.
+    inf_row = np.full(S, np.inf)
+    user1_row, idle_row = np.zeros(S, dtype=np.int8), np.full(S, 2, dtype=np.int8)
+    ones_row = np.ones(S, dtype=np.int8)
+    less, fmin, maximum, copyto = np.less, np.fmin, np.maximum, np.copyto
     values[T] = 0.0
     for t in range(T - 1, -1, -1):
-        best, pick = values[t], actions[t]
+        best, pick, second = values[t], actions[t], seconds[t]
         np.take(values[t + 1], nxt, out=gathered, mode="wrap")
         np.multiply(gathered, pr, out=gathered)
         # Reducing axis 0 of the C-contiguous (B, 3*S) block adds row after
@@ -75,9 +99,19 @@ def solve_backward(
         if discount != 1.0:
             np.multiply(q, discount, out=q)
         np.add(cost, q, out=q)
-        best.fill(np.inf)
-        pick.fill(-1)
-        for a in _PRIORITY:
-            np.less(q_rows[a], best, out=wins)
-            np.copyto(best, q_rows[a], where=wins)
-            np.copyto(pick, a, where=wins)
+        # USER2 first: it wins where q < +inf (pick 1, else -1).
+        less(q_user2, inf_row, out=wins)
+        np.add(wins_i8, wins_i8, out=pick)
+        np.subtract(pick, ones_row, out=pick)
+        fmin(q_user2, inf_row, out=best)
+        maximum(q_user1, best, out=second)
+        less(q_user1, best, out=wins)
+        copyto(pick, user1_row, where=wins)
+        fmin(best, q_user1, out=best)
+        maximum(q_idle, best, out=spare)
+        np.minimum(second, spare, out=second)
+        less(q_idle, best, out=wins)
+        copyto(pick, idle_row, where=wins)
+        fmin(best, q_idle, out=best)
+    np.subtract(seconds, values[:T], out=seconds)
+    np.min(seconds, axis=1, out=margins)

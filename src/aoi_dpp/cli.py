@@ -5,6 +5,13 @@ sched_fractions.csv and summary.json into its own subdirectory, then
 aggregates a mean-AoI-vs-V table at the output root. AOI_DPP_THREADS, an
 integer >= 0, asks for a worker pool (0, 1 or unset = sequential); the pool
 never exceeds the number of cells or of CPUs.
+
+Run sequentially, the controller cells of one V share one `sim.FrameTables`,
+so each frame table is solved once per V rather than once per cell, and with
+--dump-policy the first cell of a V formats policy_frame0.csv and the others
+copy it. In a pool every cell has its own. The artifacts are the same bytes
+either way; only the `diagnostics` block of summary.json, which counts how
+the cell found its frame tables, depends on the sharing.
 """
 
 from __future__ import annotations
@@ -12,11 +19,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 import time
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +40,7 @@ from .config import (
     with_overrides,
 )
 from .model import ACTION_LABELS
-from .sim import Metrics, run_simulation
+from .sim import FrameTables, Metrics, PolicyKind, run_simulation
 from .solver import PolicyTable
 
 
@@ -50,6 +58,8 @@ class RunSummary:
     bounds: dict | None
     warnings: list[str]
     wall_clock_s: float
+    #: Metrics.diagnostics: nondeterministic across sharing, like wall_clock_s.
+    diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
@@ -66,6 +76,8 @@ class RunSummary:
 #: time when writing a long table; whole 100k-slot columns would raise the
 #: peak memory of a run.
 BLOCK_ROWS = 1024
+
+POLICY_DUMP = "policy_frame0.csv"
 
 #: The `action,d1,d2\n` tail of a slots.csv row, indexed by 4*action + 2*d1 + d2.
 _SLOT_TAILS = tuple(f"{label},{d1},{d2}\n" for label in ACTION_LABELS
@@ -126,9 +138,12 @@ def emit_outputs(
     out_dir: str | Path,
     thin: int = 1,
     dump_policy: bool = False,
+    policy_source: Path | None = None,
 ) -> list[Path]:
     """Write the per-cell artifact files, plus the frame-0 policy table when
     `dump_policy` is set and the run solved one; returns the paths written.
+    With a `policy_source`, a policy_frame0.csv written for the same table,
+    the dump is a copy of that file.
 
     Tables are formatted a block of BLOCK_ROWS rows at a time, each block
     joined into one string and written in one call. The Z columns of
@@ -176,7 +191,10 @@ def emit_outputs(
                    json.dumps(summary.to_dict(), indent=2, sort_keys=True)),
         ]
         if dump_policy and metrics.frame0_policy is not None:
-            paths.append(_write_policy_dump(metrics.frame0_policy, out))
+            if policy_source is None:
+                paths.append(_write_policy_dump(metrics.frame0_policy, out))
+            else:
+                paths.append(Path(shutil.copyfile(policy_source, out / POLICY_DUMP)))
         return paths
     except OSError as err:
         raise OSError(f"writing outputs under {out}: {err}") from err
@@ -195,7 +213,7 @@ def _write_policy_dump(table: PolicyTable, out: Path) -> Path:
         prefixes.append(
             [f"{state.aoi},{state.queue},{h1},{h2},{label}," for label in ACTION_LABELS]
         )
-    return _write(out / "policy_frame0.csv", "slot,aoi,queue,h1,h2,action,value", (
+    return _write(out / POLICY_DUMP, "slot,aoi,queue,h1,h2,action,value", (
         "".join([f"{slot},{prefix[a]}{reprs[v]}\n"
                  for prefix, a, v in zip(prefixes, actions, table.values[slot].tolist())])
         for slot, actions in enumerate(table.actions.tolist())
@@ -203,9 +221,16 @@ def _write_policy_dump(table: PolicyTable, out: Path) -> Path:
     ))
 
 
+def _cell_dir(out_root: str | Path, v: float, seed: int) -> Path:
+    return Path(out_root) / f"{v_dir(v)}_seed{seed}"
+
+
 def _run_cell(cfg: ExperimentConfig, v: float, seed: int, out_root: str,
-              thin: int, dump_policy: bool) -> RunSummary:
-    """Run one (V, seed) cell and write its artifacts. Worker-safe."""
+              thin: int, dump_policy: bool, tables: FrameTables | None = None,
+              policy_source: Path | None = None) -> RunSummary:
+    """Run one (V, seed) cell and write its artifacts. Worker-safe. `tables`
+    and `policy_source` are shared by the cells of one V (see
+    `_run_sequential`)."""
     t0 = time.perf_counter()
     frame_cfg = cfg.frame_config(v)
     metrics = run_simulation(
@@ -216,6 +241,7 @@ def _run_cell(cfg: ExperimentConfig, v: float, seed: int, out_root: str,
         seed,
         warmup_slots=cfg.warmup_slots,
         z_cache_bucket=cfg.z_cache_bucket,
+        tables=tables,
     )
     try:
         bounds = lyapunov.bounds_report(frame_cfg, cfg.channel).to_dict()
@@ -232,10 +258,29 @@ def _run_cell(cfg: ExperimentConfig, v: float, seed: int, out_root: str,
         bounds=bounds,
         warnings=list(metrics.warnings),
         wall_clock_s=time.perf_counter() - t0,
+        diagnostics=metrics.diagnostics,
     )
-    cell_dir = Path(out_root) / f"{v_dir(v)}_seed{seed}"
-    emit_outputs(metrics, summary, cell_dir, thin=thin, dump_policy=dump_policy)
+    emit_outputs(metrics, summary, _cell_dir(out_root, v, seed), thin=thin,
+                 dump_policy=dump_policy, policy_source=policy_source)
     return summary
+
+
+def _run_sequential(cfg: ExperimentConfig, out_root: str, thin: int,
+                    dump_policy: bool) -> list[RunSummary]:
+    """Run every cell in this process. Cells are V-major, so the controller
+    cells of one V come one after another: they share one FrameTables, and
+    each dumps its policy by copying the previous cell's dump."""
+    summaries = []
+    tables = source = None
+    for v, seed in cfg.cells():
+        if cfg.policy == PolicyKind.DRIFT_PLUS_PENALTY and (
+            tables is None or tables.solver.cfg.V != v
+        ):
+            tables, source = FrameTables(cfg.frame_config(v), cfg.channel), None
+        summaries.append(_run_cell(cfg, v, seed, out_root, thin, dump_policy, tables, source))
+        if dump_policy and tables is not None:
+            source = _cell_dir(out_root, v, seed) / POLICY_DUMP
+    return summaries
 
 
 def _write_aoi_tables(summaries: list[RunSummary], out_root: Path) -> None:
@@ -338,10 +383,7 @@ def run_cli(args: argparse.Namespace) -> int:
             ]
             summaries = [f.result() for f in futures]
     else:
-        summaries = [
-            _run_cell(cfg, v, seed, str(out_root), args.thin, args.dump_policy)
-            for v, seed in cells
-        ]
+        summaries = _run_sequential(cfg, str(out_root), args.thin, args.dump_policy)
 
     for summary in summaries:
         print(summary.line())

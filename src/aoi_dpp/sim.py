@@ -3,10 +3,13 @@
 The drift-plus-penalty controller solves the frame DP at every frame start
 with the debt value frozen at Z(t_m), or at Z(t_m) rounded to a multiple of
 a positive `z_cache_bucket`, executes the resulting policy slot by slot, and
-updates age, queue and debt every slot. A frame whose frozen debt equals, as
-a float, that of a recent frame reuses that frame's action table instead of
-solving again (see `_TABLE_MEMO_BYTES`); a solve is a pure function of the
-frozen debt, so the trajectories are the same bit for bit. The
+updates age, queue and debt every slot. Its tables come from a `FrameTables`:
+a frame whose frozen debt equals, as a float, that of a recent frame, or
+lies within the certified radius of a recent frame's table (see
+`FrameSolver.certified_radius`), reuses that table instead of solving again
+(see `_TABLE_MEMO_BYTES`). A reused table is the one a fresh solve would
+write, bit for bit, so the trajectories are the same whether tables are
+reused, and whether runs share their `FrameTables` or not. The
 deterministic baselines run as fixed action tables through the same lookup;
 only the uniform baseline decides slot by slot. Runs are bit-reproducible
 from (config, model, policy, horizon, seed): channel randomness, action
@@ -38,11 +41,17 @@ from .channel import (
 from .model import Action, FrameConfig, SystemState, feasible_actions
 from .solver import FrameSolver, PolicyTable, StateSpace
 
-#: Bytes of int8 action tables one run keeps for reuse, least recently used
-#: first out: 40 tables of the reference scenario (T = 20, 1280 states),
-#: with or without a `z_cache_bucket`. A frame whose (T, S) table is larger
-#: than this always solves afresh.
+#: Bytes of int8 action tables a `FrameTables` keeps for reuse, least
+#: recently used first out: 40 tables of the reference scenario (T = 20,
+#: 1280 states), with or without a `z_cache_bucket`. A frame whose (T, S)
+#: table is larger than this always solves afresh.
 _TABLE_MEMO_BYTES = 1 << 20
+
+#: How `FrameTables` found a frame's table, and the `Metrics.diagnostics`
+#: key that counts it: solved afresh, reused at its own frozen debt, or
+#: reused within another debt's certified radius.
+FRESH, EXACT, CERTIFIED = 0, 1, 2
+LOOKUP_KEYS = ("fresh_solves", "exact_hits", "certified_hits")
 
 
 class PolicyKind(enum.Enum):
@@ -89,6 +98,10 @@ class Metrics:
     #: The controller's first table, solved at Z = 0; None for baselines.
     frame0_policy: PolicyTable | None = None
     warnings: list[str] = field(default_factory=list)
+    #: How the run found its frame tables, counted per frame under
+    #: LOOKUP_KEYS (all 0 for baselines). The counts depend on what the
+    #: run's `FrameTables` held before it started, so on how runs share one.
+    diagnostics: dict[str, int] = field(default_factory=dict)
 
     @property
     def mean_aoi(self) -> float:
@@ -126,6 +139,64 @@ def baseline_decision(
         options = feasible_actions(state)
         return options[int(rng.integers(len(options)))]
     raise ValueError(f"{policy} is not a baseline; run it through the controller")
+
+
+class FrameTables:
+    """The controller's frame tables for one (config, channel) pair: the
+    `FrameSolver`, the frame-0 table (solved at Z = 0, values included) and
+    a memo of recent action tables.
+
+    The memo maps a frozen debt to its flattened int8 actions and their
+    certified radius, least recently used first out, and holds at most
+    `_TABLE_MEMO_BYTES` of tables. Runs of the same pair may share one
+    FrameTables (the CLI shares it across the seeds of one V): every table it
+    hands out is the one a fresh solve at the asked debt would write.
+    """
+
+    def __init__(self, cfg: FrameConfig, model: ChannelModel):
+        self.solver = FrameSolver(cfg, model)
+        self.frame0: PolicyTable | None = None
+        self._memo: dict[float, tuple[memoryview, float]] = {}
+        self._capacity = _TABLE_MEMO_BYTES // (cfg.T * self.solver.space.n_states)
+
+    def first(self) -> tuple[PolicyTable, int]:
+        """(the frame-0 table, FRESH or EXACT), solving it on first use."""
+        found = EXACT
+        if self.frame0 is None:
+            self.frame0 = self.solver.solve(0.0)
+            found = FRESH
+        self._memo.pop(0.0, None)
+        self._keep(0.0, (memoryview(self.frame0.actions.reshape(-1)), self.frame0.radius))
+        return self.frame0, found
+
+    def actions(self, frozen_z: float) -> tuple[memoryview, int]:
+        """(the flattened (T, S) action table for `frozen_z`, how it was found).
+
+        The table stored at `frozen_z` itself comes first; otherwise the
+        least recently used table whose certified radius covers `frozen_z`;
+        otherwise a fresh solve, which joins the memo.
+        """
+        memo = self._memo
+        key, found = frozen_z, EXACT
+        entry = memo.pop(key, None)
+        if entry is None:
+            for key, (_, radius) in memo.items():
+                if abs(frozen_z - key) <= radius:
+                    entry, found = memo.pop(key), CERTIFIED
+                    break
+            else:
+                solved = self.solver.solve(frozen_z)
+                key, found = frozen_z, FRESH
+                entry = (memoryview(solved.actions.reshape(-1)), solved.radius)
+        self._keep(key, entry)
+        return entry[0], found
+
+    def _keep(self, key: float, entry: tuple[memoryview, float]) -> None:
+        """Store `entry` as the most recently used, evicting the least."""
+        if self._capacity:
+            if len(self._memo) >= self._capacity:
+                del self._memo[next(iter(self._memo))]
+            self._memo[key] = entry
 
 
 def check_run_inputs(
@@ -179,30 +250,36 @@ def run_simulation(
     *,
     warmup_slots: int = 0,
     z_cache_bucket: float = 0.0,
+    tables: FrameTables | None = None,
 ) -> Metrics:
     """Simulate `horizon_slots` slots and collect Metrics.
 
     Inputs that `check_run_inputs` rejects raise ValueError, naming the
-    argument, before any compute. An infeasible delivery target does not
-    abort the run; it is recorded in Metrics.warnings and the controller
-    still does its best.
+    argument, before any compute; so do `tables` built for another config
+    or channel. An infeasible delivery target does not abort the run; it is
+    recorded in Metrics.warnings and the controller still does its best.
 
     A `z_cache_bucket` above 0 solves each frame at its start debt rounded
     to the nearest multiple of the bucket, so frames whose debts round alike
     share one table.
 
+    The controller takes its tables from `tables`, or from a FrameTables of
+    its own when given none; only Metrics.diagnostics depends on which.
     The loop runs frame by frame: at each frame start the controller takes
-    its table, solved for the frame's frozen debt or reused from a recent
-    frame frozen at the same float debt, then an inner loop steps the frame's
-    slots (the last frame may be partial). Per slot it reads the channel
-    uniforms and the frame's (T, S) action table, and writes the six
-    trajectory arrays, through memoryviews, so no slot touches a NumPy scalar. It inlines the model laws
-    `model.step_aoi`, `model.step_queue` (the refill to K happens once, after
-    a full frame's last slot) and `lyapunov.update_virtual_queue`;
+    its table for the frame's frozen debt from them (solved, or reused at
+    the same float debt or within a certified radius), then an inner loop
+    steps the frame's slots (the last frame may be partial). Per slot it
+    reads the channel uniforms and the frame's (T, S) action table, and
+    writes the six trajectory arrays, through memoryviews, so no slot
+    touches a NumPy scalar. It inlines the model laws `model.step_aoi`,
+    `model.step_queue` (the refill to K happens once, after a full frame's
+    last slot) and `lyapunov.update_virtual_queue`;
     `tests/test_sim.py::test_loop_follows_model_laws` checks every slot
     against them.
     """
     check_run_inputs(cfg.T, model, horizon_slots, seed, warmup_slots, z_cache_bucket)
+    if tables is not None and (tables.solver.cfg != cfg or tables.solver.model != model):
+        raise ValueError("tables must be built for the run's cfg and model")
     T, K, A_max = cfg.T, cfg.K, cfg.A_max
     bucket = z_cache_bucket
     warnings: list[str] = []
@@ -227,14 +304,17 @@ def run_simulation(
     u1, u2 = memoryview(u1), memoryview(u2)
 
     # Every policy but uniform_random reads a (T, S) action table, flattened:
-    # the controller solves one per frame, a deterministic baseline's is built
-    # once. uniform_random draws from feasible_actions of the state, indexed by
-    # queue > 0, with the same act_rng call as baseline_decision.
-    frame_solver = table = frame0_policy = None
+    # the controller takes one per frame from `tables`, a deterministic
+    # baseline's is built once. uniform_random draws from feasible_actions of
+    # the state, indexed by queue > 0, with the same act_rng call as
+    # baseline_decision.
+    table = frame0_policy = None
     if policy == PolicyKind.DRIFT_PLUS_PENALTY:
-        frame_solver = FrameSolver(cfg, model)
-        space = frame_solver.space
+        if tables is None:
+            tables = FrameTables(cfg, model)
+        space = tables.solver.space
     else:
+        tables = None
         space = StateSpace(cfg, model)
         if policy != PolicyKind.UNIFORM_RANDOM:
             row = np.array([baseline_decision(policy, state) for state in space.states()],
@@ -247,10 +327,7 @@ def run_simulation(
     index = space.index_parts
     w1, w2 = space.mem_weights
     S = space.n_states
-    # Frozen debt -> that frame's flattened action table, least recently used
-    # first; at most memo_size tables.
-    memo: dict[float, memoryview] = {}
-    memo_size = _TABLE_MEMO_BYTES // (T * S)
+    lookups = [0] * len(LOOKUP_KEYS)  # indexed by FRESH, EXACT, CERTIFIED
 
     aoi_arr = np.empty(horizon_slots, dtype=np.int32)
     queue_arr = np.empty(horizon_slots, dtype=np.int32)
@@ -265,18 +342,13 @@ def run_simulation(
     aoi, queue, z = 1, K, 0.0
     rho = cfg.rho
     for start in range(0, horizon_slots, T):
-        if frame_solver is not None:
-            frozen_z = round(z / bucket) * bucket if bucket else z
-            table = memo.pop(frozen_z, None)
-            if table is None:
-                solved = frame_solver.solve(frozen_z)
-                table = memoryview(solved.actions.reshape(-1))
-                if start == 0:
-                    frame0_policy = solved
-            if memo_size:
-                if len(memo) == memo_size:
-                    del memo[next(iter(memo))]
-                memo[frozen_z] = table
+        if tables is not None:
+            if start:
+                table, found = tables.actions(round(z / bucket) * bucket if bucket else z)
+            else:
+                frame0_policy, found = tables.first()
+                table = memoryview(frame0_policy.actions.reshape(-1))
+            lookups[found] += 1
         stop = min(start + T, horizon_slots)
         offset = 0  # of slot t's row in the flattened table
         for t in range(start, stop):
@@ -338,4 +410,5 @@ def run_simulation(
         schedule_fractions=fractions,
         frame0_policy=frame0_policy,
         warnings=warnings,
+        diagnostics=dict(zip(LOOKUP_KEYS, lookups)),
     )

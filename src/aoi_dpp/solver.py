@@ -20,6 +20,14 @@ from .channel import BAD, GOOD, ChannelModel, GilbertElliotChannel
 from .model import Action, FrameConfig, InfeasibleActionError, SystemState
 
 
+def _gamma(n: int) -> float:
+    """gamma_n = n u / (1 - n u), u = 2**-53: the relative error bound of n
+    successive float roundings (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, ch. 3)."""
+    nu = n * 2.0**-53
+    return nu / (1 - nu)
+
+
 class UnknownStateError(KeyError):
     """State or slot outside the policy table's domain."""
 
@@ -68,7 +76,12 @@ class StateSpace:
 
 class PolicyTable:
     """Backward-DP output for one frame: value-to-go and chosen action per
-    (slot, state), plus the frozen debt and config they were solved for."""
+    (slot, state), plus the frozen debt and config they were solved for.
+
+    `radius` is the certified reach of `actions`: a solve at any frozen debt
+    z' >= 0 with |z' - frozen_z| <= radius writes the same actions bit for
+    bit. It is -1 when only frozen_z itself is certified (see
+    `FrameSolver.certified_radius`)."""
 
     def __init__(
         self,
@@ -77,12 +90,14 @@ class PolicyTable:
         frozen_z: float,
         values: np.ndarray,
         actions: np.ndarray,
+        radius: float = -1.0,
     ):
         self.cfg = cfg
         self.space = space
         self.frozen_z = frozen_z
         self.values = values
         self.actions = actions
+        self.radius = radius
         values.setflags(write=False)
         actions.setflags(write=False)
 
@@ -140,7 +155,8 @@ class FrameSolver:
     solve() raises InfeasibleActionError on a table that holds a non-finite
     value or an action outside its state's feasible set, which only a broken
     kernel or an overflowing cost can produce. The solver keeps no tables:
-    reuse across frames is `run_simulation`'s table memo.
+    reuse across frames is `sim.FrameTables`' job, and the radius that
+    solve() certifies is what lets it reuse a table at another debt.
     """
 
     def __init__(self, cfg: FrameConfig, model: ChannelModel):
@@ -176,12 +192,82 @@ class FrameSolver:
         self.cost_z = np.where(feasible, cost_z, 0.0)
         self.next_idx = np.where(feasible[..., None], next_idx, 0).astype(np.intp)
         self.probs = np.where(feasible[..., None], probs[mem], 0.0)
+        # Constants of the radius certificate (see certified_radius): c, the
+        # largest |cost_z|; the largest |cost_const|; pi, the largest branch
+        # sum of probs, raised by 2**-50 relative to cover the rounding of
+        # that float sum; P = max(1, discount * pi); G = sum of P**k for
+        # k < T; and L_t, raised by 2**-40 relative for the rounding of its
+        # recursion.
+        self._c = float(np.abs(self.cost_z).max())
+        self._cost_max = float(np.abs(self.cost_const).max())
+        pi = float(self.probs.sum(axis=2).max()) * (1 + 2**-50)
+        self._growth = max(1.0, cfg.discount * pi)
+        self._horizon_sum = sum(self._growth**k for k in range(cfg.T))
+        self._rounding = 2 * _gamma(2 * self.probs.shape[2] + 4)
+        lipschitz = np.empty(cfg.T)
+        lip = 0.0
+        for t in range(cfg.T - 1, -1, -1):
+            lip = self._c + cfg.discount * pi * lip
+            lipschitz[t] = lip
+        self._lipschitz = lipschitz * (1 + 2**-40)
+
+    def certified_radius(self, margins: np.ndarray, frozen_z: float) -> float:
+        """Certified radius of the actions solved at `frozen_z` whose kernel
+        margins are `margins`, or -1 when none is certified.
+
+        Let q_t(s, a; z) be the q that exact arithmetic gives on these float
+        arrays, and V_t = min_a q_t. Then |q_t(z) - q_t(z')| <= L_t |z - z'|,
+        with L_T = 0 and L_t = c + discount * pi * L_{t+1}: the stage cost
+        moves by at most c |dz| and the expectation by at most
+        discount * pi * L_{t+1} |dz|. The kernel's float q differs from q
+        by at most delta at every debt z' in [0, z_hi]: each stage adds at
+        most gamma_n (C + P * 2M) of rounding, with n = 2B + 4 roundings on
+        any term's path (B products and sums, the discount, the two cost
+        roundings and the final add, generously counted), C = max|cost_const|
+        + z_hi * c bounding |stage cost|, M = C * G bounding |V| (and 2M
+        the float values), and earlier stages' errors grow by at most P per
+        stage, so they sum to at most G times that. delta is twice this
+        bound, and the spare half covers the rounding of the margin
+        subtraction, of r and of |z - z'| (each at most a few u * m, with
+        m <= 2(C + 2PM)).
+
+        m_t is the smallest float gap at slot t between the chosen q and any
+        other. For a' != a* at z' with |z - z'| <= r, the float q' at z'
+        satisfy
+            q'(a') - q'(a*) >= m_t - 2 delta - 2 L_t |z - z'| - 2 delta,
+        which stays above 0 (strictly, by the spare half of delta) for
+            r = min_t (m_t - 4 delta) / (2 L_t)   when every m_t > 4 delta.
+        So the float argmin at z' is the same strict argmin, and tie
+        priority never comes into play. Otherwise (a tie, or a NaN margin)
+        r = -1. z_hi = frozen_z + r0 with r0 = min_t m_t / (2 L_t) >= r.
+        When c = 0 the q do not depend on z at all, and r is +inf. A
+        quotient that overflows is +inf: as r0 it makes delta +inf, so
+        nothing is certified, and as r it stands for a radius beyond every
+        float debt.
+        """
+        if not (margins > 0).all():
+            return -1.0
+        cost_bound = self._cost_max  # C
+        with np.errstate(over="ignore"):
+            if self._c:
+                r0 = float(np.min(margins / (2 * self._lipschitz)))
+                cost_bound += (frozen_z + r0) * self._c
+            value_bound = cost_bound * self._horizon_sum  # M
+            delta = (self._rounding * (cost_bound + 2 * self._growth * value_bound)
+                     * self._horizon_sum)
+            if not (margins > 4 * delta).all():
+                return -1.0
+            if not self._c:
+                return math.inf
+            return float(np.min((margins - 4 * delta) / (2 * self._lipschitz)))
 
     def solve(self, frozen_z: float) -> PolicyTable:
-        """Solve the frame at `frozen_z`, into fresh read-only tables."""
+        """Solve the frame at `frozen_z`, into fresh read-only tables, with the
+        radius the kernel's margins certify (see `certified_radius`)."""
         if not 0 <= frozen_z < math.inf:
             raise ValueError(f"frozen_z must be finite and >= 0, got {frozen_z}")
         T, S = self.cfg.T, self.space.n_states
+        margins = np.empty(T)
         values = np.empty((T + 1, S))
         actions = np.empty((T, S), dtype=np.int8)
         self._solve_kernel(
@@ -192,6 +278,7 @@ class FrameSolver:
             self.probs,
             frozen_z,
             self.cfg.discount,
+            margins,
             values,
             actions,
         )
@@ -201,5 +288,6 @@ class FrameSolver:
         # reads as 255), so the one test also rejects codes outside 0..2.
         if not (np.left_shift(1, actions.view(np.uint8)) & self._allowed).all():
             raise InfeasibleActionError(f"solve at z={frozen_z} wrote an infeasible action")
-        return PolicyTable(self.cfg, self.space, frozen_z, values, actions)
+        return PolicyTable(self.cfg, self.space, frozen_z, values, actions,
+                           self.certified_radius(margins, frozen_z))
 

@@ -264,6 +264,79 @@ def test_parallel_matches_sequential(small_cfg, tmp_path, monkeypatch):
             assert read(seq / cell / name) == read(par / cell / name)
 
 
+SWEEP_CELLS = [(v, seed) for v in ("0", "2") for seed in (3, 4, 5)]
+CELL_FILES = ("slots.csv", "frames.csv", "aoi_hist.csv", "sched_fractions.csv",
+              "policy_frame0.csv")
+
+
+def summary_without(path: Path, *keys: str) -> dict:
+    summary = json.loads(read(path))
+    for key in ("wall_clock_s", "diagnostics", *keys):
+        del summary[key]
+    return summary
+
+
+def test_sweep_is_the_same_shared_pooled_or_cell_by_cell(tmp_path, monkeypatch):
+    # 2 V x 3 seeds with policy dumps. Run sequentially, the cells of a V
+    # share one FrameTables (one solver build per V) and copy the first
+    # cell's dump; in a pool, or one CLI call per cell, every cell solves
+    # its own. The files are the same bytes in all three.
+    sweep = tmp_path / "sweep.cfg"
+    sweep.write_text(SMALL + "replications = 3\n", encoding="utf-8")
+    one_cell = tmp_path / "cell.cfg"
+    one_cell.write_text(SMALL, encoding="utf-8")
+
+    def run(name: str, config: Path, *flags: str) -> Path:
+        # in a directory of its own: summary.json echoes the relative out_dir
+        (tmp_path / name).mkdir(parents=True)
+        monkeypatch.chdir(tmp_path / name)
+        assert main(["--config", str(config), "--out", "out", "--dump-policy", *flags]) == 0
+        return tmp_path / name / "out"
+
+    monkeypatch.delenv("AOI_DPP_THREADS", raising=False)
+    builds = []
+    init = FrameSolver.__init__
+
+    def counting_init(self, *args):
+        builds.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(FrameSolver, "__init__", counting_init)
+    shared = run("shared", sweep)
+    assert len(builds) == 2
+    monkeypatch.setenv("AOI_DPP_THREADS", "2")
+    pooled = run("pooled", sweep)
+    monkeypatch.delenv("AOI_DPP_THREADS")
+    by_cell = tmp_path / "by_cell"
+    for v, seed in SWEEP_CELLS:
+        run(f"by_cell/{v}-{seed}", one_cell, "--v-list", v, "--seed", str(seed))
+
+    tables = ("aoi_vs_v.csv", "aoi_vs_v_pooled.csv")
+    assert sorted(p.name for p in shared.iterdir()) == sorted(
+        [f"V{v}_seed{seed}" for v, seed in SWEEP_CELLS] + list(tables))
+    for name in tables:
+        assert read(shared / name) == read(pooled / name)
+    rows = read(shared / "aoi_vs_v.csv").splitlines()
+    for i, (v, seed) in enumerate(SWEEP_CELLS):
+        cell = f"V{v}_seed{seed}"
+        alone = by_cell / f"{v}-{seed}" / "out"
+        for name in CELL_FILES:
+            assert read(shared / cell / name) == read(pooled / cell / name), (cell, name)
+            assert read(shared / cell / name) == read(alone / cell / name), (cell, name)
+        summary = summary_without(shared / cell / "summary.json")
+        assert summary == summary_without(pooled / cell / "summary.json")
+        del summary["config"]  # the echo names the sweep's V list and seed
+        assert summary == summary_without(alone / cell / "summary.json", "config")
+        assert read(alone / "aoi_vs_v.csv").splitlines()[1] == rows[1 + i]
+        # every frame start is counted once; the later seeds of a V find
+        # the shared frame-0 table
+        diagnostics = json.loads(read(shared / cell / "summary.json"))["diagnostics"]
+        assert sum(diagnostics.values()) == 100
+        assert diagnostics["exact_hits"] >= (seed > 3)
+        pooled_diagnostics = json.loads(read(pooled / cell / "summary.json"))["diagnostics"]
+        assert pooled_diagnostics["fresh_solves"] >= 1
+
+
 class InlinePool:
     """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
 

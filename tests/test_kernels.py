@@ -20,8 +20,9 @@ from aoi_dpp.solver import FrameSolver
 
 
 def kernel_tables(kernel, solver: FrameSolver, z: float):
-    """Run one kernel on the solver's arrays; returns (values, actions)."""
+    """Run one kernel on the solver's arrays; returns (values, actions, margins)."""
     T, S = solver.cfg.T, solver.space.n_states
+    margins = np.empty(T)
     values = np.empty((T + 1, S))
     actions = np.empty((T, S), dtype=np.int8)
     kernel(
@@ -32,47 +33,67 @@ def kernel_tables(kernel, solver: FrameSolver, z: float):
         solver.probs,
         z,
         solver.cfg.discount,
+        margins,
         values,
         actions,
     )
-    return values, actions
+    return values, actions, margins
+
+
+def nan_max(x: float, y: float) -> float:
+    """np.maximum on two floats: NaN if either is NaN."""
+    return x if x != x else y if y != y else max(x, y)
+
+
+def nan_min(x: float, y: float) -> float:
+    """np.minimum on two floats: NaN if either is NaN."""
+    return x if x != x else y if y != y else min(x, y)
 
 
 def loop_kernel(cost_const, cost_z, feasible, next_idx, probs, frozen_z, discount,
-                values, actions):
+                margins, values, actions):
     """The kernel contract's reference semantics, one state, action and branch
-    at a time: branches accumulate in order, infeasible actions are skipped,
-    and a strictly smaller q wins in USER2, USER1, IDLE order."""
+    at a time: branches accumulate in order, an infeasible action costs +inf,
+    and a strictly smaller q wins in USER2, USER1, IDLE order. The margin of
+    a state is its second-smallest q, kept as min(second, max(q, best)) over
+    the actions after the first, minus its smallest; margins[t] is the
+    smallest over the states, NaN if any is."""
     T, S, n_branches = actions.shape[0], cost_const.shape[0], probs.shape[2]
     cc, cz, ok = cost_const.tolist(), cost_z.tolist(), feasible.tolist()
     nxt, pr = next_idx.tolist(), probs.tolist()
     vnext = [0.0] * S
     values[T] = vnext
     for t in range(T - 1, -1, -1):
-        vt, at = [0.0] * S, [0] * S
+        vt, at, gaps = [0.0] * S, [0] * S, []
         for s in range(S):
-            best, best_a = math.inf, -1
-            for a in (1, 0, 2):
-                if not ok[s][a]:
-                    continue
+            best, best_a, second = math.inf, -1, math.inf
+            for k, a in enumerate((1, 0, 2)):
                 acc = 0.0
                 for b in range(n_branches):
                     acc = acc + pr[s][a][b] * vnext[nxt[s][a][b]]
-                q = cc[s][a] + frozen_z * cz[s][a] + discount * acc
+                cost = cc[s][a] + frozen_z * cz[s][a] if ok[s][a] else math.inf
+                q = cost + discount * acc
+                if k:
+                    second = nan_min(second, nan_max(q, best))
                 if q < best:
                     best, best_a = q, a
             vt[s], at[s] = best, best_a
+            gaps.append(second - best)
         values[t], actions[t] = vt, at
+        margins[t] = math.nan if any(g != g for g in gaps) else min(gaps)
         vnext = vt
 
 
 def assert_same_tables(expected, actual) -> None:
-    """Bitwise equality of two (values, actions) pairs. `np.array_equal` calls
-    -0.0 and 0.0 equal, but a sign flip changes the text policy_frame0.csv
-    writes, so the values are compared as their int64 bit patterns."""
-    (expected_values, expected_actions), (values, actions) = expected, actual
+    """Bitwise equality of two (values, actions, margins) triples.
+    `np.array_equal` calls -0.0 and 0.0 equal, but a sign flip changes the
+    text policy_frame0.csv writes, so the values and margins are compared as
+    their int64 bit patterns."""
+    (expected_values, expected_actions, expected_margins) = expected
+    (values, actions, margins) = actual
     assert np.array_equal(expected_values.view(np.int64), values.view(np.int64))
     assert np.array_equal(expected_actions, actions)
+    assert np.array_equal(expected_margins.view(np.int64), margins.view(np.int64))
 
 
 def test_backend_is_numpy():
@@ -92,7 +113,7 @@ def test_frame_solver_uses_get_solver(monkeypatch):
     solver = FrameSolver(reference_cfg(5.0), reference_model())
     solver.solve(0.0)
     solver.solve(2.5)
-    assert calls == [9, 9]
+    assert calls == [10, 10]
 
 
 def test_numpy_kernel_matches_loop_contract():
@@ -177,10 +198,11 @@ def test_numpy_kernel_sums_branches_in_index_order(discount):
     T, S = 2, arrays[0].shape[0]
 
     def tables(kernel, next_idx, probs):
+        margins = np.empty(T)
         values = np.empty((T + 1, S))
         actions = np.empty((T, S), dtype=np.int8)
-        kernel(*arrays[:3], next_idx, probs, 0.0, discount, values, actions)
-        return values, actions
+        kernel(*arrays[:3], next_idx, probs, 0.0, discount, margins, values, actions)
+        return values, actions, margins
 
     next_idx, probs = arrays[3:]
     expected = tables(loop_kernel, next_idx, probs)
@@ -196,7 +218,9 @@ def test_solve_is_repeatable():
     solver = FrameSolver(cfg, reference_model())
     a = solver.solve(3.7)
     b = solver.solve(3.7)
-    assert_same_tables((a.values, a.actions), (b.values, b.actions))
+    assert np.array_equal(a.values.view(np.int64), b.values.view(np.int64))
+    assert np.array_equal(a.actions, b.actions)
+    assert a.radius == b.radius
 
 
 #: sha256 of `values.tobytes()` and `actions.tobytes()` for the reference

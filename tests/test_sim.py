@@ -281,6 +281,43 @@ def test_table_memo_matches_fresh_solves(v, chan, bucket, budget, monkeypatch):
     assert_same_metrics(run(), memo)
 
 
+@pytest.mark.parametrize("v", [5.0, 10.0, 150.0])
+def test_certified_reuse_matches_fresh_solves(v, monkeypatch):
+    # At V > 0 the frame-start debt almost never repeats as a float, so the
+    # memo's reuse here is mostly certified: a table reused within its
+    # radius must give the same run, bit for bit, as a fresh solve at every
+    # frame start.
+    memo = small_run(v=v, horizon=20_000)
+    assert memo.diagnostics["certified_hits"] > 0
+    assert sum(memo.diagnostics.values()) == memo.frames
+    fresh_solve_every_frame(monkeypatch)
+    fresh = small_run(v=v, horizon=20_000)
+    assert fresh.diagnostics == dict(fresh_solves=fresh.frames, exact_hits=0, certified_hits=0)
+    assert_same_metrics(fresh, memo)
+
+
+def test_shared_tables_match_own_tables():
+    # Seeds that share one FrameTables run as they do alone; the later seeds
+    # reuse the first one's frame-0 table, and the sharing shows only in
+    # the diagnostics.
+    cfg, model = reference_cfg(150.0), reference_model()
+    tables = sim.FrameTables(cfg, model)
+    shared = [small_run(v=150.0, horizon=2_000, seed=seed, tables=tables) for seed in (1, 2, 3)]
+    for seed, m in zip((1, 2, 3), shared):
+        alone = small_run(v=150.0, horizon=2_000, seed=seed)
+        assert_same_metrics(alone, m)
+        assert m.frame0_policy is shared[0].frame0_policy
+        if seed > 1:
+            assert m.diagnostics["fresh_solves"] < alone.diagnostics["fresh_solves"]
+    with pytest.raises(ValueError, match="tables"):
+        small_run(v=5.0, horizon=2_000, tables=tables)
+
+
+def test_baselines_report_no_table_lookups():
+    m = small_run(policy=PolicyKind.DEADLINE_FIRST, horizon=200)
+    assert m.diagnostics == dict(fresh_solves=0, exact_hits=0, certified_hits=0)
+
+
 def count_solves(monkeypatch) -> list[float]:
     """Record the debt of every FrameSolver.solve call from now on."""
     calls = []

@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import reference_cfg, reference_model, random_instance
+from test_kernels import kernel_instances
 
 from aoi_dpp import _kernels
 from aoi_dpp.channel import BAD, GOOD, GilbertElliotChannel, IIDChannel
@@ -273,3 +278,53 @@ def test_discounted_solve_matches_brute_force():
         dp = FrameSolver(disc, model).solve(z).value(0, state)
         brute, _ = brute_force_optimal(state, z, disc, model)
         assert dp == pytest.approx(brute, abs=1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_instances(), st.integers(1, 4), st.floats(-1.0, 1.0))
+def test_certified_radius_keeps_the_actions(instance, ulps, where):
+    # Every debt within the certified radius, a few ulps away, at 0.99 of the
+    # radius on either side, or at a random point inside it, solves to the
+    # same actions bit for bit.
+    solver, z = instance
+    table = solver.solve(z)
+    r = min(table.radius, 1e6)  # +inf when the costs do not depend on z
+    if r < 0:
+        return
+    nearby = [z, z + 0.99 * r, z - 0.99 * r, z + where * r]
+    up = down = z
+    for _ in range(ulps):
+        up, down = np.nextafter(up, math.inf), np.nextafter(down, -math.inf)
+    nearby += [float(up), float(down)]
+    for z_near in nearby:
+        if z_near >= 0 and abs(z_near - z) <= table.radius:
+            assert np.array_equal(solver.solve(z_near).actions, table.actions), z_near
+
+
+@pytest.mark.parametrize("v, z", [(5.0, 30.0), (5.0, 30.00000000000042), (10.0, 60.0)])
+def test_known_ties_certify_no_radius(v, z):
+    # At frame-start Z = 6V, USER1 and USER2 tie in some states of the
+    # reference scenario, so only the exact debt is certified.
+    assert FrameSolver(reference_cfg(v), reference_model()).solve(z).radius == -1.0
+
+
+def test_certified_radius_is_tight_where_the_gap_closes_at_full_speed():
+    # T = 1, p2 = 1 and rho = 1/2: with a packet queued, q(USER1) = 3 + z/2 and
+    # q(USER2) = 4 - z/2, so their gap of 1 closes at rate 2c = 1 and they
+    # tie at z = 1, where USER2 takes over. The certified radius must stop
+    # short of 1, and by no more than rounding.
+    solver = FrameSolver(FrameConfig(T=1, K=1, q=0.5, A_max=2, V=2.0), IIDChannel(0.5, 1.0))
+    table = solver.solve(0.0)
+    assert 1.0 - 1e-9 < table.radius < 1.0
+    assert np.array_equal(solver.solve(table.radius).actions, table.actions)
+    assert not np.array_equal(solver.solve(1.0).actions, table.actions)
+
+
+def test_margin_ties_and_nan_certify_no_radius():
+    solver = FrameSolver(reference_cfg(5.0), reference_model())
+    T = solver.cfg.T
+    assert solver.certified_radius(np.full(T, 1.0), 2.0) > 0
+    for bad in (0.0, -1.0, math.nan):
+        margins = np.full(T, 1.0)
+        margins[T // 2] = bad
+        assert solver.certified_radius(margins, 2.0) == -1.0
