@@ -6,12 +6,15 @@ aggregates a mean-AoI-vs-V table at the output root. AOI_DPP_THREADS, an
 integer >= 0, asks for a worker pool (0, 1 or unset = sequential); the pool
 never exceeds the number of cells or of CPUs.
 
-Run sequentially, the controller cells of one V share one `sim.FrameTables`,
-so each frame table is solved once per V rather than once per cell, and with
---dump-policy the first cell of a V formats policy_frame0.csv and the others
-copy it. In a pool every cell has its own. The artifacts are the same bytes
-either way; only the `diagnostics` block of summary.json, which counts how
-the cell found its frame tables, depends on the sharing.
+The cells run as tasks, inline or in the pool: inline, one task per V runs
+its seeds in order; in a pool, each V's seeds are split into one contiguous
+run per worker (at least one seed each). The controller cells of a task
+share one `sim.FrameTables`, so each frame table is solved once per task
+rather than once per cell, and with --dump-policy the task's first cell
+formats policy_frame0.csv and the others copy it. The artifacts are the
+same bytes however the seeds are split; only the `diagnostics` block of
+summary.json, which counts how the cell found its frame tables, depends on
+the split.
 """
 
 from __future__ import annotations
@@ -225,61 +228,54 @@ def _cell_dir(out_root: str | Path, v: float, seed: int) -> Path:
     return Path(out_root) / f"{v_dir(v)}_seed{seed}"
 
 
-def _run_cell(cfg: ExperimentConfig, v: float, seed: int, out_root: str,
-              thin: int, dump_policy: bool, tables: FrameTables | None = None,
-              policy_source: Path | None = None) -> RunSummary:
-    """Run one (V, seed) cell and write its artifacts. Worker-safe. `tables`
-    and `policy_source` are shared by the cells of one V (see
-    `_run_sequential`)."""
-    t0 = time.perf_counter()
+def _run_seeds(cfg: ExperimentConfig, v: float, seeds: list[int], out_root: str,
+               thin: int, dump_policy: bool) -> list[RunSummary]:
+    """Run the cells (v, seed) of `seeds`, in order, and write their
+    artifacts. Worker-safe. The cells share one bounds report and, under the
+    controller, one FrameTables; with `dump_policy` the first cell formats
+    the policy dump and the others copy it."""
     frame_cfg = cfg.frame_config(v)
-    metrics = run_simulation(
-        frame_cfg,
-        cfg.channel,
-        cfg.policy,
-        cfg.horizon_slots,
-        seed,
-        warmup_slots=cfg.warmup_slots,
-        z_cache_bucket=cfg.z_cache_bucket,
-        tables=tables,
-    )
     try:
         bounds = lyapunov.bounds_report(frame_cfg, cfg.channel).to_dict()
     except lyapunov.InfeasibleError:
         bounds = None
-    summary = RunSummary(
-        config=cfg.echo(),
-        V=v,
-        seed=seed,
-        frames=metrics.frames,
-        mean_aoi=metrics.mean_aoi,
-        per_frame_delivery_mean=metrics.delivery_mean,
-        rate_stability_stat=metrics.rate_stability,
-        bounds=bounds,
-        warnings=list(metrics.warnings),
-        wall_clock_s=time.perf_counter() - t0,
-        diagnostics=metrics.diagnostics,
-    )
-    emit_outputs(metrics, summary, _cell_dir(out_root, v, seed), thin=thin,
-                 dump_policy=dump_policy, policy_source=policy_source)
-    return summary
-
-
-def _run_sequential(cfg: ExperimentConfig, out_root: str, thin: int,
-                    dump_policy: bool) -> list[RunSummary]:
-    """Run every cell in this process. Cells are V-major, so the controller
-    cells of one V come one after another: they share one FrameTables, and
-    each dumps its policy by copying the previous cell's dump."""
-    summaries = []
-    tables = source = None
-    for v, seed in cfg.cells():
-        if cfg.policy == PolicyKind.DRIFT_PLUS_PENALTY and (
-            tables is None or tables.solver.cfg.V != v
-        ):
-            tables, source = FrameTables(cfg.frame_config(v), cfg.channel), None
-        summaries.append(_run_cell(cfg, v, seed, out_root, thin, dump_policy, tables, source))
-        if dump_policy and tables is not None:
-            source = _cell_dir(out_root, v, seed) / POLICY_DUMP
+    tables = (FrameTables(frame_cfg, cfg.channel)
+              if cfg.policy == PolicyKind.DRIFT_PLUS_PENALTY else None)
+    summaries, source = [], None
+    for seed in seeds:
+        t0 = time.perf_counter()
+        metrics = run_simulation(
+            frame_cfg,
+            cfg.channel,
+            cfg.policy,
+            cfg.horizon_slots,
+            seed,
+            warmup_slots=cfg.warmup_slots,
+            z_cache_bucket=cfg.z_cache_bucket,
+            tables=tables,
+        )
+        if seed == seeds[-1]:
+            tables = None  # free the memo; the dump's table lives on in metrics
+        summary = RunSummary(
+            config=cfg.echo(),
+            V=v,
+            seed=seed,
+            frames=metrics.frames,
+            mean_aoi=metrics.mean_aoi,
+            per_frame_delivery_mean=metrics.delivery_mean,
+            rate_stability_stat=metrics.rate_stability,
+            bounds=bounds,
+            warnings=list(metrics.warnings),
+            wall_clock_s=time.perf_counter() - t0,
+            diagnostics=metrics.diagnostics,
+        )
+        cell = _cell_dir(out_root, v, seed)
+        emit_outputs(metrics, summary, cell, thin=thin, dump_policy=dump_policy,
+                     policy_source=source)
+        if dump_policy and source is None and metrics.frame0_policy is not None:
+            source = cell / POLICY_DUMP
+        del metrics  # before the next cell allocates its own
+        summaries.append(summary)
     return summaries
 
 
@@ -374,16 +370,20 @@ def run_cli(args: argparse.Namespace) -> int:
         return 1
     cells = cfg.cells()
     workers = min(requested, len(cells), os.cpu_count() or 1)
+    # The seeds of each V, in contiguous runs: one per V inline, one per
+    # worker in a pool, so each V's work spreads over every worker however
+    # much it costs.
+    runs = max(1, min(workers, cfg.replications))
+    seeds = np.arange(cfg.seed, cfg.seed + cfg.replications)
+    tasks = [(cfg, v, part.tolist(), str(out_root), args.thin, args.dump_policy)
+             for v in cfg.V for part in np.array_split(seeds, runs)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_cell, cfg, v, seed, str(out_root), args.thin,
-                            args.dump_policy)
-                for v, seed in cells
-            ]
-            summaries = [f.result() for f in futures]
+            futures = [pool.submit(_run_seeds, *task) for task in tasks]
+            results = [f.result() for f in futures]
     else:
-        summaries = _run_sequential(cfg, str(out_root), args.thin, args.dump_policy)
+        results = [_run_seeds(*task) for task in tasks]
+    summaries = [summary for result in results for summary in result]
 
     for summary in summaries:
         print(summary.line())

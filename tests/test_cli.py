@@ -277,10 +277,11 @@ def summary_without(path: Path, *keys: str) -> dict:
 
 
 def test_sweep_is_the_same_shared_pooled_or_cell_by_cell(tmp_path, monkeypatch):
-    # 2 V x 3 seeds with policy dumps. Run sequentially, the cells of a V
-    # share one FrameTables (one solver build per V) and copy the first
-    # cell's dump; in a pool, or one CLI call per cell, every cell solves
-    # its own. The files are the same bytes in all three.
+    # 2 V x 3 seeds with policy dumps. Inline, the cells of a V share one
+    # FrameTables (one solver build per V) and copy the first cell's dump;
+    # a pool of 2 splits each V's seeds into the runs [3, 4] and [5], each
+    # with its own tables; one CLI call per cell solves its own. The files
+    # are the same bytes in all three.
     sweep = tmp_path / "sweep.cfg"
     sweep.write_text(SMALL + "replications = 3\n", encoding="utf-8")
     one_cell = tmp_path / "cell.cfg"
@@ -306,6 +307,16 @@ def test_sweep_is_the_same_shared_pooled_or_cell_by_cell(tmp_path, monkeypatch):
     assert len(builds) == 2
     monkeypatch.setenv("AOI_DPP_THREADS", "2")
     pooled = run("pooled", sweep)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        m.setattr(InlinePool, "sizes", [])
+        m.setattr(InlinePool, "tasks", [])
+        m.setattr(os, "cpu_count", lambda: 8)
+        run("inline_pool", sweep)
+        assert InlinePool.sizes == [2]
+        assert [task[1:3] for task in InlinePool.tasks] == [
+            (0.0, [3, 4]), (0.0, [5]), (2.0, [3, 4]), (2.0, [5])]
+    assert len(builds) == 2 + 4
     monkeypatch.delenv("AOI_DPP_THREADS")
     by_cell = tmp_path / "by_cell"
     for v, seed in SWEEP_CELLS:
@@ -329,18 +340,22 @@ def test_sweep_is_the_same_shared_pooled_or_cell_by_cell(tmp_path, monkeypatch):
         assert summary == summary_without(alone / cell / "summary.json", "config")
         assert read(alone / "aoi_vs_v.csv").splitlines()[1] == rows[1 + i]
         # every frame start is counted once; the later seeds of a V find
-        # the shared frame-0 table
+        # the shared frame-0 table. In the pool, seed 4 shares seed 3's
+        # tables and seed 5 starts a run, as if alone.
         diagnostics = json.loads(read(shared / cell / "summary.json"))["diagnostics"]
         assert sum(diagnostics.values()) == 100
         assert diagnostics["exact_hits"] >= (seed > 3)
         pooled_diagnostics = json.loads(read(pooled / cell / "summary.json"))["diagnostics"]
-        assert pooled_diagnostics["fresh_solves"] >= 1
+        like = shared if seed < 5 else alone
+        assert pooled_diagnostics == json.loads(read(like / cell / "summary.json"))["diagnostics"]
 
 
 class InlinePool:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
+    """Stands in for ProcessPoolExecutor: records max_workers and the
+    arguments of each task, runs inline."""
 
     sizes: list[int] = []
+    tasks: list[tuple] = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -352,6 +367,7 @@ class InlinePool:
         return False
 
     def submit(self, fn, *args):
+        self.tasks.append(args)
         future = Future()
         future.set_result(fn(*args))
         return future
