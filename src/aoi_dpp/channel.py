@@ -4,6 +4,8 @@ Delayed-CSI convention: the scheduler's channel memory is the previous slot's
 realized state for both users, and a transmission in the current slot succeeds
 exactly when that user's chain lands in Good this slot. Both chains advance
 every slot, scheduled or not (sensing is independent of scheduling).
+step_channel advances many independent pairs at once under either model;
+i.i.d. links are the case whose landing law ignores the previous state.
 """
 
 from __future__ import annotations
@@ -68,15 +70,16 @@ def _check_prob(name: str, value: float) -> None:
 
 
 def step_channel(
-    model: GilbertElliotChannel, state: tuple[int, int], rng: np.random.Generator
-) -> tuple[int, int]:
-    """Advance both users' chains one slot, independently."""
-    if not isinstance(model, GilbertElliotChannel):
-        raise ValueError("step_channel applies to the Gilbert-Elliot model only")
-    u = rng.random(2)
-    h1 = GOOD if u[0] < model.good_prob(1, state[0]) else BAD
-    h2 = GOOD if u[1] < model.good_prob(2, state[1]) else BAD
-    return (h1, h2)
+    model: ChannelModel, mem: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Advance both users' chains one slot, independently, in each row of an
+    (n, 2) memory array: user u lands Good when a fresh uniform falls below
+    P(Good | its previous state). i.i.d. links ignore the memory."""
+    if isinstance(model, IIDChannel):
+        good = np.array([[model.p1] * 2, [model.p2] * 2])
+    else:
+        good = np.array([[model.good_prob(u, h) for h in (BAD, GOOD)] for u in (1, 2)])
+    return np.where(rng.random(mem.shape) < good[[0, 1], mem], GOOD, BAD)
 
 
 def stationary_good_prob(p11: float, p01: float) -> float:

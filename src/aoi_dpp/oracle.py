@@ -7,7 +7,9 @@ evaluate_policy_exact pushes the state distribution forward through those
 outcomes; brute_force_optimal is a deliberately naive backward induction
 over dictionaries with its own tie-breaking, so a solver bug cannot confirm
 itself; monte_carlo_value bridges the exact numbers and the stochastic
-simulator.
+simulator, advancing all runs together through channel.step_channel with
+AoI, queue and cost laws of its own, so it cross-checks _successor. Each
+entry point rejects an initial state outside the model domain up front.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channel import BAD, GOOD, ChannelModel, GilbertElliotChannel, IIDChannel, step_channel
+from .channel import BAD, GOOD, ChannelModel, IIDChannel, step_channel
 from .model import (
     Action,
     FrameConfig,
@@ -73,9 +75,11 @@ def evaluate_policy_exact(
 ) -> EvaluationResult:
     """Exact expected frame cost of a policy, by forward recursion.
 
-    Raises InfeasibleActionError when the policy picks an action that a
-    reachable state does not allow.
+    Raises UnknownStateError for a state outside the model domain and
+    InfeasibleActionError when the policy picks an action that a reachable
+    state does not allow.
     """
+    StateSpace(cfg, model).index(initial_state)
     rule = as_rule(policy)
     dist: dict[SystemState, float] = {initial_state: 1.0}
     by_slot = [dict(dist)]
@@ -153,9 +157,11 @@ def brute_force_optimal(
     Dict-based backward induction: per branch the realized cost
     z*(rho - d2) + V*A' accumulates with the discounted continuation. Ties
     resolve in USER1, USER2, IDLE order, intentionally different from the
-    solver's preference.
+    solver's preference. Raises UnknownStateError for a state outside the
+    model domain.
     """
     space = StateSpace(cfg, model)
+    space.index(initial_state)
     if space.n_states * cfg.T > 100_000:
         raise TooLargeError(
             f"{space.n_states} states x {cfg.T} slots exceeds the enumeration guard"
@@ -195,41 +201,35 @@ def monte_carlo_value(
 ) -> tuple[float, float]:
     """Sample mean and standard error of the realized frame cost.
 
-    Run i draws its stream from the derived seed (seed, i), so runs are
-    independent and the whole estimate is reproducible. Raises
-    InfeasibleActionError when the policy picks an action that a visited
-    state does not allow.
+    All runs advance together on the one stream default_rng(seed). Each slot
+    asks the policy once per distinct state and applies the model laws as
+    array forms of its own, not through _successor. Raises UnknownStateError
+    for a state outside the model domain and InfeasibleActionError when the
+    policy picks an action that a visited state does not allow.
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
+    space = StateSpace(cfg, model)
+    space.index(initial_state)
     rule = as_rule(policy)
-    ge = isinstance(model, GilbertElliotChannel)
-    costs = np.empty(n_runs)
-    for i in range(n_runs):
-        rng = np.random.default_rng([seed, i])
-        state = initial_state
-        total = 0.0
-        weight = 1.0
-        for t in range(cfg.T):
-            action = rule(t, state)
-            d1 = d2 = 0
-            if ge:
-                h1, h2 = step_channel(model, state.channel_mem, rng)
-                if action == Action.USER1:
-                    d1 = 1 if h1 == GOOD else 0
-                elif action == Action.USER2:
-                    d2 = 1 if h2 == GOOD else 0
-                mem = (h1, h2)
-            else:
-                if action == Action.USER1:
-                    d1 = 1 if rng.random() < model.p1 else 0
-                elif action == Action.USER2:
-                    d2 = 1 if rng.random() < model.p2 else 0
-                mem = None
-            state, realized = _successor(state, d1, d2, mem, frozen_z, cfg)
-            total += weight * realized
-            weight *= cfg.discount
-        costs[i] = total
+    rng = np.random.default_rng(seed)
+    aoi = np.full(n_runs, initial_state.aoi)
+    queue = np.full(n_runs, initial_state.queue)
+    mem = np.tile(initial_state.channel_mem or (BAD, BAD), (n_runs, 1))  # i.i.d.: unread
+    costs = np.zeros(n_runs)
+    weight = 1.0
+    for t in range(cfg.T):
+        keys, inverse = np.unique(
+            space.index_parts(aoi, queue, mem @ space.mem_weights), return_inverse=True
+        )
+        actions = np.array([rule(t, space.state(int(k))) for k in keys])[inverse]
+        mem = step_channel(model, mem, rng)
+        d1 = (actions == Action.USER1) & (mem[:, 0] == GOOD)
+        d2 = (actions == Action.USER2) & (mem[:, 1] == GOOD)
+        aoi = np.where(d1, 1, np.minimum(aoi + 1, cfg.A_max))
+        queue = np.maximum(queue - d2, 0)
+        costs += weight * (frozen_z * (cfg.rho - d2) + cfg.V * aoi)
+        weight *= cfg.discount
     mean = float(costs.mean())
     stderr = float(costs.std(ddof=1) / math.sqrt(n_runs)) if n_runs > 1 else 0.0
     return mean, stderr
@@ -239,8 +239,11 @@ def stationary_aoi_mean(model: ChannelModel, a_max: int, user: int = 1) -> float
     """Exact long-run mean AoI when the given user transmits every slot.
 
     Solves the stationary law of the induced chain on (AoI, previous channel
-    state); requires an ergodic channel chain.
+    state); requires an ergodic channel chain. Raises ValueError for a user
+    other than 1 or 2.
     """
+    if user not in (1, 2):
+        raise ValueError(f"user must be 1 or 2, got {user}")
     if isinstance(model, IIDChannel):
         p = model.p1 if user == 1 else model.p2
         chain_states = [(a, None) for a in range(1, a_max + 1)]

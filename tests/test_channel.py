@@ -29,13 +29,17 @@ def test_good_prob_gilbert_elliot():
         model.good_prob(3, GOOD)
 
 
+def pairs(h1: int, h2: int, n: int) -> np.ndarray:
+    """n copies of the memory pair (h1, h2), as step_channel takes them."""
+    return np.tile((h1, h2), (n, 1))
+
+
 def test_step_channel_absorbing():
     rng = np.random.default_rng(0)
     stay_good = GilbertElliotChannel(1.0, 0.5, 1.0, 0.5)
-    assert step_channel(stay_good, (GOOD, GOOD), rng)[0] == GOOD
+    assert step_channel(stay_good, pairs(GOOD, GOOD, 1), rng)[0, 0] == GOOD
     stay_bad = GilbertElliotChannel(0.5, 0.0, 0.5, 0.0)
-    for _ in range(10):
-        assert step_channel(stay_bad, (BAD, BAD), rng) == (BAD, BAD)
+    assert (step_channel(stay_bad, pairs(BAD, BAD, 10), rng) == BAD).all()
 
 
 def test_step_channel_joint_frequency():
@@ -43,9 +47,20 @@ def test_step_channel_joint_frequency():
     model = GilbertElliotChannel(0.9, 0.6, 0.9, 0.6)
     rng = np.random.default_rng(42)
     n = 20_000
-    hits = sum(step_channel(model, (GOOD, BAD), rng) == (GOOD, GOOD) for _ in range(n))
+    hits = (step_channel(model, pairs(GOOD, BAD, n), rng) == GOOD).all(axis=1).sum()
     sigma = math.sqrt(0.54 * 0.46 / n)
     assert abs(hits / n - 0.54) <= 3 * sigma
+
+
+def test_step_channel_iid_frequency():
+    # i.i.d. links land Good with p_u whatever the previous state.
+    model = IIDChannel(0.7, 0.4)
+    rng = np.random.default_rng(5)
+    n = 20_000
+    for h in (BAD, GOOD):
+        freq = step_channel(model, pairs(h, h, n), rng).mean(axis=0)
+        for p, f in zip((0.7, 0.4), freq):
+            assert abs(f - p) <= 3 * math.sqrt(p * (1 - p) / n)
 
 
 def test_two_user_transitions_independent():
@@ -53,10 +68,8 @@ def test_two_user_transitions_independent():
     model = GilbertElliotChannel(0.9, 0.6, 0.8, 0.3)
     rng = np.random.default_rng(7)
     n = 40_000
-    counts = np.zeros((2, 2))
-    for _ in range(n):
-        h1, h2 = step_channel(model, (BAD, GOOD), rng)
-        counts[h1, h2] += 1
+    nxt = step_channel(model, pairs(BAD, GOOD, n), rng)
+    counts = np.bincount(2 * nxt[:, 0] + nxt[:, 1], minlength=4).reshape(2, 2)
     p1, p2 = 0.6, 0.8  # from (Bad, Good)
     for h1 in (0, 1):
         for h2 in (0, 1):
@@ -80,12 +93,12 @@ def test_stationary_reduces_to_iid(p):
 def test_empirical_stationary_frequency():
     model = GilbertElliotChannel(0.9, 0.6, 0.9, 0.6)
     rng = np.random.default_rng(3)
-    state = (GOOD, GOOD)
+    state = pairs(GOOD, GOOD, 1)
     n = 30_000
     good = 0
     for _ in range(n):
         state = step_channel(model, state, rng)
-        good += state[0]
+        good += state[0, 0]
     pi = stationary_good_prob(0.9, 0.6)
     # correlated samples: inflate the binomial band by the chain's mixing factor
     sigma = math.sqrt(pi * (1 - pi) / n)

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import reference_cfg, reference_model, random_instance
 
-from aoi_dpp.channel import GOOD, GilbertElliotChannel, IIDChannel
+from aoi_dpp.channel import BAD, GOOD, GilbertElliotChannel, IIDChannel
 from aoi_dpp.model import Action, FrameConfig, SystemState
 from aoi_dpp.oracle import (
     InfeasibleActionError,
@@ -13,7 +13,7 @@ from aoi_dpp.oracle import (
     monte_carlo_value,
     stationary_aoi_mean,
 )
-from aoi_dpp.solver import FrameSolver
+from aoi_dpp.solver import FrameSolver, UnknownStateError
 
 TOY_CFG = FrameConfig(T=2, K=1, q=1.0, A_max=3, V=1.0)
 TOY_MODEL = IIDChannel(p1=1.0, p2=1.0)
@@ -123,13 +123,24 @@ def test_monte_carlo_seed_reproducible():
     assert a[1] == 0.0  # single run has no spread estimate
 
 
-def test_monte_carlo_consistent_with_exact():
-    cfg = reference_cfg(5.0)
-    model = reference_model()
-    table = FrameSolver(cfg, model).solve(0.0)
-    s0 = SystemState(1, 15, (GOOD, GOOD))
-    exact = evaluate_policy_exact(table, s0, 0.0, cfg, model).expected_cost
-    mean, stderr = monte_carlo_value(table, s0, 0.0, cfg, model, n_runs=100_000, seed=12)
+SMALL_CFG = FrameConfig(T=6, K=3, q=2.0, A_max=6, V=2.0)
+
+
+@pytest.mark.parametrize(
+    "cfg, model, s0, z, seed",
+    [
+        (reference_cfg(5.0), reference_model(), SystemState(1, 15, (GOOD, GOOD)), 0.0, 12),
+        # p01 > p11 for user 1: a swapped GOOD/BAD lookup shows here
+        (SMALL_CFG, GilbertElliotChannel(0.3, 0.8, 0.6, 0.2),
+         SystemState(2, 3, (BAD, GOOD)), 3.0, 1),
+        (SMALL_CFG, IIDChannel(0.7, 0.4), SystemState(2, 3), 3.0, 1),
+    ],
+    ids=["reference", "ge-asymmetric", "iid"],
+)
+def test_monte_carlo_consistent_with_exact(cfg, model, s0, z, seed):
+    table = FrameSolver(cfg, model).solve(z)
+    exact = evaluate_policy_exact(table, s0, z, cfg, model).expected_cost
+    mean, stderr = monte_carlo_value(table, s0, z, cfg, model, n_runs=100_000, seed=seed)
     assert abs(mean - exact) <= 3 * stderr
 
 
@@ -157,6 +168,40 @@ def test_monte_carlo_rejects_infeasible_plan():
         monte_carlo_value([Action.USER2, Action.USER2], SystemState(2, 1), 1.0,
                           FrameConfig(T=2, K=1, q=1.0, A_max=3, V=0.0),
                           IIDChannel(1.0, 1.0), n_runs=3, seed=0)
+
+
+GE_MODEL = GilbertElliotChannel(0.9, 0.6, 0.9, 0.6)
+TOY_PLAN = [Action.USER1, Action.USER1]
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda s, m: evaluate_policy_exact(TOY_PLAN, s, 0.0, TOY_CFG, m),
+        lambda s, m: brute_force_optimal(s, 0.0, TOY_CFG, m),
+        lambda s, m: monte_carlo_value(TOY_PLAN, s, 0.0, TOY_CFG, m, n_runs=3, seed=0),
+    ],
+    ids=["exact", "brute", "mc"],
+)
+@pytest.mark.parametrize(
+    "state, model",
+    [
+        (SystemState(7, 1), TOY_MODEL),
+        (SystemState(1, 4), TOY_MODEL),
+        (SystemState(0, 1), TOY_MODEL),
+        (SystemState(1, 1, (GOOD, BAD)), TOY_MODEL),
+        (SystemState(1, 1), GE_MODEL),
+    ],
+    ids=["aoi-above-cap", "queue-above-k", "aoi-zero", "iid-with-memory", "ge-without-memory"],
+)
+def test_oracle_rejects_out_of_domain_state(entry, state, model):
+    with pytest.raises(UnknownStateError):
+        entry(state, model)
+
+
+def test_stationary_aoi_mean_rejects_unknown_user():
+    with pytest.raises(ValueError):
+        stationary_aoi_mean(IIDChannel(0.3, 0.5), 5, user=3)
 
 
 def test_monte_carlo_rejects_bad_n():
