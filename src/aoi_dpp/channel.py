@@ -107,8 +107,11 @@ def stationary_state(
 
 
 def mean_success_prob(model: ChannelModel, user: int) -> float:
-    """Long-run per-slot success probability when `user` transmits every slot."""
+    """Long-run per-slot success probability when `user` (1 or 2) transmits
+    every slot; ValueError for any other user."""
     if isinstance(model, IIDChannel):
+        if user not in (1, 2):
+            raise ValueError(f"user must be 1 or 2, got {user}")
         return model.p1 if user == 1 else model.p2
     p11, p01 = model.params(user)
     return stationary_good_prob(p11, p01)

@@ -10,11 +10,11 @@ The cells run as tasks, inline or in the pool: inline, one task per V runs
 its seeds in order; in a pool, each V's seeds are split into one contiguous
 run per worker (at least one seed each). The controller cells of a task
 share one `sim.FrameTables`, so each frame table is solved once per task
-rather than once per cell, and with --dump-policy the task's first cell
-formats policy_frame0.csv and the others copy it. The artifacts are the
-same bytes however the seeds are split; only the `diagnostics` block of
-summary.json, which counts how the cell found its frame tables, depends on
-the split.
+rather than once per cell; with --dump-policy the task's first cell formats
+its frame-0 table as policy_frame0.csv and the others copy the file. The
+artifacts are the same bytes however the seeds are split; only the
+`diagnostics` block of summary.json, which counts how the cell found its
+frame tables, depends on the split.
 """
 
 from __future__ import annotations
@@ -140,13 +140,12 @@ def emit_outputs(
     summary: RunSummary,
     out_dir: str | Path,
     thin: int = 1,
-    dump_policy: bool = False,
-    policy_source: Path | None = None,
+    policy: PolicyTable | Path | None = None,
 ) -> list[Path]:
-    """Write the per-cell artifact files, plus the frame-0 policy table when
-    `dump_policy` is set and the run solved one; returns the paths written.
-    With a `policy_source`, a policy_frame0.csv written for the same table,
-    the dump is a copy of that file.
+    """Write the per-cell artifact files, plus policy_frame0.csv when given a
+    `policy`; returns the paths written. The `policy` is the run's frame-0
+    table, to format, or an earlier cell's policy_frame0.csv of the same
+    table, to copy.
 
     Tables are formatted a block of BLOCK_ROWS rows at a time, each block
     joined into one string and written in one call. The Z columns of
@@ -193,11 +192,10 @@ def emit_outputs(
             _write(out / "summary.json",
                    json.dumps(summary.to_dict(), indent=2, sort_keys=True)),
         ]
-        if dump_policy and metrics.frame0_policy is not None:
-            if policy_source is None:
-                paths.append(_write_policy_dump(metrics.frame0_policy, out))
-            else:
-                paths.append(Path(shutil.copyfile(policy_source, out / POLICY_DUMP)))
+        if isinstance(policy, PolicyTable):
+            paths.append(_write_policy_dump(policy, out))
+        elif policy is not None:
+            paths.append(Path(shutil.copyfile(policy, out / POLICY_DUMP)))
         return paths
     except OSError as err:
         raise OSError(f"writing outputs under {out}: {err}") from err
@@ -233,7 +231,7 @@ def _run_seeds(cfg: ExperimentConfig, v: float, seeds: list[int], out_root: str,
     """Run the cells (v, seed) of `seeds`, in order, and write their
     artifacts. Worker-safe. The cells share one bounds report and, under the
     controller, one FrameTables; with `dump_policy` the first cell formats
-    the policy dump and the others copy it."""
+    its `frame0` table as the policy dump and the others copy that file."""
     frame_cfg = cfg.frame_config(v)
     try:
         bounds = lyapunov.bounds_report(frame_cfg, cfg.channel).to_dict()
@@ -241,7 +239,8 @@ def _run_seeds(cfg: ExperimentConfig, v: float, seeds: list[int], out_root: str,
         bounds = None
     tables = (FrameTables(frame_cfg, cfg.channel)
               if cfg.policy == PolicyKind.DRIFT_PLUS_PENALTY else None)
-    summaries, source = [], None
+    policy = tables.frame0 if dump_policy and tables is not None else None
+    summaries = []
     for seed in seeds:
         t0 = time.perf_counter()
         metrics = run_simulation(
@@ -255,7 +254,7 @@ def _run_seeds(cfg: ExperimentConfig, v: float, seeds: list[int], out_root: str,
             tables=tables,
         )
         if seed == seeds[-1]:
-            tables = None  # free the memo; the dump's table lives on in metrics
+            tables = None  # free the memo; `policy` keeps the dump's table
         summary = RunSummary(
             config=cfg.echo(),
             V=v,
@@ -270,10 +269,9 @@ def _run_seeds(cfg: ExperimentConfig, v: float, seeds: list[int], out_root: str,
             diagnostics=metrics.diagnostics,
         )
         cell = _cell_dir(out_root, v, seed)
-        emit_outputs(metrics, summary, cell, thin=thin, dump_policy=dump_policy,
-                     policy_source=source)
-        if dump_policy and source is None and metrics.frame0_policy is not None:
-            source = cell / POLICY_DUMP
+        emit_outputs(metrics, summary, cell, thin=thin, policy=policy)
+        if isinstance(policy, PolicyTable):
+            policy = cell / POLICY_DUMP
         del metrics  # before the next cell allocates its own
         summaries.append(summary)
     return summaries

@@ -193,6 +193,8 @@ def _validate(cfg: ExperimentConfig) -> None:
             cfg.frame_config(v)
         check_run_inputs(cfg.T, cfg.channel, cfg.horizon_slots, cfg.seed,
                          cfg.warmup_slots, cfg.z_cache_bucket)
+    if len(set(cfg.V)) < len(cfg.V):  # 0.0 == -0.0, though their dirs differ
+        raise ConfigError(f"two values are equal: {' '.join(map(repr, cfg.V))}", "V")
     dirs = [v_dir(v) for v in cfg.V]
     if len(set(dirs)) < len(dirs):
         raise ConfigError(f"two values share a cell directory: {' '.join(dirs)}", "V")

@@ -3,18 +3,19 @@
 The drift-plus-penalty controller solves the frame DP at every frame start
 with the debt value frozen at Z(t_m), or at Z(t_m) rounded to a multiple of
 a positive `z_cache_bucket`, executes the resulting policy slot by slot, and
-updates age, queue and debt every slot. Its tables come from a `FrameTables`:
-a frame whose frozen debt equals, as a float, that of a recent frame, or
-lies within the certified radius of a recent frame's table (see
-`FrameSolver.certified_radius`), reuses that table instead of solving again
-(see `_TABLE_MEMO_BYTES`). A reused table is the one a fresh solve would
-write, bit for bit, so the trajectories are the same whether tables are
-reused, and whether runs share their `FrameTables` or not. The
-deterministic baselines run as fixed action tables through the same lookup;
-only the uniform baseline decides slot by slot. Runs are bit-reproducible
-from (config, model, policy, horizon, seed): channel randomness, action
-randomness (uniform baseline) and the initial channel draw come from
-separately spawned streams of one seed.
+updates age, queue and debt every slot. Every frame, the first included,
+takes its table from one lookup in a `FrameTables`, which solves the frame-0
+table (Z(0) = 0) when it is built. A frame whose frozen debt equals, as a
+float, that of a recent frame or 0, or lies within the certified radius of a
+recent frame's table (see `FrameSolver.certified_radius`), reuses that table
+instead of solving again (see `_TABLE_MEMO_BYTES`). A reused table is the
+one a fresh solve would write, bit for bit, so the trajectories are the same
+whether tables are reused, and whether runs share their `FrameTables` or
+not. The deterministic baselines run as fixed action tables through the same
+lookup; only the uniform baseline decides slot by slot. Runs are
+bit-reproducible from (config, model, policy, horizon, seed): channel
+randomness, action randomness (uniform baseline) and the initial channel
+draw come from separately spawned streams of one seed.
 
 The slot loop is the hot path of every long run, so it runs at interpreter
 speed on plain ints and floats, reading and writing arrays through memoryviews,
@@ -39,12 +40,13 @@ from .channel import (
     stationary_state,
 )
 from .model import Action, FrameConfig, SystemState, feasible_actions
-from .solver import FrameSolver, PolicyTable, StateSpace
+from .solver import FrameSolver, StateSpace
 
 #: Bytes of int8 action tables a `FrameTables` keeps for reuse, least
 #: recently used first out: 40 tables of the reference scenario (T = 20,
 #: 1280 states), with or without a `z_cache_bucket`. A frame whose (T, S)
-#: table is larger than this always solves afresh.
+#: table is larger than this (every frame, at 0) solves afresh, except at
+#: Z = 0: the frame-0 table is kept outside the budget.
 _TABLE_MEMO_BYTES = 1 << 20
 
 #: How `FrameTables` found a frame's table, and the `Metrics.diagnostics`
@@ -77,7 +79,9 @@ class Metrics:
 
     Per-slot arrays record the pre-decision state: aoi[t] and z_trajectory[t]
     are the values the scheduler saw at slot t (z_trajectory has one extra
-    final entry). Aggregates honor warmup_slots; trajectories never do.
+    final entry). Aggregates honor warmup_slots; trajectories never do. The
+    controller's frame-0 table belongs to the (config, channel) pair, not to
+    the run: it is `FrameTables.frame0` of the tables the run used.
     """
 
     cfg: FrameConfig
@@ -95,8 +99,6 @@ class Metrics:
     per_frame_deliveries: np.ndarray
     aoi_histogram: np.ndarray
     schedule_fractions: np.ndarray
-    #: The controller's first table, solved at Z = 0; None for baselines.
-    frame0_policy: PolicyTable | None = None
     warnings: list[str] = field(default_factory=list)
     #: How the run found its frame tables, counted per frame under
     #: LOOKUP_KEYS (all 0 for baselines). The counts depend on what the
@@ -143,42 +145,36 @@ def baseline_decision(
 
 class FrameTables:
     """The controller's frame tables for one (config, channel) pair: the
-    `FrameSolver`, the frame-0 table (solved at Z = 0, values included) and
-    a memo of recent action tables.
+    `FrameSolver`, the frame-0 table `frame0` (solved at Z = 0, values
+    included, when the FrameTables is built) and a memo of recent action
+    tables.
 
     The memo maps a frozen debt to its flattened int8 actions and their
     certified radius, least recently used first out, and holds at most
-    `_TABLE_MEMO_BYTES` of tables. Runs of the same pair may share one
+    `_TABLE_MEMO_BYTES` of tables. The frame-0 table outlives the memo: a
+    lookup at Z = 0 always finds it. Runs of the same pair may share one
     FrameTables (the CLI shares it across the seeds of one V): every table it
     hands out is the one a fresh solve at the asked debt would write.
     """
 
     def __init__(self, cfg: FrameConfig, model: ChannelModel):
         self.solver = FrameSolver(cfg, model)
-        self.frame0: PolicyTable | None = None
+        self.frame0 = self.solver.solve(0.0)
+        self._frame0_entry = (memoryview(self.frame0.actions.reshape(-1)), self.frame0.radius)
         self._memo: dict[float, tuple[memoryview, float]] = {}
         self._capacity = _TABLE_MEMO_BYTES // (cfg.T * self.solver.space.n_states)
-
-    def first(self) -> tuple[PolicyTable, int]:
-        """(the frame-0 table, FRESH or EXACT), solving it on first use."""
-        found = EXACT
-        if self.frame0 is None:
-            self.frame0 = self.solver.solve(0.0)
-            found = FRESH
-        self._memo.pop(0.0, None)
-        self._keep(0.0, (memoryview(self.frame0.actions.reshape(-1)), self.frame0.radius))
-        return self.frame0, found
 
     def actions(self, frozen_z: float) -> tuple[memoryview, int]:
         """(the flattened (T, S) action table for `frozen_z`, how it was found).
 
-        The table stored at `frozen_z` itself comes first; otherwise the
-        least recently used table whose certified radius covers `frozen_z`;
-        otherwise a fresh solve, which joins the memo.
+        The table stored at `frozen_z` itself, or at Z = 0 the frame-0 table,
+        comes first; otherwise the least recently used table whose certified
+        radius covers `frozen_z`; otherwise a fresh solve, which joins the
+        memo.
         """
         memo = self._memo
         key, found = frozen_z, EXACT
-        entry = memo.pop(key, None)
+        entry = memo.pop(key, None) or (self._frame0_entry if key == 0.0 else None)
         if entry is None:
             for key, (_, radius) in memo.items():
                 if abs(frozen_z - key) <= radius:
@@ -265,9 +261,10 @@ def run_simulation(
 
     The controller takes its tables from `tables`, or from a FrameTables of
     its own when given none; only Metrics.diagnostics depends on which.
-    The loop runs frame by frame: at each frame start the controller takes
-    its table for the frame's frozen debt from them (solved, or reused at
-    the same float debt or within a certified radius), then an inner loop
+    The loop runs frame by frame: at each frame start, the first included,
+    the controller takes its table for the frame's frozen debt from them
+    (solved, or reused at the same float debt or within a certified radius;
+    frame 0 reuses the table solved when they were built), then an inner loop
     steps the frame's slots (the last frame may be partial). Per slot it
     reads the channel uniforms and the frame's (T, S) action table, and
     writes the six trajectory arrays, through memoryviews, so no slot
@@ -308,7 +305,7 @@ def run_simulation(
     # baseline's is built once. uniform_random draws from feasible_actions of
     # the state, indexed by queue > 0, with the same act_rng call as
     # baseline_decision.
-    table = frame0_policy = None
+    table = None
     if policy == PolicyKind.DRIFT_PLUS_PENALTY:
         if tables is None:
             tables = FrameTables(cfg, model)
@@ -343,11 +340,7 @@ def run_simulation(
     rho = cfg.rho
     for start in range(0, horizon_slots, T):
         if tables is not None:
-            if start:
-                table, found = tables.actions(round(z / bucket) * bucket if bucket else z)
-            else:
-                frame0_policy, found = tables.first()
-                table = memoryview(frame0_policy.actions.reshape(-1))
+            table, found = tables.actions(round(z / bucket) * bucket if bucket else z)
             lookups[found] += 1
         stop = min(start + T, horizon_slots)
         offset = 0  # of slot t's row in the flattened table
@@ -408,7 +401,6 @@ def run_simulation(
         per_frame_deliveries=per_frame,
         aoi_histogram=hist,
         schedule_fractions=fractions,
-        frame0_policy=frame0_policy,
         warnings=warnings,
         diagnostics=dict(zip(LOOKUP_KEYS, lookups)),
     )

@@ -113,8 +113,13 @@ def test_stationary_state_draw():
 
 
 def test_mean_success_prob():
-    assert mean_success_prob(IIDChannel(0.4, 0.7), 2) == 0.7
-    assert mean_success_prob(GilbertElliotChannel(0.9, 0.6, 0.9, 0.6), 2) == pytest.approx(6 / 7)
+    iid, ge = IIDChannel(0.4, 0.7), GilbertElliotChannel(0.9, 0.6, 0.9, 0.6)
+    assert mean_success_prob(iid, 2) == 0.7
+    assert mean_success_prob(ge, 2) == pytest.approx(6 / 7)
+    for model in (iid, ge):
+        for user in (0, 3):
+            with pytest.raises(ValueError, match=f"user must be 1 or 2, got {user}"):
+                mean_success_prob(model, user)
 
 
 def test_probability_validation():

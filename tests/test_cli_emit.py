@@ -1,9 +1,9 @@
 """Block formatting of the per-cell tables, checked on synthetic runs.
 
 `cli.emit_outputs` formats each block of rows through a fresh repr memo. These
-tests build `Metrics` directly, so no solver runs: every written row must be
-the row formatted on its own (floats as `repr`), and the memo must stay
-bounded by the block, never by the horizon.
+tests build `Metrics` and frame-0 tables directly, so no solver runs: every
+written row must be the row formatted on its own (floats as `repr`), and the
+memo must stay bounded by the block, never by the horizon.
 """
 
 import math
@@ -32,8 +32,10 @@ SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-320,
            1e16, -1e16, 1.7976931348623157e308, 0.1, 0.30000000000000004]
 
 
-def synthetic_metrics(z: np.ndarray, values: np.ndarray, rng: np.random.Generator) -> Metrics:
-    """A run of len(z) - 1 slots with debt trajectory z and frame-0 values."""
+def synthetic_run(z: np.ndarray, values: np.ndarray,
+                  rng: np.random.Generator) -> tuple[Metrics, PolicyTable]:
+    """A run of len(z) - 1 slots with debt trajectory z, and a frame-0 table
+    with the given values."""
     n, T = z.size - 1, CFG.T
     actions = rng.integers(3, size=n).astype(np.int8)
     d1 = ((actions == 0) & (rng.random(n) < 0.5)).astype(np.int8)
@@ -48,8 +50,8 @@ def synthetic_metrics(z: np.ndarray, values: np.ndarray, rng: np.random.Generato
         actions=actions, d1=d1, d2=d2, z_trajectory=z,
         per_frame_deliveries=d2[: frames * T].reshape(frames, T).sum(axis=1).astype(np.int32),
         aoi_histogram=np.bincount(aoi, minlength=CFG.A_max + 1)[1:],
-        schedule_fractions=np.full((T, 3), 1 / 3), frame0_policy=table,
-    )
+        schedule_fractions=np.full((T, 3), 1 / 3),
+    ), table
 
 
 def summary_of(m: Metrics) -> cli.RunSummary:
@@ -58,11 +60,11 @@ def summary_of(m: Metrics) -> cli.RunSummary:
                           bounds=None, warnings=[], wall_clock_s=0.0)
 
 
-def rows_one_at_a_time(m: Metrics, thin: int) -> dict[str, list[str]]:
-    """The table rows of `m`, each formatted on its own from Python values."""
+def rows_one_at_a_time(m: Metrics, table: PolicyTable, thin: int) -> dict[str, list[str]]:
+    """The table rows of `m` and of its frame-0 `table`, each formatted on its
+    own from Python values."""
     aoi, z, a, d1, d2 = (x.tolist() for x in (m.aoi, m.z_trajectory, m.actions, m.d1, m.d2))
     frame_z, deliveries = m.frame_start_z.tolist(), m.per_frame_deliveries.tolist()
-    table = m.frame0_policy
     return {
         "slots.csv": [f"{t},{aoi[t]},{z[t]!r},{ACTION_LABELS[a[t]]},{d1[t]},{d2[t]}"
                       for t in range(0, m.horizon_slots, thin)],
@@ -91,17 +93,17 @@ def float_arrays(draw, size: int) -> np.ndarray:
 def test_memoised_fields_equal_repr(block, data, n, thin):
     z = data.draw(float_arrays(n + 1))
     values = data.draw(float_arrays((CFG.T + 1) * SPACE.n_states)).reshape(CFG.T + 1, -1)
-    m = synthetic_metrics(z, values, np.random.default_rng(n))
+    m, table = synthetic_run(z, values, np.random.default_rng(n))
     saved = cli.BLOCK_ROWS
     cli.BLOCK_ROWS = block
     try:
         with tempfile.TemporaryDirectory() as tmp:
-            cli.emit_outputs(m, summary_of(m), tmp, thin=thin, dump_policy=True)
+            cli.emit_outputs(m, summary_of(m), tmp, thin=thin, policy=table)
             written = {name: (Path(tmp) / name).read_text(encoding="utf-8").splitlines()[1:]
                        for name in ("slots.csv", "frames.csv", "policy_frame0.csv")}
     finally:
         cli.BLOCK_ROWS = saved
-    assert written == rows_one_at_a_time(m, thin)
+    assert written == rows_one_at_a_time(m, table, thin)
 
 
 def test_emit_memory_is_bounded_by_the_block(tmp_path):
@@ -111,11 +113,11 @@ def test_emit_memory_is_bounded_by_the_block(tmp_path):
     # string and one memo per block; the bound is ten times the former.
     n = 200_000
     z = np.cumsum(np.random.default_rng(0).random(n + 1))
-    m = synthetic_metrics(z, np.zeros((CFG.T + 1, SPACE.n_states)), np.random.default_rng(1))
-    cli.emit_outputs(m, summary_of(m), tmp_path / "warm", dump_policy=True)
+    m, table = synthetic_run(z, np.zeros((CFG.T + 1, SPACE.n_states)), np.random.default_rng(1))
+    cli.emit_outputs(m, summary_of(m), tmp_path / "warm", policy=table)
     tracemalloc.start()
     try:
-        cli.emit_outputs(m, summary_of(m), tmp_path, dump_policy=True)
+        cli.emit_outputs(m, summary_of(m), tmp_path, policy=table)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

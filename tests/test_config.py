@@ -122,9 +122,10 @@ def test_model_invariant_names_key(old, new, key):
     assert str(exc.value).startswith(f"{key}: must ")
 
 
-@pytest.mark.parametrize("v_text", ["2, 2.0", "1 0 1", "0.1 0.1000001"])
+@pytest.mark.parametrize("v_text", ["2, 2.0", "1 0 1", "0.1 0.1000001", "0 -0"])
 def test_duplicate_v_rejected(v_text):
-    # values that print alike under {v:g} would share one cell directory
+    # values that print alike under {v:g} would share one cell directory, and
+    # equal values (0 and -0, in V0 and V-0) would share one pooled row
     with pytest.raises(ConfigError) as exc:
         parse_config_text(BASIC.replace("V = 0, 1.5", f"V = {v_text}"))
     assert exc.value.key == "V"

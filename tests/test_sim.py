@@ -153,15 +153,20 @@ def forbid_compute(monkeypatch):
 def test_run_rule_at_library_boundary(rule, monkeypatch):
     cfg, key = RUN_RULES[rule]
 
-    def run():
+    def run(tables=None):
         return run_simulation(cfg.frame_config(cfg.V[0]), cfg.channel, cfg.policy,
                               cfg.horizon_slots, cfg.seed, warmup_slots=cfg.warmup_slots,
-                              z_cache_bucket=cfg.z_cache_bucket)
+                              z_cache_bucket=cfg.z_cache_bucket, tables=tables)
 
     if key is None:
-        m = run()
+        tables = None
+        if cfg.policy == PolicyKind.DRIFT_PLUS_PENALTY:
+            tables = sim.FrameTables(cfg.frame_config(cfg.V[0]), cfg.channel)
+        m = run(tables)
         assert math.isfinite(m.delivery_mean)
-        assert m.frame0_policy is None or m.frame0_policy.frozen_z == 0.0
+        # frame 0 looks its debt up, however it rounds, as the Z = 0 table
+        assert tables is None or (tables.frame0.frozen_z == 0.0
+                                  and m.diagnostics["exact_hits"] >= 1)
         return
     forbid_compute(monkeypatch)
     with pytest.raises(ValueError) as exc:
@@ -245,15 +250,28 @@ def fresh_solve_every_frame(monkeypatch):
     monkeypatch.setattr(sim, "_TABLE_MEMO_BYTES", 0)
 
 
+def dpp_run(v=5.0, **kw) -> tuple[sim.Metrics, sim.FrameTables]:
+    """A small_run of the controller, and the FrameTables it used."""
+    tables = sim.FrameTables(reference_cfg(v), reference_model())
+    return small_run(v=v, tables=tables, **kw), tables
+
+
+def assert_same_tables(a, b) -> None:
+    """PolicyTables a and b are the same bits."""
+    assert a.frozen_z.hex() == b.frozen_z.hex() and a.radius.hex() == b.radius.hex()
+    assert a.values.tobytes() == b.values.tobytes()
+    assert a.actions.tobytes() == b.actions.tobytes()
+
+
 def assert_same_metrics(expected, actual) -> None:
+    """Runs `expected` and `actual`, each (Metrics, the FrameTables it used),
+    are the same bits, frame-0 table included."""
+    (expected, expected_tables), (actual, actual_tables) = expected, actual
     for name in ("aoi", "queue", "actions", "d1", "d2", "z_trajectory",
                  "per_frame_deliveries", "aoi_histogram", "schedule_fractions"):
         a, b = getattr(expected, name), getattr(actual, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-    a, b = expected.frame0_policy, actual.frame0_policy
-    assert a.frozen_z == b.frozen_z
-    assert a.values.tobytes() == b.values.tobytes()
-    assert a.actions.tobytes() == b.actions.tobytes()
+    assert_same_tables(expected_tables.frame0, actual_tables.frame0)
     assert expected.warnings == actual.warnings
 
 
@@ -271,8 +289,10 @@ def test_table_memo_matches_fresh_solves(v, chan, bucket, budget, monkeypatch):
     # same run, bit for bit, as a fresh solve at every frame start; the
     # horizon ends in a partial frame.
     def run():
+        tables = sim.FrameTables(reference_cfg(v), CHANNELS[chan])
         return run_simulation(reference_cfg(v), CHANNELS[chan], PolicyKind.DRIFT_PLUS_PENALTY,
-                              PARTIAL_HORIZON, 3, warmup_slots=100, z_cache_bucket=bucket)
+                              PARTIAL_HORIZON, 3, warmup_slots=100, z_cache_bucket=bucket,
+                              tables=tables), tables
 
     if MEMO_BUDGETS[budget] is not None:
         monkeypatch.setattr(sim, "_TABLE_MEMO_BYTES", MEMO_BUDGETS[budget])
@@ -287,30 +307,54 @@ def test_certified_reuse_matches_fresh_solves(v, monkeypatch):
     # memo's reuse here is mostly certified: a table reused within its
     # radius must give the same run, bit for bit, as a fresh solve at every
     # frame start.
-    memo = small_run(v=v, horizon=20_000)
+    memo, memo_tables = dpp_run(v=v, horizon=20_000)
     assert memo.diagnostics["certified_hits"] > 0
     assert sum(memo.diagnostics.values()) == memo.frames
     fresh_solve_every_frame(monkeypatch)
-    fresh = small_run(v=v, horizon=20_000)
-    assert fresh.diagnostics == dict(fresh_solves=fresh.frames, exact_hits=0, certified_hits=0)
-    assert_same_metrics(fresh, memo)
+    fresh, fresh_tables = dpp_run(v=v, horizon=20_000)
+    # frame 0 finds the table solved when the tables were built
+    assert fresh.diagnostics == dict(fresh_solves=fresh.frames - 1, exact_hits=1,
+                                     certified_hits=0)
+    assert_same_metrics((fresh, fresh_tables), (memo, memo_tables))
 
 
 def test_shared_tables_match_own_tables():
-    # Seeds that share one FrameTables run as they do alone; the later seeds
-    # reuse the first one's frame-0 table, and the sharing shows only in
-    # the diagnostics.
-    cfg, model = reference_cfg(150.0), reference_model()
+    # Seeds that share one FrameTables run as they do alone, and the sharing
+    # shows only in the diagnostics: at V = 5 the later seeds reuse the
+    # earlier ones' tables, at their own debts and within certified radii.
+    cfg, model = reference_cfg(5.0), reference_model()
     tables = sim.FrameTables(cfg, model)
-    shared = [small_run(v=150.0, horizon=2_000, seed=seed, tables=tables) for seed in (1, 2, 3)]
+    shared = [small_run(v=5.0, horizon=2_000, seed=seed, tables=tables) for seed in (1, 2, 3)]
     for seed, m in zip((1, 2, 3), shared):
-        alone = small_run(v=150.0, horizon=2_000, seed=seed)
-        assert_same_metrics(alone, m)
-        assert m.frame0_policy is shared[0].frame0_policy
+        alone = dpp_run(v=5.0, horizon=2_000, seed=seed)
+        assert_same_metrics(alone, (m, tables))
         if seed > 1:
-            assert m.diagnostics["fresh_solves"] < alone.diagnostics["fresh_solves"]
+            assert m.diagnostics["fresh_solves"] < alone[0].diagnostics["fresh_solves"]
     with pytest.raises(ValueError, match="tables"):
-        small_run(v=5.0, horizon=2_000, tables=tables)
+        small_run(v=150.0, horizon=2_000, tables=tables)
+
+
+@pytest.mark.parametrize("budget", [None, 0], ids=["default", "zero"])
+def test_frame_tables_solve_frame0_once(budget, monkeypatch):
+    # A FrameTables solves the Z = 0 table when it is built, and every run
+    # that shares it looks frame 0 up there: the solves are that one plus
+    # the runs' fresh solves, and frame 0 is never solved again, even when
+    # the memo holds no table at all.
+    cfg, model = reference_cfg(150.0), reference_model()
+    own = sim.FrameSolver(cfg, model).solve(0.0)
+    if budget is not None:
+        monkeypatch.setattr(sim, "_TABLE_MEMO_BYTES", budget)
+    calls = count_solves(monkeypatch)
+    tables = sim.FrameTables(cfg, model)
+    assert calls == [0.0]
+    assert_same_tables(tables.frame0, own)
+    runs = [small_run(v=150.0, horizon=2_000, seed=seed, tables=tables) for seed in (1, 2, 3)]
+    assert len(calls) == 1 + sum(m.diagnostics["fresh_solves"] for m in runs)
+    assert calls.count(0.0) == 1
+    if budget == 0:
+        for m in runs:
+            assert m.diagnostics == dict(fresh_solves=m.frames - 1, exact_hits=1,
+                                         certified_hits=0)
 
 
 def test_baselines_report_no_table_lookups():
@@ -361,23 +405,24 @@ def test_table_memo_memory_is_bounded_by_its_budget(cfg, frames, bucket, monkeyp
     # of every bucketed PolicyTable, values included, about 28 MB.
     model = reference_model()
 
-    def traced_peak(bucket: float) -> tuple[int, sim.Metrics]:
+    def traced_peak(bucket: float) -> tuple[int, sim.Metrics, sim.FrameTables]:
         run = (cfg, model, PolicyKind.DRIFT_PLUS_PENALTY)
         run_simulation(*run, cfg.T, 0, z_cache_bucket=bucket)  # warm caches
+        tables = sim.FrameTables(cfg, model)
         tracemalloc.start()
         try:
-            m = run_simulation(*run, frames * cfg.T, 0, z_cache_bucket=bucket)
+            m = run_simulation(*run, frames * cfg.T, 0, z_cache_bucket=bucket, tables=tables)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        return peak, m
+        return peak, m, tables
 
     budget = sim._TABLE_MEMO_BYTES
-    with_memo, m = traced_peak(bucket)
+    with_memo, m, tables = traced_peak(bucket)
     start_z = m.frame_start_z[:frames].tolist()
     if bucket:
         keys = {round(z / bucket) * bucket for z in start_z}
-        assert len(keys) > budget // m.frame0_policy.actions.nbytes
+        assert len(keys) > budget // tables.frame0.actions.nbytes
     else:
         assert len(set(start_z)) == frames
     fresh_solve_every_frame(monkeypatch)
@@ -389,11 +434,11 @@ def test_z_cache_bucket_solves_each_multiple_once(monkeypatch):
     # one table, solved at that multiple; the first frame's is solved at 0.
     monkeypatch.setattr(sim, "_TABLE_MEMO_BYTES", 1 << 30)
     calls = count_solves(monkeypatch)
-    m = small_run(horizon=3_000, z_cache_bucket=0.5)
+    m, tables = dpp_run(horizon=3_000, z_cache_bucket=0.5)
     keys = [round(z / 0.5) * 0.5 for z in m.frame_start_z[: m.frames].tolist()]
     assert calls == list(dict.fromkeys(keys))
     assert len(calls) < m.frames
-    assert m.frame0_policy.frozen_z == 0.0
+    assert tables.frame0.frozen_z == 0.0
 
 
 def test_z_cache_bucket_changes_little():

@@ -1,4 +1,5 @@
-"""Golden outputs of `run_simulation`: every Metrics array, hashed.
+"""Golden outputs of `run_simulation`: every Metrics array, and the
+controller's frame-0 table, hashed.
 
 The digests pin the closed loop bit for bit across refactors of the slot
 loop, for both channel models, every policy and the discounted objective,
@@ -13,7 +14,7 @@ import pytest
 
 from aoi_dpp.channel import GilbertElliotChannel, IIDChannel
 from aoi_dpp.model import FrameConfig
-from aoi_dpp.sim import PolicyKind, run_simulation
+from aoi_dpp.sim import FrameTables, PolicyKind, run_simulation
 
 CHANNELS = {
     "ge": GilbertElliotChannel(p11_1=0.9, p01_1=0.6, p11_2=0.9, p01_2=0.6),
@@ -57,11 +58,15 @@ def metrics_digest(
     chan: str, policy: PolicyKind, v: float, discount: float, horizon: int = 1_000
 ) -> str:
     cfg = FrameConfig(T=20, K=15, q=12.0, A_max=20, V=v, discount=discount)
-    m = run_simulation(cfg, CHANNELS[chan], policy, horizon, 7, warmup_slots=100)
+    tables = None
+    if policy == PolicyKind.DRIFT_PLUS_PENALTY:
+        tables = FrameTables(cfg, CHANNELS[chan])
+    m = run_simulation(cfg, CHANNELS[chan], policy, horizon, 7, warmup_slots=100,
+                       tables=tables)
     h = hashlib.sha256()
     arrays = [getattr(m, name) for name in ARRAYS]
-    if m.frame0_policy is not None:
-        arrays += [m.frame0_policy.values, m.frame0_policy.actions]
+    if tables is not None:
+        arrays += [tables.frame0.values, tables.frame0.actions]
     for arr in arrays:
         arr = np.ascontiguousarray(arr)
         h.update(f"{arr.dtype.str}{arr.shape}".encode())
