@@ -71,8 +71,9 @@ class BoundsReport:
 def update_virtual_queue(z: float, d2: int, rho: float) -> float:
     """One slot of debt dynamics: Z <- max(Z - d2, 0) + rho. Applied every slot.
 
-    `sim.run_simulation` inlines this law in its slot loop; this function is
-    its specification, and `tests/test_sim.py` checks every slot of the loop
+    `sim.run_simulation` inlines this law in its slot loop, where it is the
+    one update that is not a successor-list read; this function is its
+    specification, and `tests/test_sim.py` checks every slot of the loop
     against it bit for bit.
     """
     return max(z - d2, 0.0) + rho

@@ -17,10 +17,15 @@ bit-reproducible from (config, model, policy, horizon, seed): channel
 randomness, action randomness (uniform baseline) and the initial channel
 draw come from separately spawned streams of one seed.
 
-The slot loop is the hot path of every long run, so it runs at interpreter
-speed on plain ints and floats, reading and writing arrays through memoryviews,
-with the age, queue and debt laws of `model` and `lyapunov` inlined; those
-functions stay its executable specification (see `run_simulation`).
+The slot loop is the hot path of every long run, so it does as little per
+slot as it can, at interpreter speed on plain ints and floats. The channel
+does not depend on the actions, so both links' outcomes for the whole
+horizon are computed in NumPy before the loop, one int8 code a slot. The
+loop then walks dense state indices: one action-table read and one
+successor-list read per slot, with the debt law of `lyapunov` inlined. Age,
+queue and deliveries are decoded from the visited states, the actions and
+the channel codes after the loop. The age, queue and debt laws of `model`
+and `lyapunov` stay its executable specification (see `run_simulation`).
 """
 
 from __future__ import annotations
@@ -143,11 +148,95 @@ def baseline_decision(
     raise ValueError(f"{policy} is not a baseline; run it through the controller")
 
 
+class _StateWalk:
+    """The slot loop's per-state lists for one state space, as Python lists
+    sharing one int object per state:
+
+    - successor[(3 * s + a) * 4 + code]: the state after one slot in state s
+      under action a, when the slot's channel outcome is code = 2 * m1' + m2'
+      (each GOOD = 1 or BAD = 0), m1' and m2' being the states the users'
+      links land in, and the new channel memory for Gilbert-Elliot links;
+    - refill[s]: s with its queue refilled to K, after a full frame;
+    - queued[s]: whether s has a packet queued (uniform_random's choice).
+    """
+
+    def __init__(self, space: StateSpace, K: int):
+        aoi, queue, mem = space.parts()
+        code = np.arange(4)
+        landed1, landed2 = code >> 1 == GOOD, code & 1 == GOOD
+        action = np.arange(3)[:, None]
+        w1, w2 = space.mem_weights
+        successor = space.successor(aoi[:, None, None], queue[:, None, None],
+                                    (action == Action.USER1) & landed1,
+                                    (action == Action.USER2) & landed2,
+                                    w1 * landed1 + w2 * landed2)
+        states = np.arange(space.n_states).astype(object)
+        self.successor = states[successor.ravel()].tolist()
+        self.refill = states[space.index_parts(aoi, K, mem)].tolist()
+        self.queued = (queue > 0).tolist()
+
+
+def _landings(u: np.ndarray, p01: float, p11: float, first: int) -> np.ndarray:
+    """Whether a Gilbert-Elliot link lands Good at each slot (bool), from
+    its per-slot uniforms `u` and its state `first` before slot 0.
+
+    Slot t lands Good when u[t] < (p11 if the link was Good, else p01), the
+    comparison `channel.step_channel` makes. A draw below both probabilities
+    lands Good and one at or above both lands Bad, whatever the link was;
+    one in between keeps the state when p01 <= p11 and flips it when
+    p01 > p11. So the state xor the parity of the flips so far is the one
+    the last deciding draw left: a running maximum of 2 (t + 1) + that value
+    at the deciding slots, and `first` at the others, carries it forward.
+    That key takes the smallest unsigned type holding 2 len(u) + 1: 4 bytes
+    a slot up to 2**31 - 1 slots, and no other temporary takes more than 1.
+    """
+    lo, hi = min(p01, p11), max(p01, p11)
+    good = u < lo
+    between = u < hi
+    between ^= good
+    flips = np.logical_xor.accumulate(between) if p01 > p11 else False
+    key = np.arange(2, 2 * len(u) + 2, 2, dtype=np.min_scalar_type(2 * len(u) + 1))
+    key += good ^ flips
+    key[between] = first
+    np.maximum.accumulate(key, out=key)
+    key &= 1
+    landed = key.astype(bool)
+    landed ^= flips
+    return landed
+
+
+def _channel_codes(
+    model: ChannelModel, horizon_slots: int, chan_rng: np.random.Generator,
+    init_rng: np.random.Generator,
+) -> tuple[tuple[int, int], np.ndarray]:
+    """(the links' states before slot 0, the int8 outcome code
+    2 * m1' + m2' of every slot), m1' and m2' the states the links land in.
+
+    The channel does not depend on the actions, so the whole horizon is
+    drawn here, before the loop: each slot's uniforms are one row of a
+    (horizon, 2) draw for Gilbert-Elliot links, whose first states come from
+    their stationary laws, and one shared draw for i.i.d. links, which start
+    Bad. The uniforms are freed on return.
+    """
+    if isinstance(model, GilbertElliotChannel):
+        u = chan_rng.random((horizon_slots, 2))
+        first = stationary_state(model, init_rng)
+        code = _landings(u[:, 0], model.p01_1, model.p11_1, first[0]).view(np.int8)
+        code <<= 1
+        code |= _landings(u[:, 1], model.p01_2, model.p11_2, first[1])
+        return first, code
+    u = chan_rng.random(horizon_slots)
+    code = (u < model.p1).view(np.int8)
+    code <<= 1
+    code |= u < model.p2
+    return (BAD, BAD), code
+
+
 class FrameTables:
     """The controller's frame tables for one (config, channel) pair: the
     `FrameSolver`, the frame-0 table `frame0` (solved at Z = 0, values
-    included, when the FrameTables is built) and a memo of recent action
-    tables.
+    included, when the FrameTables is built), the slot loop's `walk` over
+    the solver's state space, and a memo of recent action tables.
 
     The memo maps a frozen debt to its flattened int8 actions and their
     certified radius, least recently used first out, and holds at most
@@ -159,6 +248,7 @@ class FrameTables:
 
     def __init__(self, cfg: FrameConfig, model: ChannelModel):
         self.solver = FrameSolver(cfg, model)
+        self.walk = _StateWalk(self.solver.space, cfg.K)
         self.frame0 = self.solver.solve(0.0)
         self._frame0_entry = (memoryview(self.frame0.actions.reshape(-1)), self.frame0.radius)
         self._memo: dict[float, tuple[memoryview, float]] = {}
@@ -261,18 +351,27 @@ def run_simulation(
 
     The controller takes its tables from `tables`, or from a FrameTables of
     its own when given none; only Metrics.diagnostics depends on which.
-    The loop runs frame by frame: at each frame start, the first included,
-    the controller takes its table for the frame's frozen debt from them
-    (solved, or reused at the same float debt or within a certified radius;
-    frame 0 reuses the table solved when they were built), then an inner loop
-    steps the frame's slots (the last frame may be partial). Per slot it
-    reads the channel uniforms and the frame's (T, S) action table, and
-    writes the six trajectory arrays, through memoryviews, so no slot
-    touches a NumPy scalar. It inlines the model laws `model.step_aoi`,
-    `model.step_queue` (the refill to K happens once, after a full frame's
-    last slot) and `lyapunov.update_virtual_queue`;
-    `tests/test_sim.py::test_loop_follows_model_laws` checks every slot
-    against them.
+    Each link's Good/Bad outcome at every slot is computed before the loop
+    (see `_channel_codes`), and the draws are freed before the trajectory
+    arrays are allocated. The loop runs frame by frame: at each frame start,
+    the first included, the controller takes its table for the frame's
+    frozen debt from them (solved, or reused at the same float debt or
+    within a certified radius; frame 0 reuses the table solved when they
+    were built), then an inner loop steps the frame's slots (the last frame
+    may be partial). Per slot it records the state index s and the debt,
+    reads the action at s from the frame's (T, S) action table (uniform_random
+    draws it instead), applies `lyapunov.update_virtual_queue` inline, and
+    moves s to its successor under the action and the slot's channel code;
+    after a full frame's last slot the queue refills to K. The successor and
+    refill lists (see `_StateWalk`) encode `model.step_aoi` and
+    `model.step_queue`; they are built once per FrameTables, and once per
+    run for a baseline. Arrays are read and written through memoryviews, so
+    no slot touches a NumPy scalar. After the loop, age and queue are decoded
+    from the recorded states, and the deliveries from the actions and the
+    channel codes. `tests/test_sim.py::test_loop_follows_model_laws` checks
+    every slot against the model laws, and
+    `test_run_matches_reference_loop` checks the trajectories against a
+    plain per-slot loop.
     """
     check_run_inputs(cfg.T, model, horizon_slots, seed, warmup_slots, z_cache_bucket)
     if tables is not None and (tables.solver.cfg != cfg or tables.solver.model != model):
@@ -285,20 +384,13 @@ def run_simulation(
     except lyapunov.InfeasibleError as err:
         warnings.append(str(err))
 
-    # One channel step: user i is Good this slot when u_i[t] < g_i[previous
-    # state], g_i = (P(Good | Bad), P(Good | Good)); i.i.d. users share u.
+    # The run's three streams: channel draws, uniform_random's action
+    # draws, and the Gilbert-Elliot links' first states.
     chan_ss, act_ss, init_ss = np.random.SeedSequence(seed).spawn(3)
-    chan_rng = np.random.default_rng(chan_ss)
-    act_rng = np.random.default_rng(act_ss)
-    if isinstance(model, GilbertElliotChannel):
-        u1, u2 = chan_rng.random((horizon_slots, 2)).T
-        g1, g2 = (model.p01_1, model.p11_1), (model.p01_2, model.p11_2)
-        m1, m2 = stationary_state(model, np.random.default_rng(init_ss))
-    else:
-        u1 = u2 = chan_rng.random(horizon_slots)
-        g1, g2 = (model.p1, model.p1), (model.p2, model.p2)
-        m1 = m2 = BAD
-    u1, u2 = memoryview(u1), memoryview(u2)
+    (m1, m2), code_arr = _channel_codes(model, horizon_slots, np.random.default_rng(chan_ss),
+                                        np.random.default_rng(init_ss))
+    code = memoryview(code_arr)
+    draw = np.random.default_rng(act_ss).integers
 
     # Every policy but uniform_random reads a (T, S) action table, flattened:
     # the controller takes one per frame from `tables`, a deterministic
@@ -309,10 +401,11 @@ def run_simulation(
     if policy == PolicyKind.DRIFT_PLUS_PENALTY:
         if tables is None:
             tables = FrameTables(cfg, model)
-        space = tables.solver.space
+        space, walk = tables.solver.space, tables.walk
     else:
         tables = None
         space = StateSpace(cfg, model)
+        walk = _StateWalk(space, K)
         if policy != PolicyKind.UNIFORM_RANDOM:
             row = np.array([baseline_decision(policy, state) for state in space.states()],
                            dtype=np.int8)
@@ -320,23 +413,18 @@ def run_simulation(
     options = tuple(
         tuple(map(int, feasible_actions(SystemState(1, queue)))) for queue in (0, 1)
     )
-    draw = act_rng.integers
-    index = space.index_parts
-    w1, w2 = space.mem_weights
+    successor, refill, queued = walk.successor, walk.refill, walk.queued
     S = space.n_states
+    w1, w2 = space.mem_weights
     lookups = [0] * len(LOOKUP_KEYS)  # indexed by FRESH, EXACT, CERTIFIED
 
-    aoi_arr = np.empty(horizon_slots, dtype=np.int32)
-    queue_arr = np.empty(horizon_slots, dtype=np.int32)
+    state_arr = np.empty(horizon_slots, dtype=np.min_scalar_type(S - 1))
     act_arr = np.empty(horizon_slots, dtype=np.int8)
-    d1_arr = np.zeros(horizon_slots, dtype=np.int8)
-    d2_arr = np.zeros(horizon_slots, dtype=np.int8)
     z_arr = np.empty(horizon_slots + 1)
-    aoi_out, queue_out, act_out = memoryview(aoi_arr), memoryview(queue_arr), memoryview(act_arr)
-    d1_out, d2_out, z_out = memoryview(d1_arr), memoryview(d2_arr), memoryview(z_arr)
+    state_out, act_out, z_out = memoryview(state_arr), memoryview(act_arr), memoryview(z_arr)
 
-    USER1, USER2 = int(Action.USER1), int(Action.USER2)
-    aoi, queue, z = 1, K, 0.0
+    USER2 = int(Action.USER2)
+    s, z = space.index_parts(1, K, w1 * m1 + w2 * m2), 0.0
     rho = cfg.rho
     for start in range(0, horizon_slots, T):
         if tables is not None:
@@ -345,44 +433,47 @@ def run_simulation(
         stop = min(start + T, horizon_slots)
         offset = 0  # of slot t's row in the flattened table
         for t in range(start, stop):
-            aoi_out[t] = aoi
-            queue_out[t] = queue
+            state_out[t] = s
             z_out[t] = z
-
             if table is None:
-                choices = options[queue > 0]
+                choices = options[queued[s]]
                 action = choices[draw(len(choices))]
             else:
-                action = table[offset + index(aoi, queue, w1 * m1 + w2 * m2)]
+                action = table[offset + s]
             offset += S
             act_out[t] = action
-
-            m1 = GOOD if u1[t] < g1[m1] else BAD
-            m2 = GOOD if u2[t] < g2[m2] else BAD
-            # step_aoi, then step_queue mid-frame and update_virtual_queue
-            if action == USER1 and m1:
-                d1_out[t] = 1
-                aoi = 1
-            elif aoi < A_max:
-                aoi += 1
-            if action == USER2 and m2:
-                d2_out[t] = 1
-                if queue:
-                    queue -= 1
+            outcome = code[t]
+            if action == USER2 and outcome & 1:  # update_virtual_queue, d2 = 1
                 z -= 1
                 if z < 0.0:
                     z = 0.0
             z += rho
+            s = successor[(3 * s + action) * 4 + outcome]
         if stop - start == T:  # step_queue at a full frame's last slot
-            queue = K
+            s = refill[s]
     z_out[horizon_slots] = z
+
+    # Decode the visited states (index = ((aoi - 1) (K + 1) + queue) M + mem)
+    # and the deliveries (the scheduled user's link landed Good).
+    aoi_arr = np.empty(horizon_slots, dtype=np.int32)
+    queue_arr = np.empty(horizon_slots, dtype=np.int32)
+    np.floor_divide(state_arr, space.mem_count, out=aoi_arr)
+    del state_arr, state_out
+    np.divmod(aoi_arr, K + 1, out=(aoi_arr, queue_arr))
+    aoi_arr += 1
+    d1_arr = code_arr >> 1
+    d1_arr &= act_arr == Action.USER1
+    d2_arr = code_arr & 1
+    d2_arr &= act_arr == Action.USER2
+    del code_arr, code
 
     frames = horizon_slots // T
     per_frame = d2_arr[: frames * T].reshape(frames, T).sum(axis=1).astype(np.int32)
     hist = np.bincount(aoi_arr[warmup_slots:], minlength=A_max + 1)[1:]
-    offsets = np.arange(warmup_slots, horizon_slots) % T
-    counts = np.zeros((T, 3))
-    np.add.at(counts, (offsets, act_arr[warmup_slots:]), 1.0)
+    cells = np.arange(warmup_slots, horizon_slots, dtype=np.int32) % T
+    cells *= 3
+    cells += act_arr[warmup_slots:]
+    counts = np.bincount(cells, minlength=3 * T).reshape(T, 3)
     fractions = counts / counts.sum(axis=1, keepdims=True)
 
     return Metrics(

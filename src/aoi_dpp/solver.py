@@ -54,6 +54,20 @@ class StateSpace:
     def index_parts(self, aoi: int, queue: int, mem_index: int) -> int:
         return ((aoi - 1) * (self.k + 1) + queue) * self.mem_count + mem_index
 
+    def parts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(aoi, queue, mem_index) of every index, as arrays in index order."""
+        rest, mem_index = np.divmod(np.arange(self.n_states), self.mem_count)
+        aoi_part, queue = np.divmod(rest, self.k + 1)
+        return aoi_part + 1, queue, mem_index
+
+    def successor(self, aoi, queue, d1, d2, mem_index):
+        """Index after one slot of the state with this age and queue, by
+        broadcasting: a user-1 delivery d1 resets the age to 1, which grows
+        by one up to A_max otherwise, a user-2 delivery d2 drains the queue
+        by one down to 0, and mem_index is the memory index after the slot."""
+        return self.index_parts(np.where(d1, 1, np.minimum(aoi + 1, self.a_max)),
+                                np.maximum(queue - d2, 0), mem_index)
+
     def index(self, state: SystemState) -> int:
         if not 1 <= state.aoi <= self.a_max or not 0 <= state.queue <= self.k:
             raise UnknownStateError(f"state {state} outside the model domain")
@@ -169,16 +183,12 @@ class FrameSolver:
     def _build_arrays(self) -> None:
         cfg, space = self.cfg, self.space
         success, lands, probs, next_mem = _branch_table(self.model, space)
-        rest, mem = np.divmod(np.arange(space.n_states), space.mem_count)
-        aoi_part, queue = np.divmod(rest, cfg.K + 1)
-        aged = np.minimum(aoi_part + 2, cfg.A_max)  # min(aoi + 1, A_max)
+        aoi, queue, mem = space.parts()
+        aged = np.minimum(aoi + 1, cfg.A_max)
         # delivered[a, b, u]: action a schedules user u+1 and its channel lands Good.
         delivered = np.array([[1, 0], [0, 1], [0, 0]])[:, None, :] * lands
-        next_idx = space.index_parts(
-            np.where(delivered[..., 0], 1, aged[:, None, None]),
-            np.maximum(queue[:, None, None] - delivered[..., 1], 0),
-            next_mem,
-        )
+        next_idx = space.successor(aoi[:, None, None], queue[:, None, None],
+                                   delivered[..., 0], delivered[..., 1], next_mem)
         feasible = np.ones((space.n_states, 3), dtype=bool)
         feasible[:, Action.USER2] = queue > 0
         p1, p2 = success[mem].T

@@ -4,12 +4,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import reference_cfg, reference_model
+from conftest import random_instance, reference_cfg, reference_model
 from test_sim_golden import CHANNELS, PARTIAL_HORIZON
 
 from aoi_dpp import sim
-from aoi_dpp.channel import GilbertElliotChannel, IIDChannel
+from aoi_dpp.channel import BAD, GOOD, GilbertElliotChannel, IIDChannel, stationary_state
 from aoi_dpp.config import (
     ConfigError,
     ExperimentConfig,
@@ -21,6 +23,7 @@ from aoi_dpp.lyapunov import drift_bound, update_virtual_queue
 from aoi_dpp.model import Action, FrameConfig, SystemState, step_aoi, step_queue
 from aoi_dpp.oracle import stationary_aoi_mean
 from aoi_dpp.sim import PolicyKind, baseline_decision, run_simulation
+from aoi_dpp.solver import StateSpace
 
 
 def small_run(v=5.0, policy=PolicyKind.DRIFT_PLUS_PENALTY, horizon=20_000, seed=1, **kw):
@@ -204,9 +207,10 @@ def test_infeasible_target_warns_but_runs():
 @pytest.mark.parametrize("chan", sorted(CHANNELS))
 @pytest.mark.parametrize("policy", list(PolicyKind))
 def test_loop_follows_model_laws(policy, chan):
-    # The slot loop inlines step_aoi, step_queue, update_virtual_queue and
-    # the baselines' baseline_decision; every slot of a run ending in a
-    # partial frame must agree with them.
+    # The slot loop's successor lists encode step_aoi and step_queue, it
+    # inlines update_virtual_queue, and the baselines' tables and draws
+    # follow baseline_decision; every slot of a run ending in a partial
+    # frame must agree with them.
     cfg, seed = reference_cfg(5.0), 3
     m = run_simulation(cfg, CHANNELS[chan], policy, PARTIAL_HORIZON, seed)
     # uniform_random draws from the second of the run's three seed streams
@@ -230,11 +234,102 @@ def test_loop_follows_model_laws(policy, chan):
             assert actions[t] == baseline_decision(policy, state, act_rng), t
 
 
+TRAJECTORIES = ("aoi", "queue", "actions", "d1", "d2", "z_trajectory")
+
+
+def reference_loop(cfg, model, policy, horizon_slots, seed, z_cache_bucket=0.0):
+    """`run_simulation`'s six trajectory arrays, dtypes included, from the
+    plain per-slot loop: each slot looks up the action of its SystemState
+    (in the frame's table, or from `baseline_decision`), draws both users'
+    next channel states from that slot's uniforms, then applies the model
+    laws. The randomness is the run's: channel, action and initial-state
+    streams spawned from `seed`."""
+    T, K, A_max, rho = cfg.T, cfg.K, cfg.A_max, cfg.rho
+    chan_ss, act_ss, init_ss = np.random.SeedSequence(seed).spawn(3)
+    chan_rng, act_rng = np.random.default_rng(chan_ss), np.random.default_rng(act_ss)
+    if isinstance(model, GilbertElliotChannel):
+        u1, u2 = chan_rng.random((horizon_slots, 2)).T.tolist()
+        g1, g2 = (model.p01_1, model.p11_1), (model.p01_2, model.p11_2)
+        m1, m2 = stationary_state(model, np.random.default_rng(init_ss))
+    else:
+        u1 = u2 = chan_rng.random(horizon_slots).tolist()
+        g1, g2 = (model.p1, model.p1), (model.p2, model.p2)
+        m1 = m2 = BAD
+    space = StateSpace(cfg, model)
+    tables = None
+    if policy == PolicyKind.DRIFT_PLUS_PENALTY:
+        tables = sim.FrameTables(cfg, model)
+    out = {name: [] for name in TRAJECTORIES}
+    aoi, queue, z = 1, K, 0.0
+    for t in range(horizon_slots):
+        if tables is not None and t % T == 0:
+            frozen = round(z / z_cache_bucket) * z_cache_bucket if z_cache_bucket else z
+            table = tables.actions(frozen)[0]
+        state = SystemState(aoi, queue, (m1, m2) if space.has_memory else None)
+        if tables is not None:
+            action = table[t % T * space.n_states + space.index(state)]
+        else:
+            action = int(baseline_decision(policy, state, act_rng))
+        m1 = GOOD if u1[t] < g1[m1] else BAD
+        m2 = GOOD if u2[t] < g2[m2] else BAD
+        d1 = int(action == Action.USER1 and m1 == GOOD)
+        d2 = int(action == Action.USER2 and m2 == GOOD)
+        for name, value in zip(TRAJECTORIES, (aoi, queue, action, d1, d2, z)):
+            out[name].append(value)
+        aoi = step_aoi(aoi, d1, A_max)
+        queue = step_queue(queue, d2, (t + 1) % T == 0, K)
+        z = update_virtual_queue(z, d2, rho)
+    out["z_trajectory"].append(z)
+    dtypes = (np.int32, np.int32, np.int8, np.int8, np.int8, np.float64)
+    return {name: np.array(out[name], dtype=dtype) for name, dtype in zip(TRAJECTORIES, dtypes)}
+
+
+def assert_matches_reference_loop(m, model, z_cache_bucket=0.0) -> None:
+    expected = reference_loop(m.cfg, model, m.policy, m.horizon_slots, m.seed, z_cache_bucket)
+    for name in TRAJECTORIES:
+        a, b = expected[name], getattr(m, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        if name == "z_trajectory":
+            assert [x.hex() for x in a.tolist()] == [x.hex() for x in b.tolist()]
+        else:
+            assert np.array_equal(a, b), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(list(PolicyKind)),
+       st.integers(2, 40), st.sampled_from([0.0, 0.25]))
+def test_run_matches_reference_loop(instance_seed, policy, frames, bucket):
+    # Random small instances of both link models (Gilbert-Elliot links
+    # persistent, anti-persistent or mixed), every policy, and a horizon
+    # that ends in a partial frame whenever T > 1.
+    cfg, model, _, _ = random_instance(np.random.default_rng(instance_seed))
+    horizon = frames * cfg.T + instance_seed % cfg.T
+    if policy != PolicyKind.DRIFT_PLUS_PENALTY:
+        bucket = 0.0
+    m = run_simulation(cfg, model, policy, horizon, instance_seed % 1000,
+                       z_cache_bucket=bucket)
+    assert_matches_reference_loop(m, model, bucket)
+
+
+def test_run_with_more_states_than_int16_holds():
+    # 400 * 21 * 4 = 33,600 states. User 2's link keeps the queue from
+    # emptying, so deadline_first never serves user 1, whose age reaches
+    # A_max and the state indices above 32,767.
+    cfg = FrameConfig(T=20, K=20, q=8.0, A_max=400, V=0.0)
+    model = GilbertElliotChannel(p11_1=0.9, p01_1=0.6, p11_2=0.5, p01_2=0.4)
+    assert StateSpace(cfg, model).n_states == 33_600
+    m = run_simulation(cfg, model, PolicyKind.DEADLINE_FIRST, 1_010, 0)
+    assert m.aoi.max() == cfg.A_max
+    assert_matches_reference_loop(m, model)
+
+
 def test_long_baseline_run_memory_peak():
-    # The loop reads the channel uniforms and writes the trajectories through
-    # memoryviews. Its traced peak at 200,000 slots was 10.4 MB with the
-    # earlier loop; a whole-column .tolist() of the two uniform columns would
-    # add about 13 MB.
+    # The channel codes are computed before the loop and the uniforms freed
+    # before the trajectories are allocated; the loop writes the states,
+    # actions and debts through memoryviews. The traced peak at 200,000
+    # slots is 6.5 MB, against 10.3 MB for the loop that read the uniforms
+    # slot by slot and so kept all 3.2 MB of them alive; a whole-column
+    # .tolist() of the two uniform columns would add about 13 MB.
     baseline = dict(policy=PolicyKind.DEADLINE_FIRST, seed=0)
     small_run(horizon=1_000, **baseline)  # imports and caches outside the trace
     tracemalloc.start()

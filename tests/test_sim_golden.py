@@ -2,7 +2,8 @@
 controller's frame-0 table, hashed.
 
 The digests pin the closed loop bit for bit across refactors of the slot
-loop, for both channel models, every policy and the discounted objective,
+loop, for both channel models (Gilbert-Elliot links persistent,
+anti-persistent and memoryless), every policy and the discounted objective,
 over whole frames and over a horizon that ends in a partial frame. A digest
 changes only when the simulated trajectories change.
 """
@@ -21,6 +22,10 @@ CHANNELS = {
     # user 1 never leaves Good, user 2 never leaves Bad once there
     "ge-zero": GilbertElliotChannel(p11_1=1.0, p01_1=0.6, p11_2=0.9, p01_2=0.0),
     "iid": IIDChannel(p1=0.8, p2=0.7),
+    # anti-persistent (p01 > p11): a draw between the two flips the state
+    "ge-anti": GilbertElliotChannel(p11_1=0.2, p01_1=0.7, p11_2=0.5, p01_2=0.95),
+    # memoryless (p01 == p11), through the Gilbert-Elliot path
+    "ge-memoryless": GilbertElliotChannel(p11_1=0.6, p01_1=0.6, p11_2=0.8, p01_2=0.8),
 }
 ARRAYS = (
     "aoi",
@@ -36,7 +41,7 @@ ARRAYS = (
 
 CASES = {
     f"{chan}-{policy.value}-V{v:g}": (chan, policy, v, 1.0)
-    for chan in CHANNELS
+    for chan in ("ge", "ge-zero", "iid")
     for policy in PolicyKind
     for v in (0.0, 5.0)
 }
@@ -46,7 +51,7 @@ CASES["iid-drift_plus_penalty-V5-discount0.9"] = ("iid", PolicyKind.DRIFT_PLUS_P
 PARTIAL_HORIZON = 1_013
 CASES.update(
     (f"{chan}-{policy.value}-V5-partial", (chan, policy, 5.0, 1.0, PARTIAL_HORIZON))
-    for chan in ("ge", "iid")
+    for chan in ("ge", "iid", "ge-anti", "ge-memoryless")
     for policy in PolicyKind
 )
 CASES["ge-zero-drift_plus_penalty-V5-partial"] = (
@@ -115,6 +120,17 @@ GOLDEN = {
     "iid-deadline_first-V5-partial": "ae9bd07b29752fa05b51dc5741cc8797e016810d2f99513f5ac4af9aa48b0747",
     "iid-drift_plus_penalty-V5-partial": "857a228e96e617608b6bc11e3cf69a21267c96cbd90a3db03fdd87fc07ee4b50",
     "iid-uniform_random-V5-partial": "3564addeec19274ffaa71ea07634710adcaa50d1ca6f3564e8d55f560a774872",
+    # Recorded with the loop that drew each slot's channel state from its
+    # uniforms slot by slot, before the channel was computed ahead of the
+    # loop, so they pin the anti-persistent and memoryless chains.
+    "ge-anti-aoi_greedy-V5-partial": "591bad9ba312bb2ff24ccfa24e779d50159d40b4b982ff15f39c6af84c25112c",
+    "ge-anti-deadline_first-V5-partial": "e8c1c1551f97032f8f6c112f8ea86992771e13cf60777e16daf917e86e1d0e92",
+    "ge-anti-drift_plus_penalty-V5-partial": "2b9448fcffd800d807927f4694213a415671481e9aa5534a29583c6044036b8b",
+    "ge-anti-uniform_random-V5-partial": "719ebaf81a8ebeacfe73f715d64ae47484347d4433123df9f8237f1e4a123575",
+    "ge-memoryless-aoi_greedy-V5-partial": "9f34a8cf45c183f731e3e03cbf77334edf2588eebc8be4c936dbd2a66e190dbf",
+    "ge-memoryless-deadline_first-V5-partial": "8d189f1fe5bea1fadb5769b55eae63383e258ecb529056f15bcd75c070ac5b74",
+    "ge-memoryless-drift_plus_penalty-V5-partial": "8ffb8ba51be774c8c717f66e17e889c75e3b7db7fb228aed37d71b5c59ee5c07",
+    "ge-memoryless-uniform_random-V5-partial": "860af3965ce52aa9db1c763588e211af09adc34483835110a01f1df7eb8a55dc",
 }
 
 
