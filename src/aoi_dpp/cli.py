@@ -25,7 +25,7 @@ import os
 import shutil
 import sys
 import time
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -75,64 +75,88 @@ class RunSummary:
         )
 
 
-#: Rows converted from NumPy to Python objects, formatted and written at a
-#: time when writing a long table; whole 100k-slot columns would raise the
-#: peak memory of a run.
+#: Rows formatted and written at a time when writing a table; whole 100k-slot
+#: columns would raise the peak memory of a run.
 BLOCK_ROWS = 1024
 
 POLICY_DUMP = "policy_frame0.csv"
 
-#: The `action,d1,d2\n` tail of a slots.csv row, indexed by 4*action + 2*d1 + d2.
-_SLOT_TAILS = tuple(f"{label},{d1},{d2}\n" for label in ACTION_LABELS
-                    for d1 in (0, 1) for d2 in (0, 1))
+
+def _texts(strings: Iterable[str]) -> np.ndarray:
+    """ASCII strings as the rows of a uint8 matrix, each padded with NULs to
+    the longest."""
+    table = np.array([s.encode("ascii") for s in strings], dtype=bytes)
+    return table.view(np.uint8).reshape(table.size, table.itemsize)
 
 
-class _TailCodes:
-    """The _SLOT_TAILS index of a run's slots, computed for the rows asked for."""
-
-    def __init__(self, metrics: Metrics):
-        self.metrics = metrics
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        m = self.metrics
-        return 4 * m.actions[rows] + 2 * m.d1[rows] + m.d2[rows]
-
-
-class _Reprs(dict):
-    """float -> repr(float), filled on first lookup. Zeros and NaN are never
-    stored: 0.0 == -0.0 though their reprs differ, and NaN never finds itself.
-    Make one per block, so it holds at most one block's distinct values."""
-
-    __slots__ = ()
-
-    def __missing__(self, x: float) -> str:
-        text = repr(x)
-        if x and x == x:
-            self[x] = text
-        return text
+def _ints(values: np.ndarray) -> np.ndarray:
+    """Non-negative integers as `str` writes them, one uint8 row each: the
+    decimal digits right-aligned, leading zeros NUL, so 0 keeps its "0"."""
+    rest = np.array(values, dtype=np.int64)
+    width = len(str(int(rest.max(initial=0))))
+    heads = np.empty((width, rest.size), dtype=np.int64)
+    for place in range(width - 1, -1, -1):
+        heads[place] = rest  # the value without its digits right of `place`
+        rest //= 10
+    lead = heads == 0  # left of the value's first digit
+    lead[-1] = False
+    heads %= 10
+    heads += ord("0")
+    heads[lead] = 0
+    return heads.T.astype(np.uint8)
 
 
-def _write(path: Path, head: str, blocks: Iterable[str] = ()) -> Path:
-    """Write one artifact file: UTF-8 with `\\n` newlines, `head` (a CSV header,
-    or the whole summary.json) and a newline, then each of `blocks` with one
-    `write` call. A block is the text of consecutive table rows (at most
-    BLOCK_ROWS, or one slot of the policy dump), each ending in a newline,
-    joined into one string. Rows write floats as `repr`, the shortest
-    round-trip form."""
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(head + "\n")
-        fh.writelines(blocks)
+def _floats(values: np.ndarray) -> np.ndarray:
+    """Floats as `repr` writes them, one NUL-padded uint8 row each. Each
+    distinct 64-bit pattern is formatted once: comparing bits, not values,
+    keeps 0.0 apart from -0.0 and lets a NaN find itself."""
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    distinct, index = np.unique(bits, return_inverse=True)
+    return _texts(map(repr, distinct.view(np.float64).tolist())).take(index, axis=0)
+
+
+#: A table column (see `_write_table`): a separator, an array of ints or
+#: floats, or a function of the block's row numbers giving its encoded rows.
+_Column = bytes | np.ndarray | Callable[[np.ndarray], np.ndarray]
+
+
+def _encode(column: _Column, rows: np.ndarray) -> np.ndarray:
+    """The encoded rows of one column of a block."""
+    if isinstance(column, bytes):
+        return np.frombuffer(column, np.uint8)[None, :].repeat(rows.size, axis=0)
+    if isinstance(column, np.ndarray):
+        values = column[rows]
+        return _floats(values) if values.dtype.kind == "f" else _ints(values)
+    return column(rows)
+
+
+def _write_table(path: Path, head: str, n: int = 0, columns: Sequence[_Column] = (),
+                 thin: int = 1) -> Path:
+    """Write an artifact file: the `head` line (a CSV header, or the whole
+    summary.json), then every `thin`-th of table rows 0..n-1.
+
+    Rows are written a block of at most BLOCK_ROWS at a time. Each column of
+    a block is encoded as one NUL-padded uint8 row per table row (`_ints`,
+    `_floats`, or a lookup in a `_texts` table); the block's bytes are the
+    columns side by side with every NUL dropped. No artifact holds a NUL,
+    so the bytes are those of formatting each row on its own, with ints as
+    `str` and floats as `repr`, the shortest round-trip form."""
+    step = BLOCK_ROWS * thin
+    with path.open("wb") as fh:
+        fh.write(head.encode("utf-8") + b"\n")
+        for start in range(0, n, step):
+            rows = np.arange(start, min(start + step, n), thin)
+            block = np.concatenate([_encode(c, rows) for c in columns], axis=1)
+            fh.write(block[block != 0].tobytes())
     return path
 
 
-def _column_blocks(n: int, *columns: np.ndarray, thin: int = 1) -> Iterator[tuple]:
-    """(row indices, list of each column's values) for each block of at most
-    BLOCK_ROWS of every `thin`-th of the first n rows. A column is an array,
-    or any object whose slices are arrays."""
-    step = BLOCK_ROWS * thin
-    for start in range(0, n, step):
-        rows = slice(start, min(start + step, n), thin)
-        yield (range(n)[rows], *(col[rows].tolist() for col in columns))
+#: The action labels, indexed by action.
+_ACTIONS = _texts(ACTION_LABELS)
+
+#: The `action,d1,d2\n` tail of a slots.csv row, indexed by 4*action + 2*d1 + d2.
+_SLOT_TAILS = _texts(f"{label},{d1},{d2}\n" for label in ACTION_LABELS
+                     for d1 in (0, 1) for d2 in (0, 1))
 
 
 def emit_outputs(
@@ -145,52 +169,31 @@ def emit_outputs(
     """Write the per-cell artifact files, plus policy_frame0.csv when given a
     `policy`; returns the paths written. The `policy` is the run's frame-0
     table, to format, or an earlier cell's policy_frame0.csv of the same
-    table, to copy.
-
-    Tables are formatted a block of BLOCK_ROWS rows at a time, each block
-    joined into one string and written in one call. The Z columns of
-    slots.csv and frames.csv repeat values, so each block formats them
-    through a fresh `_Reprs` memo; its size is bounded by the block, never by
-    the horizon. The action, d1 and d2 fields of a slots.csv row come from
-    one tuple lookup. The bytes are those of formatting every row on its own.
-    """
+    table, to copy. Every table goes through `_write_table`."""
     if thin < 1:
         raise ValueError(f"thin must be >= 1, got {thin}")
     out = Path(out_dir)
-    hist = metrics.aoi_histogram
+    m = metrics
+    hist = m.aoi_histogram
+    fractions = m.schedule_fractions
+
+    def slot_tails(rows: np.ndarray) -> np.ndarray:
+        return _SLOT_TAILS.take(4 * m.actions[rows] + 2 * m.d1[rows] + m.d2[rows], axis=0)
+
     try:
         out.mkdir(parents=True, exist_ok=True)
         paths = [
-            _write(out / "slots.csv", "t,A,Z,action,d1,d2", (
-                "".join([
-                    f"{t},{aoi},{reprs[z]},{_SLOT_TAILS[c]}"
-                    for t, aoi, z, c in zip(rows, aois, zs, codes)
-                ])
-                for rows, aois, zs, codes in _column_blocks(
-                    metrics.horizon_slots, metrics.aoi, metrics.z_trajectory,
-                    _TailCodes(metrics), thin=thin,
-                )
-                for reprs in (_Reprs(),)
-            )),
-            _write(out / "frames.csv", "frame_index,deliveries,Z_at_frame_start", (
-                "".join([f"{m},{d},{reprs[z]}\n" for m, d, z in zip(rows, ds, zs)])
-                for rows, ds, zs in _column_blocks(
-                    metrics.frames, metrics.per_frame_deliveries, metrics.frame_start_z
-                )
-                for reprs in (_Reprs(),)
-            )),
-            _write(out / "aoi_hist.csv", "aoi_value,count,fraction", (
-                "".join([f"{i + 1},{count},{frac!r}\n"
-                         for i, count, frac in zip(rows, counts, fracs)])
-                for rows, counts, fracs in _column_blocks(hist.size, hist, hist / hist.sum())
-            )),
-            _write(out / "sched_fractions.csv", "slot_in_frame,frac_u1,frac_u2,frac_idle", (
-                "".join([f"{j},{u1!r},{u2!r},{idle!r}\n"
-                         for j, u1, u2, idle in zip(*block)])
-                for block in _column_blocks(metrics.cfg.T, *metrics.schedule_fractions.T)
-            )),
-            _write(out / "summary.json",
-                   json.dumps(summary.to_dict(), indent=2, sort_keys=True)),
+            _write_table(out / "slots.csv", "t,A,Z,action,d1,d2", m.horizon_slots, (
+                _ints, b",", m.aoi, b",", m.z_trajectory, b",", slot_tails), thin=thin),
+            _write_table(out / "frames.csv", "frame_index,deliveries,Z_at_frame_start", m.frames, (
+                _ints, b",", m.per_frame_deliveries, b",", m.frame_start_z, b"\n")),
+            _write_table(out / "aoi_hist.csv", "aoi_value,count,fraction", hist.size, (
+                lambda rows: _ints(rows + 1), b",", hist, b",", hist / hist.sum(), b"\n")),
+            _write_table(out / "sched_fractions.csv", "slot_in_frame,frac_u1,frac_u2,frac_idle",
+                         m.cfg.T, (_ints, b",", fractions[:, 0], b",", fractions[:, 1], b",",
+                                   fractions[:, 2], b"\n")),
+            _write_table(out / "summary.json",
+                         json.dumps(summary.to_dict(), indent=2, sort_keys=True)),
         ]
         if isinstance(policy, PolicyTable):
             paths.append(_write_policy_dump(policy, out))
@@ -202,24 +205,19 @@ def emit_outputs(
 
 
 def _write_policy_dump(table: PolicyTable, out: Path) -> Path:
-    """Frame-0 policy table (solved at Z = 0), for debugging. Each slot of the
-    table is one block: its rows are joined into one string, and its values
-    are formatted through a fresh `_Reprs` memo: at Z = 0 they repeat across
-    queue levels (about 55 distinct values among the reference scenario's
-    1,280 states per slot)."""
-    # "aoi,queue,h1,h2,action," of every state, for each action
-    prefixes = []
-    for state in table.space.states():
-        h1, h2 = state.channel_mem or ("", "")
-        prefixes.append(
-            [f"{state.aoi},{state.queue},{h1},{h2},{label}," for label in ACTION_LABELS]
-        )
-    return _write(out / POLICY_DUMP, "slot,aoi,queue,h1,h2,action,value", (
-        "".join([f"{slot},{prefix[a]}{reprs[v]}\n"
-                 for prefix, a, v in zip(prefixes, actions, table.values[slot].tolist())])
-        for slot, actions in enumerate(table.actions.tolist())
-        for reprs in (_Reprs(),)
-    ))
+    """Frame-0 policy table (solved at Z = 0), for debugging: one row per
+    (slot, state), slot-major; h1 and h2 are empty for i.i.d. links."""
+    space, T = table.space, table.cfg.T
+    aoi, queue, mem = (np.tile(part, T) for part in space.parts())
+    memories = _texts(",".join(map(str, pair or ("", ""))) for pair in space.memories)
+    actions = table.actions.reshape(-1)
+    return _write_table(
+        out / POLICY_DUMP, "slot,aoi,queue,h1,h2,action,value", T * space.n_states, (
+            np.repeat(np.arange(T), space.n_states), b",", aoi, b",", queue, b",",
+            lambda rows: memories.take(mem[rows], axis=0), b",",
+            lambda rows: _ACTIONS.take(actions[rows], axis=0), b",",
+            table.values[:T].reshape(-1), b"\n",
+        ))
 
 
 def _cell_dir(out_root: str | Path, v: float, seed: int) -> Path:
@@ -278,15 +276,19 @@ def _run_seeds(cfg: ExperimentConfig, v: float, seeds: list[int], out_root: str,
 
 
 def _write_aoi_tables(summaries: list[RunSummary], out_root: Path) -> None:
-    _write(out_root / "aoi_vs_v.csv", "V,seed,mean_aoi", (
-        f"{s.V!r},{s.seed},{s.mean_aoi!r}\n" for s in summaries
+    _write_table(out_root / "aoi_vs_v.csv", "V,seed,mean_aoi", len(summaries), (
+        np.array([s.V for s in summaries], dtype=float), b",",
+        np.array([s.seed for s in summaries], dtype=np.int64), b",",
+        np.array([s.mean_aoi for s in summaries], dtype=float), b"\n",
     ))
     pooled: dict[float, list[float]] = {}
     for s in summaries:
         pooled.setdefault(s.V, []).append(s.mean_aoi)
-    _write(out_root / "aoi_vs_v_pooled.csv", "V,mean_aoi,n_seeds", (
-        f"{v!r},{sum(means) / len(means)!r},{len(means)}\n"
-        for v, means in sorted(pooled.items())
+    pooled = dict(sorted(pooled.items()))
+    _write_table(out_root / "aoi_vs_v_pooled.csv", "V,mean_aoi,n_seeds", len(pooled), (
+        np.array(list(pooled), dtype=float), b",",
+        np.array([sum(means) / len(means) for means in pooled.values()], dtype=float), b",",
+        np.array([len(means) for means in pooled.values()], dtype=np.int64), b"\n",
     ))
 
 

@@ -148,6 +148,15 @@ def baseline_decision(
     raise ValueError(f"{policy} is not a baseline; run it through the controller")
 
 
+def _baseline_row(policy: PolicyKind, space: StateSpace) -> np.ndarray:
+    """The action of the deterministic baseline `policy` (deadline_first or
+    aoi_greedy) in every state of `space`, in index order, as int8: what
+    `baseline_decision` gives for each state, computed from `space.parts()`."""
+    _, queue, _ = space.parts()
+    deadline_first = policy == PolicyKind.DEADLINE_FIRST
+    return np.where(deadline_first & (queue > 0), Action.USER2, Action.USER1).astype(np.int8)
+
+
 class _StateWalk:
     """The slot loop's per-state lists for one state space, as Python lists
     sharing one int object per state:
@@ -407,9 +416,7 @@ def run_simulation(
         space = StateSpace(cfg, model)
         walk = _StateWalk(space, K)
         if policy != PolicyKind.UNIFORM_RANDOM:
-            row = np.array([baseline_decision(policy, state) for state in space.states()],
-                           dtype=np.int8)
-            table = memoryview(np.tile(row, T))
+            table = memoryview(np.tile(_baseline_row(policy, space), T))
     options = tuple(
         tuple(map(int, feasible_actions(SystemState(1, queue)))) for queue in (0, 1)
     )

@@ -1,9 +1,11 @@
 """Block formatting of the per-cell tables, checked on synthetic runs.
 
-`cli.emit_outputs` formats each block of rows through a fresh repr memo. These
-tests build `Metrics` and frame-0 tables directly, so no solver runs: every
-written row must be the row formatted on its own (floats as `repr`), and the
-memo must stay bounded by the block, never by the horizon.
+`cli.emit_outputs` writes every table through `cli._write_table`, which
+encodes a block of rows at a time as NumPy byte columns. These tests check
+the field encoders against `str` and `repr`, and build `Metrics` and frame-0
+tables directly, so no solver runs: every written row must be the row
+formatted on its own (floats as `repr`), and the memory must stay bounded by
+the block, never by the horizon.
 """
 
 import math
@@ -25,7 +27,7 @@ from aoi_dpp.solver import PolicyTable, StateSpace
 CFG = FrameConfig(T=2, K=2, q=1.0, A_max=12, V=1.0)
 SPACE = StateSpace(CFG, IIDChannel(0.5, 0.5))
 
-#: Floats whose memoised repr could go wrong: zeros of both signs (equal, with
+#: Floats whose encoded repr could go wrong: zeros of both signs (equal, with
 #: different reprs), NaN (never equal to itself), infinities, subnormals and
 #: values past the range where repr switches to exponent form.
 SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-320,
@@ -34,8 +36,9 @@ SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-320,
 
 def synthetic_run(z: np.ndarray, values: np.ndarray,
                   rng: np.random.Generator) -> tuple[Metrics, PolicyTable]:
-    """A run of len(z) - 1 slots with debt trajectory z, and a frame-0 table
-    with the given values."""
+    """A run of len(z) - 1 slots with debt trajectory z (whose first values
+    also fill the schedule fractions), and a frame-0 table with the given
+    values."""
     n, T = z.size - 1, CFG.T
     actions = rng.integers(3, size=n).astype(np.int8)
     d1 = ((actions == 0) & (rng.random(n) < 0.5)).astype(np.int8)
@@ -50,7 +53,7 @@ def synthetic_run(z: np.ndarray, values: np.ndarray,
         actions=actions, d1=d1, d2=d2, z_trajectory=z,
         per_frame_deliveries=d2[: frames * T].reshape(frames, T).sum(axis=1).astype(np.int32),
         aoi_histogram=np.bincount(aoi, minlength=CFG.A_max + 1)[1:],
-        schedule_fractions=np.full((T, 3), 1 / 3),
+        schedule_fractions=np.resize(z, (T, 3)),
     ), table
 
 
@@ -65,16 +68,49 @@ def rows_one_at_a_time(m: Metrics, table: PolicyTable, thin: int) -> dict[str, l
     own from Python values."""
     aoi, z, a, d1, d2 = (x.tolist() for x in (m.aoi, m.z_trajectory, m.actions, m.d1, m.d2))
     frame_z, deliveries = m.frame_start_z.tolist(), m.per_frame_deliveries.tolist()
+    counts = m.aoi_histogram.tolist()
+    total = sum(counts)
+    fractions = [count / total for count in counts]
     return {
         "slots.csv": [f"{t},{aoi[t]},{z[t]!r},{ACTION_LABELS[a[t]]},{d1[t]},{d2[t]}"
                       for t in range(0, m.horizon_slots, thin)],
         "frames.csv": [f"{i},{deliveries[i]},{frame_z[i]!r}" for i in range(m.frames)],
+        "aoi_hist.csv": [f"{i + 1},{counts[i]},{fractions[i]!r}" for i in range(len(counts))],
+        "sched_fractions.csv": [f"{j},{u1!r},{u2!r},{idle!r}"
+                                for j, (u1, u2, idle) in enumerate(m.schedule_fractions.tolist())],
         "policy_frame0.csv": [
             f"{slot},{s.aoi},{s.queue},,,{ACTION_LABELS[table.actions[slot, i]]},"
             f"{table.values[slot, i].item()!r}"
             for slot in range(CFG.T) for i, s in enumerate(SPACE.states())
         ],
     }
+
+
+def decoded(rows: np.ndarray) -> list[str]:
+    """The text of each row of an encoded column, its NULs dropped."""
+    return [row[row != 0].tobytes().decode("ascii") for row in rows]
+
+
+#: 0, 2**31 - 1 and both sides of every power of ten between them.
+INTS = [0, 1, *(10**k + d for k in range(1, 10) for d in (-1, 0)), 2**31 - 1]
+
+
+def test_ints_encode_as_str():
+    assert decoded(cli._ints(np.array(INTS))) == [str(v) for v in INTS]
+    for v in INTS:  # alone, each value sets the width
+        assert decoded(cli._ints(np.array([v]))) == [str(v)]
+    assert decoded(cli._ints(np.array(INTS[::-1], dtype=np.int32))) == [str(v) for v in INTS[::-1]]
+
+
+#: NaNs with other payloads and signs than `math.nan`.
+NANS = np.array([0x7FF0000000000001, 0x7FF8000000000001, 0x7FFFFFFFFFFFFFFF,
+                 0xFFF8000000000000, 0xFFF0000000000001], dtype=np.uint64).view(np.float64)
+
+
+def test_floats_encode_as_repr():
+    bits = np.random.default_rng(0).integers(0, 2**64, size=4000, dtype=np.uint64)
+    values = np.concatenate([SPECIAL, NANS, bits.view(np.float64), SPECIAL[::-1], NANS])
+    assert decoded(cli._floats(values)) == [repr(x) for x in values.tolist()]
 
 
 @st.composite
@@ -100,7 +136,8 @@ def test_memoised_fields_equal_repr(block, data, n, thin):
         with tempfile.TemporaryDirectory() as tmp:
             cli.emit_outputs(m, summary_of(m), tmp, thin=thin, policy=table)
             written = {name: (Path(tmp) / name).read_text(encoding="utf-8").splitlines()[1:]
-                       for name in ("slots.csv", "frames.csv", "policy_frame0.csv")}
+                       for name in ("slots.csv", "frames.csv", "aoi_hist.csv",
+                                    "sched_fractions.csv", "policy_frame0.csv")}
     finally:
         cli.BLOCK_ROWS = saved
     assert written == rows_one_at_a_time(m, table, thin)
@@ -109,8 +146,10 @@ def test_memoised_fields_equal_repr(block, data, n, thin):
 def test_emit_memory_is_bounded_by_the_block(tmp_path):
     # 200,000 slots whose Z values are all distinct: a memo kept for the whole
     # run would hold 200,001 reprs, 33.7 MB traced. The traced peak of this
-    # call was 0.10 MB with the row-at-a-time writer and is 0.29 MB with one
-    # string and one memo per block; the bound is ten times the former.
+    # call was 0.10 MB with the row-at-a-time writer and 0.29 MB with one
+    # string and one repr memo per block. With the NumPy byte blocks it is
+    # 0.18 MB at 1,024 rows a block, 0.36 MB at 2,048, 0.71 MB at 4,096 and
+    # 1.40 MB at 8,192. The bound is ten times the row-at-a-time peak.
     n = 200_000
     z = np.cumsum(np.random.default_rng(0).random(n + 1))
     m, table = synthetic_run(z, np.zeros((CFG.T + 1, SPACE.n_states)), np.random.default_rng(1))

@@ -52,6 +52,17 @@ def test_baseline_decisions():
         baseline_decision(PolicyKind.DRIFT_PLUS_PENALTY, SystemState(1, 5))
 
 
+@pytest.mark.parametrize("model", [IIDChannel(0.7, 0.6), reference_model()],
+                         ids=["iid", "gilbert_elliot"])
+@pytest.mark.parametrize("policy", [PolicyKind.DEADLINE_FIRST, PolicyKind.AOI_GREEDY])
+def test_baseline_row_follows_baseline_decision(policy, model):
+    # the deterministic baselines' action tables, built without a call per state
+    space = StateSpace(reference_cfg(5.0), model)
+    row = sim._baseline_row(policy, space)
+    assert row.dtype == np.int8
+    assert row.tolist() == [baseline_decision(policy, state) for state in space.states()]
+
+
 def test_determinism_same_seed():
     a = small_run(horizon=5_000)
     b = small_run(horizon=5_000)
