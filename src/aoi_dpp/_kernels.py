@@ -1,4 +1,8 @@
-"""The backward-DP inner loop, in NumPy.
+"""The backward-DP frame kernel, `solve_backward`, in NumPy.
+
+`BACKEND` names it and `get_solver` returns it; `FrameSolver` looks the
+kernel up through `get_solver` at construction, so a test or a tracer can
+substitute its own.
 
 Reference semantics: the plain-Python `loop_kernel` in tests/test_kernels.py,
 one state, action and branch at a time. This kernel produces the same tables
@@ -115,3 +119,11 @@ def solve_backward(
         fmin(best, q_idle, out=best)
     np.subtract(seconds, values[:T], out=seconds)
     np.min(seconds, axis=1, out=margins)
+
+
+BACKEND = "numpy"
+
+
+def get_solver():
+    """The frame kernel."""
+    return solve_backward

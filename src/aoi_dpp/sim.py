@@ -22,7 +22,9 @@ slot as it can, at interpreter speed on plain ints and floats. The channel
 does not depend on the actions, so both links' outcomes for the whole
 horizon are computed in NumPy before the loop, one int8 code a slot. The
 loop then walks dense state indices: one action-table read and one
-successor-list read per slot, with the debt law of `lyapunov` inlined. Age,
+successor-list read per slot, with the debt law of `lyapunov` inlined. The
+successor list is `StateSpace.successors`, the table the frame solver
+builds its transitions from, so the loop and the DP step one slot law. Age,
 queue and deliveries are decoded from the visited states, the actions and
 the channel codes after the loop. The age, queue and debt laws of `model`
 and `lyapunov` stay its executable specification (see `run_simulation`).
@@ -37,13 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lyapunov
-from .channel import (
-    BAD,
-    GOOD,
-    ChannelModel,
-    GilbertElliotChannel,
-    stationary_state,
-)
+from .channel import BAD, ChannelModel, GilbertElliotChannel, stationary_state
 from .model import Action, FrameConfig, SystemState, feasible_actions
 from .solver import FrameSolver, StateSpace
 
@@ -161,26 +157,17 @@ class _StateWalk:
     """The slot loop's per-state lists for one state space, as Python lists
     sharing one int object per state:
 
-    - successor[(3 * s + a) * 4 + code]: the state after one slot in state s
-      under action a, when the slot's channel outcome is code = 2 * m1' + m2'
-      (each GOOD = 1 or BAD = 0), m1' and m2' being the states the users'
-      links land in, and the new channel memory for Gilbert-Elliot links;
+    - successor[(3 * s + a) * 4 + code]: `StateSpace.successors()[s, a,
+      code]` flattened, the state after one slot in state s under action a
+      when the slot's channel outcome code is `code`;
     - refill[s]: s with its queue refilled to K, after a full frame;
     - queued[s]: whether s has a packet queued (uniform_random's choice).
     """
 
     def __init__(self, space: StateSpace, K: int):
         aoi, queue, mem = space.parts()
-        code = np.arange(4)
-        landed1, landed2 = code >> 1 == GOOD, code & 1 == GOOD
-        action = np.arange(3)[:, None]
-        w1, w2 = space.mem_weights
-        successor = space.successor(aoi[:, None, None], queue[:, None, None],
-                                    (action == Action.USER1) & landed1,
-                                    (action == Action.USER2) & landed2,
-                                    w1 * landed1 + w2 * landed2)
         states = np.arange(space.n_states).astype(object)
-        self.successor = states[successor.ravel()].tolist()
+        self.successor = states[space.successors().ravel()].tolist()
         self.refill = states[space.index_parts(aoi, K, mem)].tolist()
         self.queued = (queue > 0).tolist()
 
@@ -218,8 +205,9 @@ def _channel_codes(
     model: ChannelModel, horizon_slots: int, chan_rng: np.random.Generator,
     init_rng: np.random.Generator,
 ) -> tuple[tuple[int, int], np.ndarray]:
-    """(the links' states before slot 0, the int8 outcome code
-    2 * m1' + m2' of every slot), m1' and m2' the states the links land in.
+    """(the links' states before slot 0, the int8 outcome code of every
+    slot), in the format of `StateSpace.successors`: 2 * m1' + m2', m1' and
+    m2' the states (GOOD = 1, BAD = 0) the links land in.
 
     The channel does not depend on the actions, so the whole horizon is
     drawn here, before the loop: each slot's uniforms are one row of a
@@ -371,16 +359,17 @@ def run_simulation(
     reads the action at s from the frame's (T, S) action table (uniform_random
     draws it instead), applies `lyapunov.update_virtual_queue` inline, and
     moves s to its successor under the action and the slot's channel code;
-    after a full frame's last slot the queue refills to K. The successor and
-    refill lists (see `_StateWalk`) encode `model.step_aoi` and
-    `model.step_queue`; they are built once per FrameTables, and once per
-    run for a baseline. Arrays are read and written through memoryviews, so
-    no slot touches a NumPy scalar. After the loop, age and queue are decoded
-    from the recorded states, and the deliveries from the actions and the
-    channel codes. `tests/test_sim.py::test_loop_follows_model_laws` checks
-    every slot against the model laws, and
-    `test_run_matches_reference_loop` checks the trajectories against a
-    plain per-slot loop.
+    after a full frame's last slot the queue refills to K. The successor list
+    is `StateSpace.successors` flattened, which fixes the code format and
+    encodes `model.step_aoi` and `model.step_queue` mid-frame, and the refill
+    list the frame-end refill (see `_StateWalk`); they are built once per
+    FrameTables, and once per run for a baseline. Arrays are read and
+    written through memoryviews, so no slot touches a NumPy scalar. After
+    the loop, age and queue are decoded from the recorded states, and the
+    deliveries from the actions and the channel codes.
+    `tests/test_sim.py::test_loop_follows_model_laws` checks every slot
+    against the model laws, and `test_run_matches_reference_loop` checks the
+    trajectories against a plain per-slot loop.
     """
     check_run_inputs(cfg.T, model, horizon_slots, seed, warmup_slots, z_cache_bucket)
     if tables is not None and (tables.solver.cfg != cfg or tables.solver.model != model):

@@ -60,13 +60,23 @@ class StateSpace:
         aoi_part, queue = np.divmod(rest, self.k + 1)
         return aoi_part + 1, queue, mem_index
 
-    def successor(self, aoi, queue, d1, d2, mem_index):
-        """Index after one slot of the state with this age and queue, by
-        broadcasting: a user-1 delivery d1 resets the age to 1, which grows
-        by one up to A_max otherwise, a user-2 delivery d2 drains the queue
-        by one down to 0, and mem_index is the memory index after the slot."""
-        return self.index_parts(np.where(d1, 1, np.minimum(aoi + 1, self.a_max)),
-                                np.maximum(queue - d2, 0), mem_index)
+    def successors(self) -> np.ndarray:
+        """The slot law, as an (S, 3, 4) array: entry [s, a, c] is the index
+        after one slot from state s under action a with outcome code
+        c = 2 * m1' + m2', the states (GOOD = 1) the links land in. A user-1
+        delivery resets the age to 1, which grows by one up to A_max
+        otherwise, a user-2 delivery drains the queue by one down to 0, and
+        the memory becomes (m1', m2'). The frame-end refill is not applied."""
+        aoi, queue, _ = self.parts()
+        code = np.arange(4)
+        landed1, landed2 = code >> 1 == GOOD, code & 1 == GOOD
+        action = np.arange(3)[:, None]
+        d1 = (action == Action.USER1) & landed1
+        d2 = (action == Action.USER2) & landed2
+        w1, w2 = self.mem_weights
+        return self.index_parts(np.where(d1, 1, np.minimum(aoi + 1, self.a_max)[:, None, None]),
+                                np.maximum(queue[:, None, None] - d2, 0),
+                                w1 * landed1 + w2 * landed2)
 
     def index(self, state: SystemState) -> int:
         if not 1 <= state.aoi <= self.a_max or not 0 <= state.queue <= self.k:
@@ -130,14 +140,16 @@ def _branch_table(model: ChannelModel, space: StateSpace):
     """One slot's channel outcomes, the only part of the law that depends on
     the model.
 
-    Returns (success, lands, probs, next_mem): success[m, u] is P(user u+1's
-    transmission succeeds | memory m); lands[b, u] is 1 when user u+1's
-    channel is Good in branch b; probs[m, a, b] is the probability of branch b
-    under memory m and action a; next_mem[b] is the memory index after b.
-    Gilbert-Elliot branches are the joint next pair (h1', h2') in the order
-    GG, GB, BG, BB, whatever the action. The i.i.d. branches are success and
-    failure of the scheduled user (IDLE takes the first with probability 1).
-    The kernels sum branches in this order, so it fixes the tables' last bits.
+    Returns (success, codes, probs): success[m, u] is P(user u+1's
+    transmission succeeds | memory m); codes[b] is the outcome code of
+    branch b (see `StateSpace.successors`); probs[m, a, b] is the
+    probability of branch b under memory m and action a. Gilbert-Elliot
+    branches are the joint next pair (m1', m2') in the order GG, GB, BG, BB,
+    whatever the action. The i.i.d. branches are success and failure of the
+    scheduled user, coded as both links Good and both Bad: the states keep no
+    memory, so only the delivery matters (IDLE takes the first with
+    probability 1). The kernel sums branches in this order, so it fixes the
+    tables' last bits.
     """
     if space.has_memory:
         success = np.array(
@@ -146,10 +158,12 @@ def _branch_table(model: ChannelModel, space: StateSpace):
         lands = np.array([(GOOD, GOOD), (GOOD, BAD), (BAD, GOOD), (BAD, BAD)])
         per_user = np.where(lands == GOOD, success[:, None, :], 1.0 - success[:, None, :])
         probs = np.repeat((per_user[..., 0] * per_user[..., 1])[:, None, :], 3, axis=1)
-        return success, lands, probs, lands @ space.mem_weights
-    p1, p2 = model.p1, model.p2
-    probs = np.array([[[p1, 1.0 - p1], [p2, 1.0 - p2], [1.0, 0.0]]])
-    return np.array([[p1, p2]]), np.array([(GOOD, GOOD), (BAD, BAD)]), probs, np.zeros(2, int)
+    else:
+        p1, p2 = model.p1, model.p2
+        success = np.array([[p1, p2]])
+        lands = np.array([(GOOD, GOOD), (BAD, BAD)])
+        probs = np.array([[[p1, 1.0 - p1], [p2, 1.0 - p2], [1.0, 0.0]]])
+    return success, lands @ (2, 1), probs
 
 
 class FrameSolver:
@@ -162,7 +176,8 @@ class FrameSolver:
     - feasible[s, a] is 1 when a is allowed (USER2 needs a queued packet);
     - cost_const[s, a] + z * cost_z[s, a] is the expected one-slot cost
       E[z*(rho - d2) + V*A'];
-    - next_idx[s, a, b] and probs[s, a, b] are the successor index and its
+    - next_idx[s, a, b] and probs[s, a, b] are the successor index (from
+      `StateSpace.successors`, at branch b's outcome code) and its
       probability. Zero-probability branches keep their slot, and every entry
       of an infeasible action is zero.
 
@@ -182,13 +197,10 @@ class FrameSolver:
 
     def _build_arrays(self) -> None:
         cfg, space = self.cfg, self.space
-        success, lands, probs, next_mem = _branch_table(self.model, space)
+        success, codes, probs = _branch_table(self.model, space)
         aoi, queue, mem = space.parts()
         aged = np.minimum(aoi + 1, cfg.A_max)
-        # delivered[a, b, u]: action a schedules user u+1 and its channel lands Good.
-        delivered = np.array([[1, 0], [0, 1], [0, 0]])[:, None, :] * lands
-        next_idx = space.successor(aoi[:, None, None], queue[:, None, None],
-                                   delivered[..., 0], delivered[..., 1], next_mem)
+        next_idx = space.successors().take(codes, axis=2)
         feasible = np.ones((space.n_states, 3), dtype=bool)
         feasible[:, Action.USER2] = queue > 0
         p1, p2 = success[mem].T

@@ -98,7 +98,7 @@ def assert_same_tables(expected, actual) -> None:
 
 def test_backend_is_numpy():
     assert _kernels.BACKEND == "numpy"
-    assert _kernels.get_solver() is _kernels._dp_numpy.solve_backward
+    assert _kernels.get_solver() is _kernels.solve_backward
 
 
 def test_frame_solver_uses_get_solver(monkeypatch):
@@ -137,7 +137,7 @@ def test_numpy_kernel_matches_loop_contract():
             assert array.dtype == dtype and array.flags.c_contiguous, name
         assert_same_tables(
             kernel_tables(loop_kernel, solver, z),
-            kernel_tables(_kernels._dp_numpy.solve_backward, solver, z),
+            kernel_tables(_kernels.solve_backward, solver, z),
         )
 
 
@@ -172,7 +172,7 @@ def test_numpy_kernel_equals_loop_kernel_bitwise(instance):
     solver, z = instance
     assert_same_tables(
         kernel_tables(loop_kernel, solver, z),
-        kernel_tables(_kernels._dp_numpy.solve_backward, solver, z),
+        kernel_tables(_kernels.solve_backward, solver, z),
     )
 
 
@@ -210,7 +210,7 @@ def test_numpy_kernel_sums_branches_in_index_order(discount):
     reordered = tables(loop_kernel, next_idx[..., ::-1].copy(), probs[..., ::-1].copy())
     moved = expected[0][0].view(np.int64) != reordered[0][0].view(np.int64)
     assert moved.sum() > S // 8
-    assert_same_tables(expected, tables(_kernels._dp_numpy.solve_backward, next_idx, probs))
+    assert_same_tables(expected, tables(_kernels.solve_backward, next_idx, probs))
 
 
 def test_solve_is_repeatable():

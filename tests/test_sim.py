@@ -218,10 +218,10 @@ def test_infeasible_target_warns_but_runs():
 @pytest.mark.parametrize("chan", sorted(CHANNELS))
 @pytest.mark.parametrize("policy", list(PolicyKind))
 def test_loop_follows_model_laws(policy, chan):
-    # The slot loop's successor lists encode step_aoi and step_queue, it
-    # inlines update_virtual_queue, and the baselines' tables and draws
-    # follow baseline_decision; every slot of a run ending in a partial
-    # frame must agree with them.
+    # The slot loop reads StateSpace.successors (step_aoi and step_queue
+    # mid-frame) and its refill list, it inlines update_virtual_queue, and
+    # the baselines' tables and draws follow baseline_decision; every slot
+    # of a run ending in a partial frame must agree with them.
     cfg, seed = reference_cfg(5.0), 3
     m = run_simulation(cfg, CHANNELS[chan], policy, PARTIAL_HORIZON, seed)
     # uniform_random draws from the second of the run's three seed streams
@@ -337,19 +337,19 @@ def test_run_with_more_states_than_int16_holds():
 def test_long_baseline_run_memory_peak():
     # The channel codes are computed before the loop and the uniforms freed
     # before the trajectories are allocated; the loop writes the states,
-    # actions and debts through memoryviews. The traced peak at 200,000
-    # slots is 6.5 MB, against 10.3 MB for the loop that read the uniforms
-    # slot by slot and so kept all 3.2 MB of them alive; a whole-column
-    # .tolist() of the two uniform columns would add about 13 MB.
+    # actions and debts through memoryviews. The traced peak at 50,000
+    # slots is 1.77 MB, against 2.57 MB for a run that keeps the horizon's
+    # 0.8 MB of uniforms alive to its end, and 9.0 MB for one that keeps
+    # them as a .tolist().
     baseline = dict(policy=PolicyKind.DEADLINE_FIRST, seed=0)
     small_run(horizon=1_000, **baseline)  # imports and caches outside the trace
     tracemalloc.start()
     try:
-        small_run(horizon=200_000, **baseline)
+        small_run(horizon=50_000, **baseline)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 13.5e6
+    assert peak < 2.2e6
 
 
 def fresh_solve_every_frame(monkeypatch):

@@ -10,9 +10,16 @@ from test_kernels import kernel_instances
 
 from aoi_dpp import _kernels
 from aoi_dpp.channel import BAD, GOOD, GilbertElliotChannel, IIDChannel
-from aoi_dpp.model import Action, FrameConfig, InfeasibleActionError, SystemState
+from aoi_dpp.model import (
+    Action,
+    FrameConfig,
+    InfeasibleActionError,
+    SystemState,
+    step_aoi,
+    step_queue,
+)
 from aoi_dpp.oracle import _outcome_branches, _successor, evaluate_policy_exact
-from aoi_dpp.solver import FrameSolver, StateSpace, UnknownStateError
+from aoi_dpp.solver import FrameSolver, StateSpace, UnknownStateError, _branch_table
 
 TOY_CFG = FrameConfig(T=2, K=1, q=1.0, A_max=3, V=1.0)
 TOY_MODEL = IIDChannel(p1=1.0, p2=1.0)
@@ -215,6 +222,39 @@ def test_state_space_roundtrip():
         space = StateSpace(cfg, model)
         for i in range(space.n_states):
             assert space.index(space.state(i)) == i
+
+
+@pytest.mark.parametrize("model", [
+    GilbertElliotChannel(p11_1=0.7, p01_1=0.3, p11_2=0.8, p01_2=0.4),
+    IIDChannel(p1=0.6, p2=0.5),
+], ids=["ge", "iid"])
+def test_successors_follow_model_laws(model):
+    # Every state of a space this small is walked, so the age is held at
+    # A_max and the queue at 0 as well as stepped.
+    cfg = FrameConfig(T=3, K=2, q=1.0, A_max=3, V=1.0)
+    solver = FrameSolver(cfg, model)
+    space = solver.space
+    successors = space.successors()
+    assert successors.shape == (space.n_states, 3, 4)
+    for s, state in enumerate(space.states()):
+        for a in Action:
+            for m1 in (BAD, GOOD):
+                for m2 in (BAD, GOOD):
+                    d1 = int(a == Action.USER1 and m1 == GOOD)
+                    d2 = int(a == Action.USER2 and m2 == GOOD)
+                    expected = SystemState(
+                        step_aoi(state.aoi, d1, cfg.A_max),
+                        step_queue(state.queue, d2, False, cfg.K),
+                        (m1, m2) if space.has_memory else None,
+                    )
+                    assert space.state(int(successors[s, a, 2 * m1 + m2])) == expected
+    # The solver's branches are columns of the same table.
+    _, codes, _ = _branch_table(model, space)
+    assert codes.tolist() == ([3, 2, 1, 0] if space.has_memory else [3, 0])
+    for s in range(space.n_states):
+        for a in Action:
+            if solver.feasible[s, a]:
+                assert solver.next_idx[s, a].tolist() == successors[s, a, codes].tolist()
 
 
 def test_negative_frozen_z_rejected():
