@@ -208,7 +208,7 @@ def _write_policy_dump(table: PolicyTable, out: Path) -> Path:
     """Frame-0 policy table (solved at Z = 0), for debugging: one row per
     (slot, state), slot-major; h1 and h2 are empty for i.i.d. links."""
     space, T = table.space, table.cfg.T
-    aoi, queue, mem = (np.tile(part, T) for part in space.parts())
+    aoi, queue, mem = (np.tile(part, T) for part in (space.aoi, space.queue, space.mem))
     memories = _texts(",".join(map(str, pair or ("", ""))) for pair in space.memories)
     actions = table.actions.reshape(-1)
     return _write_table(

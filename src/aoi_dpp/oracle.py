@@ -220,7 +220,7 @@ def monte_carlo_value(
     weight = 1.0
     for t in range(cfg.T):
         keys, inverse = np.unique(
-            space.index_parts(aoi, queue, mem @ space.mem_weights), return_inverse=True
+            space.index_parts(aoi, queue, space.mem_index(*mem.T)), return_inverse=True
         )
         actions = np.array([rule(t, space.state(int(k))) for k in keys])[inverse]
         mem = step_channel(model, mem, rng)

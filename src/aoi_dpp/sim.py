@@ -24,10 +24,11 @@ horizon are computed in NumPy before the loop, one int8 code a slot. The
 loop then walks dense state indices: one action-table read and one
 successor-list read per slot, with the debt law of `lyapunov` inlined. The
 successor list is `StateSpace.successors`, the table the frame solver
-builds its transitions from, so the loop and the DP step one slot law. Age,
-queue and deliveries are decoded from the visited states, the actions and
-the channel codes after the loop. The age, queue and debt laws of `model`
-and `lyapunov` stay its executable specification (see `run_simulation`).
+builds its transitions from, so the loop and the DP step one slot law. After
+the loop, age and queue are read from the visited states through the
+`StateSpace` decode tables, and deliveries from the actions and the channel
+codes. The age, queue and debt laws of `model` and `lyapunov` stay its
+executable specification (see `run_simulation`).
 """
 
 from __future__ import annotations
@@ -147,29 +148,27 @@ def baseline_decision(
 def _baseline_row(policy: PolicyKind, space: StateSpace) -> np.ndarray:
     """The action of the deterministic baseline `policy` (deadline_first or
     aoi_greedy) in every state of `space`, in index order, as int8: what
-    `baseline_decision` gives for each state, computed from `space.parts()`."""
-    _, queue, _ = space.parts()
+    `baseline_decision` gives for each state, read from `space.queue`."""
     deadline_first = policy == PolicyKind.DEADLINE_FIRST
-    return np.where(deadline_first & (queue > 0), Action.USER2, Action.USER1).astype(np.int8)
+    return np.where(deadline_first & (space.queue > 0), Action.USER2, Action.USER1).astype(np.int8)
 
 
 class _StateWalk:
     """The slot loop's per-state lists for one state space, as Python lists
     sharing one int object per state:
 
-    - successor[(3 * s + a) * 4 + code]: `StateSpace.successors()[s, a,
-      code]` flattened, the state after one slot in state s under action a
-      when the slot's channel outcome code is `code`;
+    - successor[(3 * s + a) * 4 + code]: `StateSpace.successors[s, a, code]`
+      flattened, the state after one slot in state s under action a when
+      the slot's channel outcome code is `code`;
     - refill[s]: s with its queue refilled to K, after a full frame;
     - queued[s]: whether s has a packet queued (uniform_random's choice).
     """
 
-    def __init__(self, space: StateSpace, K: int):
-        aoi, queue, mem = space.parts()
+    def __init__(self, space: StateSpace):
         states = np.arange(space.n_states).astype(object)
-        self.successor = states[space.successors().ravel()].tolist()
-        self.refill = states[space.index_parts(aoi, K, mem)].tolist()
-        self.queued = (queue > 0).tolist()
+        self.successor = states[space.successors.ravel()].tolist()
+        self.refill = states[space.index_parts(space.aoi, space.k, space.mem)].tolist()
+        self.queued = (space.queue > 0).tolist()
 
 
 def _landings(u: np.ndarray, p01: float, p11: float, first: int) -> np.ndarray:
@@ -206,8 +205,7 @@ def _channel_codes(
     init_rng: np.random.Generator,
 ) -> tuple[tuple[int, int], np.ndarray]:
     """(the links' states before slot 0, the int8 outcome code of every
-    slot), in the format of `StateSpace.successors`: 2 * m1' + m2', m1' and
-    m2' the states (GOOD = 1, BAD = 0) the links land in.
+    slot, as `StateSpace.successors` reads it).
 
     The channel does not depend on the actions, so the whole horizon is
     drawn here, before the loop: each slot's uniforms are one row of a
@@ -245,7 +243,7 @@ class FrameTables:
 
     def __init__(self, cfg: FrameConfig, model: ChannelModel):
         self.solver = FrameSolver(cfg, model)
-        self.walk = _StateWalk(self.solver.space, cfg.K)
+        self.walk = _StateWalk(self.solver.space)
         self.frame0 = self.solver.solve(0.0)
         self._frame0_entry = (memoryview(self.frame0.actions.reshape(-1)), self.frame0.radius)
         self._memo: dict[float, tuple[memoryview, float]] = {}
@@ -365,8 +363,9 @@ def run_simulation(
     list the frame-end refill (see `_StateWalk`); they are built once per
     FrameTables, and once per run for a baseline. Arrays are read and
     written through memoryviews, so no slot touches a NumPy scalar. After
-    the loop, age and queue are decoded from the recorded states, and the
-    deliveries from the actions and the channel codes.
+    the loop, age and queue are the `StateSpace.aoi` and `StateSpace.queue`
+    of the recorded states, and the deliveries come from the actions and the
+    channel codes.
     `tests/test_sim.py::test_loop_follows_model_laws` checks every slot
     against the model laws, and `test_run_matches_reference_loop` checks the
     trajectories against a plain per-slot loop.
@@ -403,7 +402,7 @@ def run_simulation(
     else:
         tables = None
         space = StateSpace(cfg, model)
-        walk = _StateWalk(space, K)
+        walk = _StateWalk(space)
         if policy != PolicyKind.UNIFORM_RANDOM:
             table = memoryview(np.tile(_baseline_row(policy, space), T))
     options = tuple(
@@ -411,7 +410,6 @@ def run_simulation(
     )
     successor, refill, queued = walk.successor, walk.refill, walk.queued
     S = space.n_states
-    w1, w2 = space.mem_weights
     lookups = [0] * len(LOOKUP_KEYS)  # indexed by FRESH, EXACT, CERTIFIED
 
     state_arr = np.empty(horizon_slots, dtype=np.min_scalar_type(S - 1))
@@ -420,7 +418,7 @@ def run_simulation(
     state_out, act_out, z_out = memoryview(state_arr), memoryview(act_arr), memoryview(z_arr)
 
     USER2 = int(Action.USER2)
-    s, z = space.index_parts(1, K, w1 * m1 + w2 * m2), 0.0
+    s, z = space.index_parts(1, K, space.mem_index(m1, m2)), 0.0
     rho = cfg.rho
     for start in range(0, horizon_slots, T):
         if tables is not None:
@@ -449,14 +447,11 @@ def run_simulation(
             s = refill[s]
     z_out[horizon_slots] = z
 
-    # Decode the visited states (index = ((aoi - 1) (K + 1) + queue) M + mem)
-    # and the deliveries (the scheduled user's link landed Good).
-    aoi_arr = np.empty(horizon_slots, dtype=np.int32)
-    queue_arr = np.empty(horizon_slots, dtype=np.int32)
-    np.floor_divide(state_arr, space.mem_count, out=aoi_arr)
+    # Decode the visited states and the deliveries (the scheduled user's
+    # link landed Good).
+    aoi_arr = space.aoi.take(state_arr)
+    queue_arr = space.queue.take(state_arr)
     del state_arr, state_out
-    np.divmod(aoi_arr, K + 1, out=(aoi_arr, queue_arr))
-    aoi_arr += 1
     d1_arr = code_arr >> 1
     d1_arr &= act_arr == Action.USER1
     d2_arr = code_arr & 1

@@ -33,50 +33,54 @@ class UnknownStateError(KeyError):
 
 
 class StateSpace:
-    """Bijection between SystemState and a dense index.
+    """Bijection between SystemState and a dense index, and the only code
+    that knows its layout: index = ((aoi - 1) * (K + 1) + queue) * M + mem,
+    with M = 4 and mem = `mem_index(h1, h2)` for Gilbert-Elliot links, M = 1
+    and mem = 0 (memory None) for i.i.d. links.
 
-    Layout: index = ((aoi - 1) * (K + 1) + queue) * M + mem_index, with
-    M = 4 memory pairs (h1, h2) and mem_index = 2*h1 + h2 for the
-    Gilbert-Elliot model, and M = 1 (memory None, mem_index 0) otherwise.
+    Built once, as read-only arrays: `aoi`, `queue` and `mem`, the int32
+    parts of every index in index order; and `successors`, the (S, 3, 4)
+    slot law. successors[s, a, c] is the index after one slot from state s
+    under action a with outcome code c = 2 * m1' + m2', the states (GOOD = 1)
+    the links land in: a user-1 delivery resets the age to 1, which grows by
+    one up to A_max otherwise, a user-2 delivery drains the queue by one
+    down to 0, and the memory becomes (m1', m2'). The frame-end refill is not
+    applied.
     """
 
     def __init__(self, cfg: FrameConfig, model: ChannelModel):
         self.a_max = cfg.A_max
         self.k = cfg.K
         self.has_memory = isinstance(model, GilbertElliotChannel)
-        #: Channel memories in mem_index order; mem_index = w1*h1 + w2*h2.
+        #: Channel memories, each at its mem_index.
         pairs = ((BAD, BAD), (BAD, GOOD), (GOOD, BAD), (GOOD, GOOD))
         self.memories = pairs if self.has_memory else (None,)
-        self.mem_weights = (2, 1) if self.has_memory else (0, 0)
         self.mem_count = len(self.memories)
         self.n_states = cfg.A_max * (cfg.K + 1) * self.mem_count
-
-    def index_parts(self, aoi: int, queue: int, mem_index: int) -> int:
-        return ((aoi - 1) * (self.k + 1) + queue) * self.mem_count + mem_index
-
-    def parts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(aoi, queue, mem_index) of every index, as arrays in index order."""
-        rest, mem_index = np.divmod(np.arange(self.n_states), self.mem_count)
-        aoi_part, queue = np.divmod(rest, self.k + 1)
-        return aoi_part + 1, queue, mem_index
-
-    def successors(self) -> np.ndarray:
-        """The slot law, as an (S, 3, 4) array: entry [s, a, c] is the index
-        after one slot from state s under action a with outcome code
-        c = 2 * m1' + m2', the states (GOOD = 1) the links land in. A user-1
-        delivery resets the age to 1, which grows by one up to A_max
-        otherwise, a user-2 delivery drains the queue by one down to 0, and
-        the memory becomes (m1', m2'). The frame-end refill is not applied."""
-        aoi, queue, _ = self.parts()
+        rest, self.mem = np.divmod(np.arange(self.n_states, dtype=np.int32), self.mem_count)
+        self.aoi, self.queue = np.divmod(rest, self.k + 1)
+        self.aoi += 1
         code = np.arange(4)
         landed1, landed2 = code >> 1 == GOOD, code & 1 == GOOD
         action = np.arange(3)[:, None]
         d1 = (action == Action.USER1) & landed1
         d2 = (action == Action.USER2) & landed2
-        w1, w2 = self.mem_weights
-        return self.index_parts(np.where(d1, 1, np.minimum(aoi + 1, self.a_max)[:, None, None]),
-                                np.maximum(queue[:, None, None] - d2, 0),
-                                w1 * landed1 + w2 * landed2)
+        self.successors = self.index_parts(
+            np.where(d1, 1, np.minimum(self.aoi + 1, self.a_max)[:, None, None]),
+            np.maximum(self.queue[:, None, None] - d2, 0),
+            self.mem_index(landed1, landed2))
+        for table in (self.aoi, self.queue, self.mem, self.successors):
+            table.setflags(write=False)
+
+    def index_parts(self, aoi, queue, mem):
+        """The index of (aoi, queue, mem), scalars or arrays."""
+        return ((aoi - 1) * (self.k + 1) + queue) * self.mem_count + mem
+
+    def mem_index(self, h1, h2):
+        """The `mem` part of the index of links last in states (h1, h2),
+        scalars or arrays: 2 * h1 + h2 for Gilbert-Elliot links (the outcome
+        code of a slot that lands them there), 0 for i.i.d. links."""
+        return 2 * h1 + h2 if self.has_memory else 0
 
     def index(self, state: SystemState) -> int:
         if not 1 <= state.aoi <= self.a_max or not 0 <= state.queue <= self.k:
@@ -89,9 +93,8 @@ class StateSpace:
     def state(self, index: int) -> SystemState:
         if not 0 <= index < self.n_states:
             raise UnknownStateError(f"index {index} out of range")
-        index, mem_index = divmod(index, self.mem_count)
-        aoi_part, queue = divmod(index, self.k + 1)
-        return SystemState(aoi_part + 1, queue, self.memories[mem_index])
+        return SystemState(self.aoi.item(index), self.queue.item(index),
+                           self.memories[self.mem.item(index)])
 
     def states(self) -> Iterator[SystemState]:
         for i in range(self.n_states):
@@ -169,8 +172,8 @@ def _branch_table(model: ChannelModel, space: StateSpace):
 class FrameSolver:
     """Reusable solver for one (config, model) pair.
 
-    Builds the kernel arrays once, by broadcasting over the state layout;
-    each solve(frozen_z) then runs the backward recursion only. For state s,
+    Builds the kernel arrays once, from its `StateSpace`'s tables; each
+    solve(frozen_z) then runs the backward recursion only. For state s,
     action a and channel branch b:
 
     - feasible[s, a] is 1 when a is allowed (USER2 needs a queued packet);
@@ -198,12 +201,11 @@ class FrameSolver:
     def _build_arrays(self) -> None:
         cfg, space = self.cfg, self.space
         success, codes, probs = _branch_table(self.model, space)
-        aoi, queue, mem = space.parts()
-        aged = np.minimum(aoi + 1, cfg.A_max)
-        next_idx = space.successors().take(codes, axis=2)
+        aged = np.minimum(space.aoi + 1, cfg.A_max)
+        next_idx = space.successors.take(codes, axis=2)
         feasible = np.ones((space.n_states, 3), dtype=bool)
-        feasible[:, Action.USER2] = queue > 0
-        p1, p2 = success[mem].T
+        feasible[:, Action.USER2] = space.queue > 0
+        p1, p2 = success[space.mem].T
         rho = np.full(space.n_states, cfg.rho)
         cost_z = np.stack([rho, rho - p2, rho], axis=1)
         cost_v = np.stack([p1 + (1.0 - p1) * aged, aged, aged], axis=1)
@@ -213,7 +215,7 @@ class FrameSolver:
         self.cost_const = np.where(feasible, cfg.V * cost_v, 0.0)
         self.cost_z = np.where(feasible, cost_z, 0.0)
         self.next_idx = np.where(feasible[..., None], next_idx, 0).astype(np.intp)
-        self.probs = np.where(feasible[..., None], probs[mem], 0.0)
+        self.probs = np.where(feasible[..., None], probs[space.mem], 0.0)
         # Constants of the radius certificate (see certified_radius): c, the
         # largest |cost_z|; the largest |cost_const|; pi, the largest branch
         # sum of probs, raised by 2**-50 relative to cover the rounding of

@@ -218,10 +218,11 @@ def test_infeasible_target_warns_but_runs():
 @pytest.mark.parametrize("chan", sorted(CHANNELS))
 @pytest.mark.parametrize("policy", list(PolicyKind))
 def test_loop_follows_model_laws(policy, chan):
-    # The slot loop reads StateSpace.successors (step_aoi and step_queue
-    # mid-frame) and its refill list, it inlines update_virtual_queue, and
-    # the baselines' tables and draws follow baseline_decision; every slot
-    # of a run ending in a partial frame must agree with them.
+    # The slot loop reads the StateSpace.successors table (step_aoi and
+    # step_queue mid-frame) and its refill list, it inlines
+    # update_virtual_queue, age and queue come from the StateSpace decode
+    # tables, and the baselines' tables and draws follow baseline_decision;
+    # every slot of a run ending in a partial frame must agree with them.
     cfg, seed = reference_cfg(5.0), 3
     m = run_simulation(cfg, CHANNELS[chan], policy, PARTIAL_HORIZON, seed)
     # uniform_random draws from the second of the run's three seed streams
@@ -350,6 +351,31 @@ def test_long_baseline_run_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak < 2.2e6
+
+
+def test_slot_loop_starts_without_the_uniforms(monkeypatch):
+    # The uniforms are freed before the loop: at a 50,000-slot run's first
+    # table lookup the traced memory holds the channel codes and the
+    # trajectory arrays, 0.60 MB, against 1.40 MB for a run that keeps the
+    # horizon's 0.8 MB of uniforms alive through the loop, which
+    # test_long_baseline_run_memory_peak lets pass: a run peaks outside its loop.
+    tables = sim.FrameTables(reference_cfg(5.0), reference_model())
+    small_run(horizon=1_000, tables=tables)  # imports and caches outside the trace
+    at_loop_start = []
+    lookup = tables.actions
+
+    def first_lookup(frozen_z):
+        if not at_loop_start:
+            at_loop_start.append(tracemalloc.get_traced_memory()[0])
+        return lookup(frozen_z)
+
+    monkeypatch.setattr(tables, "actions", first_lookup)
+    tracemalloc.start()
+    try:
+        small_run(horizon=50_000, tables=tables)
+    finally:
+        tracemalloc.stop()
+    assert at_loop_start[0] < 1.0e6
 
 
 def fresh_solve_every_frame(monkeypatch):

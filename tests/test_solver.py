@@ -222,6 +222,17 @@ def test_state_space_roundtrip():
         space = StateSpace(cfg, model)
         for i in range(space.n_states):
             assert space.index(space.state(i)) == i
+        for table in (space.aoi, space.queue, space.mem):
+            assert table.dtype == np.int32 and table.shape == (space.n_states,)
+        for table in (space.aoi, space.queue, space.mem, space.successors):
+            assert not table.flags.writeable
+        assert (space.index_parts(space.aoi, space.queue, space.mem)
+                == np.arange(space.n_states)).all()
+        for h1 in (BAD, GOOD):
+            for h2 in (BAD, GOOD):
+                expected = space.memories.index((h1, h2)) if space.has_memory else 0
+                assert space.mem_index(h1, h2) == expected
+                assert np.all(space.mem_index(np.full(3, h1), np.full(3, h2)) == expected)
 
 
 @pytest.mark.parametrize("model", [
@@ -234,7 +245,7 @@ def test_successors_follow_model_laws(model):
     cfg = FrameConfig(T=3, K=2, q=1.0, A_max=3, V=1.0)
     solver = FrameSolver(cfg, model)
     space = solver.space
-    successors = space.successors()
+    successors = space.successors
     assert successors.shape == (space.n_states, 3, 4)
     for s, state in enumerate(space.states()):
         for a in Action:
