@@ -11,24 +11,29 @@ recent frame's table (see `FrameSolver.certified_radius`), reuses that table
 instead of solving again (see `_TABLE_MEMO_BYTES`). A reused table is the
 one a fresh solve would write, bit for bit, so the trajectories are the same
 whether tables are reused, and whether runs share their `FrameTables` or
-not. The deterministic baselines run as fixed action tables through the same
-lookup; only the uniform baseline decides slot by slot. Runs are
+not. The deterministic baselines (deadline_first and aoi_greedy) decide by
+whether the queue holds a packet alone, so they run without a slot loop;
+only the controller and the uniform baseline step slot by slot. Runs are
 bit-reproducible from (config, model, policy, horizon, seed): channel
 randomness, action randomness (uniform baseline) and the initial channel
 draw come from separately spawned streams of one seed.
 
-The slot loop is the hot path of every long run, so it does as little per
-slot as it can, at interpreter speed on plain ints and floats. The channel
-does not depend on the actions, so both links' outcomes for the whole
-horizon are computed in NumPy before the loop, one int8 code a slot. The
-loop then walks dense state indices: one action-table read and one
-successor-list read per slot, with the debt law of `lyapunov` inlined. The
+The channel does not depend on the actions, so both links' outcomes for
+the whole horizon are computed in NumPy first, one int8 code a slot. The
+slot loop is the hot path of every long controller run, so it does as
+little per slot as it can, at interpreter speed on plain ints and floats:
+it walks dense state indices, with one action-table read and one
+successor-list read per slot and the debt law of `lyapunov` inlined. The
 successor list is `StateSpace.successors`, the table the frame solver
 builds its transitions from, so the loop and the DP step one slot law. After
 the loop, age and queue are read from the visited states through the
-`StateSpace` decode tables, and deliveries from the actions and the channel
-codes. The age, queue and debt laws of `model` and `lyapunov` stay its
-executable specification (see `run_simulation`).
+`StateSpace` decode tables. A deterministic baseline's queue and actions
+come instead from per-frame cumulative sums over the channel codes, its age
+from a running maximum over the user-1 deliveries, and its debt from one
+pass over the user-2 deliveries (see `_baseline_trajectories`, `_ages` and
+`_debts`). Deliveries come from the actions and the channel codes either
+way. The age, queue and debt laws of `model` and `lyapunov` stay the
+executable specification of both paths (see `run_simulation`).
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -145,12 +151,94 @@ def baseline_decision(
     raise ValueError(f"{policy} is not a baseline; run it through the controller")
 
 
-def _baseline_row(policy: PolicyKind, space: StateSpace) -> np.ndarray:
-    """The action of the deterministic baseline `policy` (deadline_first or
-    aoi_greedy) in every state of `space`, in index order, as int8: what
-    `baseline_decision` gives for each state, read from `space.queue`."""
-    deadline_first = policy == PolicyKind.DEADLINE_FIRST
-    return np.where(deadline_first & (space.queue > 0), Action.USER2, Action.USER1).astype(np.int8)
+def _baseline_actions(policy: PolicyKind) -> tuple[int, int]:
+    """(the action with the queue empty, the action with a packet queued) of
+    the deterministic baseline `policy` (deadline_first or aoi_greedy), as
+    `baseline_decision` gives them: neither baseline reads more of the state
+    than whether its queue holds a packet."""
+    empty, queued = (int(baseline_decision(policy, SystemState(1, queue))) for queue in (0, 1))
+    return empty, queued
+
+
+def _baseline_trajectories(
+    policy: PolicyKind, cfg: FrameConfig, code_arr: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(queue, actions) at every slot of a deterministic baseline's run over
+    the channel codes `code_arr`, by array operations instead of a slot loop.
+
+    The action depends on the queue alone, and the queue, which starts each
+    frame at K, drains only while the baseline serves user 2 with a packet
+    queued. So the queue at slot t is K minus the user-2 landings at earlier
+    slots of t's frame, floored at 0, when the queued action is USER2, and K
+    throughout otherwise. The landings are counted by a cumulative sum in
+    each frame, in the smallest unsigned type holding T.
+    """
+    T, K = cfg.T, cfg.K
+    horizon_slots = len(code_arr)
+    empty, queued = _baseline_actions(policy)
+    queue_arr = np.full(horizon_slots, K, dtype=np.int32)
+    if queued == Action.USER2:
+        landed = code_arr.view(np.uint8) & 1
+        counts = np.empty(horizon_slots, dtype=np.min_scalar_type(T))
+        full = horizon_slots - horizon_slots % T
+        np.cumsum(landed[:full].reshape(-1, T), axis=1, dtype=counts.dtype,
+                  out=counts[:full].reshape(-1, T))
+        np.cumsum(landed[full:], dtype=counts.dtype, out=counts[full:])
+        del landed
+        # Slot t + 1 sees the landings up to slot t, except at a frame start.
+        np.subtract(K, counts[:-1], out=queue_arr[1:], dtype=np.int32)
+        del counts
+        queue_arr[::T] = K
+        np.maximum(queue_arr, 0, out=queue_arr)
+    act_arr = np.full(horizon_slots, empty, dtype=np.int8)
+    np.copyto(act_arr, queued, where=queue_arr > 0)
+    return queue_arr, act_arr
+
+
+def _ages(d1_arr: np.ndarray, a_max: int) -> np.ndarray:
+    """Age at every slot (int32) from the user-1 deliveries `d1_arr`, the
+    law `model.step_aoi` applies slot by slot: t - r capped at `a_max`, where
+    r is the last slot before t with a delivery, or -1 (the run starts at
+    age 1). The slot indices are int32 up to 2**31 - 1 slots."""
+    horizon_slots = len(d1_arr)
+    age = np.arange(1, horizon_slots + 1, dtype=np.int32 if horizon_slots < 2**31 else np.int64)
+    # restart[t]: r + 1 for the last slot r <= t with a delivery, 0 before any
+    restart = age * d1_arr
+    np.maximum.accumulate(restart, out=restart)
+    age[1:] -= restart[:-1]
+    del restart
+    np.minimum(age, a_max, out=age)
+    return age.astype(np.int32, copy=False)
+
+
+def _debts(d2: memoryview, rho: float) -> Iterator[float]:
+    """Z at every slot and after the last, from the user-2 deliveries `d2`:
+    `lyapunov.update_virtual_queue` inlined, the same float operations in
+    slot order."""
+    z = 0.0
+    yield z
+    for delivered in d2:
+        if delivered:
+            z -= 1
+            if z < 0.0:
+                z = 0.0
+        z += rho
+        yield z
+
+
+def _schedule_counts(act_arr: np.ndarray, T: int, warmup_slots: int) -> np.ndarray:
+    """counts[j, a]: the slots t >= warmup_slots with t % T == j and action
+    a, (T, 3) int64. Each action is counted over the full frames from the
+    one holding warmup_slots on as column sums of rows of T, so no slot
+    index is materialized; then the partial frame at the end is added and
+    the slots of warmup_slots' frame before it are taken off, one by one."""
+    start = warmup_slots - warmup_slots % T
+    full = len(act_arr) - len(act_arr) % T
+    frames = act_arr[start:full].reshape(-1, T)
+    counts = np.stack([(frames == action).sum(axis=0) for action in range(3)], axis=1)
+    np.add.at(counts, (np.arange(len(act_arr) - full), act_arr[full:]), 1)
+    np.subtract.at(counts, (np.arange(warmup_slots - start), act_arr[start:warmup_slots]), 1)
+    return counts
 
 
 class _StateWalk:
@@ -280,6 +368,84 @@ class FrameTables:
             self._memo[key] = entry
 
 
+def _slot_loop(
+    cfg: FrameConfig,
+    model: ChannelModel,
+    policy: PolicyKind,
+    code_arr: np.ndarray,
+    first: tuple[int, int],
+    draw,
+    bucket: float,
+    tables: FrameTables | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """(age, queue, actions, debts, table lookups by FRESH, EXACT and
+    CERTIFIED) of a controller or uniform_random run over the channel codes
+    `code_arr`, the links in states `first` before slot 0, stepped slot by
+    slot (see `run_simulation`). `draw` is uniform_random's action stream."""
+    T, K = cfg.T, cfg.K
+    horizon_slots = len(code_arr)
+    code = memoryview(code_arr)
+
+    # The controller reads a (T, S) action table, flattened, taken per frame
+    # from `tables`. uniform_random draws from feasible_actions of the state,
+    # indexed by queue > 0, with the same act_rng call as baseline_decision.
+    table = None
+    if policy == PolicyKind.DRIFT_PLUS_PENALTY:
+        if tables is None:
+            tables = FrameTables(cfg, model)
+        space, walk = tables.solver.space, tables.walk
+    else:
+        tables = None
+        space = StateSpace(cfg, model)
+        walk = _StateWalk(space)
+    options = tuple(
+        tuple(map(int, feasible_actions(SystemState(1, queue)))) for queue in (0, 1)
+    )
+    successor, refill, queued = walk.successor, walk.refill, walk.queued
+    S = space.n_states
+    lookups = [0] * len(LOOKUP_KEYS)  # indexed by FRESH, EXACT, CERTIFIED
+
+    state_arr = np.empty(horizon_slots, dtype=np.min_scalar_type(S - 1))
+    act_arr = np.empty(horizon_slots, dtype=np.int8)
+    z_arr = np.empty(horizon_slots + 1)
+    state_out, act_out, z_out = memoryview(state_arr), memoryview(act_arr), memoryview(z_arr)
+
+    USER2 = int(Action.USER2)
+    s, z = space.index_parts(1, K, space.mem_index(*first)), 0.0
+    rho = cfg.rho
+    for start in range(0, horizon_slots, T):
+        if tables is not None:
+            table, found = tables.actions(round(z / bucket) * bucket if bucket else z)
+            lookups[found] += 1
+        stop = min(start + T, horizon_slots)
+        offset = 0  # of slot t's row in the flattened table
+        for t in range(start, stop):
+            state_out[t] = s
+            z_out[t] = z
+            if table is None:
+                choices = options[queued[s]]
+                action = choices[draw(len(choices))]
+            else:
+                action = table[offset + s]
+            offset += S
+            act_out[t] = action
+            outcome = code[t]
+            if action == USER2 and outcome & 1:  # update_virtual_queue, d2 = 1
+                z -= 1
+                if z < 0.0:
+                    z = 0.0
+            z += rho
+            s = successor[(3 * s + action) * 4 + outcome]
+        if stop - start == T:  # step_queue at a full frame's last slot
+            s = refill[s]
+    z_out[horizon_slots] = z
+
+    # Decode the visited states.
+    aoi_arr = space.aoi.take(state_arr)
+    queue_arr = space.queue.take(state_arr)
+    return aoi_arr, queue_arr, act_arr, z_arr, lookups
+
+
 def check_run_inputs(
     T: int,
     model: ChannelModel,
@@ -346,26 +512,39 @@ def run_simulation(
 
     The controller takes its tables from `tables`, or from a FrameTables of
     its own when given none; only Metrics.diagnostics depends on which.
-    Each link's Good/Bad outcome at every slot is computed before the loop
-    (see `_channel_codes`), and the draws are freed before the trajectory
-    arrays are allocated. The loop runs frame by frame: at each frame start,
-    the first included, the controller takes its table for the frame's
-    frozen debt from them (solved, or reused at the same float debt or
-    within a certified radius; frame 0 reuses the table solved when they
-    were built), then an inner loop steps the frame's slots (the last frame
-    may be partial). Per slot it records the state index s and the debt,
-    reads the action at s from the frame's (T, S) action table (uniform_random
-    draws it instead), applies `lyapunov.update_virtual_queue` inline, and
-    moves s to its successor under the action and the slot's channel code;
-    after a full frame's last slot the queue refills to K. The successor list
-    is `StateSpace.successors` flattened, which fixes the code format and
-    encodes `model.step_aoi` and `model.step_queue` mid-frame, and the refill
-    list the frame-end refill (see `_StateWalk`); they are built once per
-    FrameTables, and once per run for a baseline. Arrays are read and
-    written through memoryviews, so no slot touches a NumPy scalar. After
-    the loop, age and queue are the `StateSpace.aoi` and `StateSpace.queue`
-    of the recorded states, and the deliveries come from the actions and the
-    channel codes.
+    Each link's Good/Bad outcome at every slot is computed first (see
+    `_channel_codes`), and the draws are freed before the trajectory arrays
+    are allocated.
+
+    deadline_first and aoi_greedy take no slot loop. Their action is the
+    queued one where the queue holds a packet and the empty one elsewhere
+    (`_baseline_actions`), so their queue and actions come from per-frame
+    cumulative sums of the user-2 landings (`_baseline_trajectories`), their
+    age from the last user-1 delivery by a running maximum (`_ages`), and
+    their debt from one pass over the user-2 deliveries in slot order, with
+    the float operations of `lyapunov.update_virtual_queue` (`_debts`).
+
+    The controller and uniform_random run the slot loop (`_slot_loop`)
+    frame by frame: at each frame start, the first included, the
+    controller takes its table for the frame's frozen debt from its tables
+    (solved, or reused at the same float debt or within a certified radius;
+    frame 0 reuses the table solved when they were built), then an inner
+    loop steps the frame's slots (the last frame may be partial). Per slot
+    it records the state index s and the debt, reads the action at s from
+    the frame's (T, S) action table (uniform_random draws it instead),
+    applies `lyapunov.update_virtual_queue` inline, and moves s to its
+    successor under the action and the slot's channel code; after a full
+    frame's last slot the queue refills to K. The successor list is
+    `StateSpace.successors` flattened, which fixes the code format and
+    encodes `model.step_aoi` and `model.step_queue` mid-frame, and the
+    refill list the frame-end refill (see `_StateWalk`); they are built once
+    per FrameTables, and once per run for uniform_random. Arrays are read
+    and written through memoryviews, so no slot touches a NumPy scalar.
+    After the loop, age and queue are the `StateSpace.aoi` and
+    `StateSpace.queue` of the recorded states.
+
+    On both paths the deliveries come from the actions and the channel
+    codes.
     `tests/test_sim.py::test_loop_follows_model_laws` checks every slot
     against the model laws, and `test_run_matches_reference_loop` checks the
     trajectories against a plain per-slot loop.
@@ -373,8 +552,7 @@ def run_simulation(
     check_run_inputs(cfg.T, model, horizon_slots, seed, warmup_slots, z_cache_bucket)
     if tables is not None and (tables.solver.cfg != cfg or tables.solver.model != model):
         raise ValueError("tables must be built for the run's cfg and model")
-    T, K, A_max = cfg.T, cfg.K, cfg.A_max
-    bucket = z_cache_bucket
+    T, A_max = cfg.T, cfg.A_max
     warnings: list[str] = []
     try:
         lyapunov.slackness_epsilon(model, T, cfg.q)
@@ -386,85 +564,29 @@ def run_simulation(
     chan_ss, act_ss, init_ss = np.random.SeedSequence(seed).spawn(3)
     (m1, m2), code_arr = _channel_codes(model, horizon_slots, np.random.default_rng(chan_ss),
                                         np.random.default_rng(init_ss))
-    code = memoryview(code_arr)
-    draw = np.random.default_rng(act_ss).integers
-
-    # Every policy but uniform_random reads a (T, S) action table, flattened:
-    # the controller takes one per frame from `tables`, a deterministic
-    # baseline's is built once. uniform_random draws from feasible_actions of
-    # the state, indexed by queue > 0, with the same act_rng call as
-    # baseline_decision.
-    table = None
-    if policy == PolicyKind.DRIFT_PLUS_PENALTY:
-        if tables is None:
-            tables = FrameTables(cfg, model)
-        space, walk = tables.solver.space, tables.walk
+    deterministic = policy in (PolicyKind.DEADLINE_FIRST, PolicyKind.AOI_GREEDY)
+    if deterministic:
+        queue_arr, act_arr = _baseline_trajectories(policy, cfg, code_arr)
+        lookups = [0] * len(LOOKUP_KEYS)
     else:
-        tables = None
-        space = StateSpace(cfg, model)
-        walk = _StateWalk(space)
-        if policy != PolicyKind.UNIFORM_RANDOM:
-            table = memoryview(np.tile(_baseline_row(policy, space), T))
-    options = tuple(
-        tuple(map(int, feasible_actions(SystemState(1, queue)))) for queue in (0, 1)
-    )
-    successor, refill, queued = walk.successor, walk.refill, walk.queued
-    S = space.n_states
-    lookups = [0] * len(LOOKUP_KEYS)  # indexed by FRESH, EXACT, CERTIFIED
+        draw = np.random.default_rng(act_ss).integers
+        aoi_arr, queue_arr, act_arr, z_arr, lookups = _slot_loop(
+            cfg, model, policy, code_arr, (m1, m2), draw, z_cache_bucket, tables)
 
-    state_arr = np.empty(horizon_slots, dtype=np.min_scalar_type(S - 1))
-    act_arr = np.empty(horizon_slots, dtype=np.int8)
-    z_arr = np.empty(horizon_slots + 1)
-    state_out, act_out, z_out = memoryview(state_arr), memoryview(act_arr), memoryview(z_arr)
-
-    USER2 = int(Action.USER2)
-    s, z = space.index_parts(1, K, space.mem_index(m1, m2)), 0.0
-    rho = cfg.rho
-    for start in range(0, horizon_slots, T):
-        if tables is not None:
-            table, found = tables.actions(round(z / bucket) * bucket if bucket else z)
-            lookups[found] += 1
-        stop = min(start + T, horizon_slots)
-        offset = 0  # of slot t's row in the flattened table
-        for t in range(start, stop):
-            state_out[t] = s
-            z_out[t] = z
-            if table is None:
-                choices = options[queued[s]]
-                action = choices[draw(len(choices))]
-            else:
-                action = table[offset + s]
-            offset += S
-            act_out[t] = action
-            outcome = code[t]
-            if action == USER2 and outcome & 1:  # update_virtual_queue, d2 = 1
-                z -= 1
-                if z < 0.0:
-                    z = 0.0
-            z += rho
-            s = successor[(3 * s + action) * 4 + outcome]
-        if stop - start == T:  # step_queue at a full frame's last slot
-            s = refill[s]
-    z_out[horizon_slots] = z
-
-    # Decode the visited states and the deliveries (the scheduled user's
-    # link landed Good).
-    aoi_arr = space.aoi.take(state_arr)
-    queue_arr = space.queue.take(state_arr)
-    del state_arr, state_out
+    # The deliveries: the scheduled user's link landed Good.
     d1_arr = code_arr >> 1
     d1_arr &= act_arr == Action.USER1
     d2_arr = code_arr & 1
     d2_arr &= act_arr == Action.USER2
-    del code_arr, code
+    del code_arr
+    if deterministic:
+        aoi_arr = _ages(d1_arr, A_max)
+        z_arr = np.fromiter(_debts(memoryview(d2_arr), cfg.rho), float, count=horizon_slots + 1)
 
     frames = horizon_slots // T
     per_frame = d2_arr[: frames * T].reshape(frames, T).sum(axis=1).astype(np.int32)
     hist = np.bincount(aoi_arr[warmup_slots:], minlength=A_max + 1)[1:]
-    cells = np.arange(warmup_slots, horizon_slots, dtype=np.int32) % T
-    cells *= 3
-    cells += act_arr[warmup_slots:]
-    counts = np.bincount(cells, minlength=3 * T).reshape(T, 3)
+    counts = _schedule_counts(act_arr, T, warmup_slots)
     fractions = counts / counts.sum(axis=1, keepdims=True)
 
     return Metrics(

@@ -56,11 +56,13 @@ def test_baseline_decisions():
                          ids=["iid", "gilbert_elliot"])
 @pytest.mark.parametrize("policy", [PolicyKind.DEADLINE_FIRST, PolicyKind.AOI_GREEDY])
 def test_baseline_row_follows_baseline_decision(policy, model):
-    # the deterministic baselines' action tables, built without a call per state
+    # The deterministic baselines run without a slot loop, on the premise
+    # that their action depends on queue > 0 alone: in every state it must
+    # be the (empty, queued) pair that the array path schedules.
+    pair = sim._baseline_actions(policy)
     space = StateSpace(reference_cfg(5.0), model)
-    row = sim._baseline_row(policy, space)
-    assert row.dtype == np.int8
-    assert row.tolist() == [baseline_decision(policy, state) for state in space.states()]
+    for state in space.states():
+        assert baseline_decision(policy, state) == pair[state.queue > 0], state
 
 
 def test_determinism_same_seed():
@@ -115,6 +117,21 @@ def test_warmup_cut():
     assert cut.aoi_histogram.sum() == 4_000
     assert cut.mean_aoi == pytest.approx(float(full.aoi[2_000:].mean()))
     assert cut.delivery_mean == pytest.approx(float(full.per_frame_deliveries[100:].mean()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 30), st.integers(1, 12), st.integers(0, 29), st.integers(0, 2**32 - 1))
+def test_schedule_counts_match_plain_count(T, frames, extra, seed):
+    # (slot in frame, action) counts from the first counted slot on, for
+    # horizons that end in a partial frame and warmups inside a frame.
+    horizon = frames * T + extra % T
+    rng = np.random.default_rng(seed)
+    warmup = int(rng.integers(0, horizon))
+    actions = rng.integers(0, 3, horizon).astype(np.int8)
+    slots = np.arange(warmup, horizon)
+    plain = np.bincount(slots % T * 3 + actions[warmup:], minlength=3 * T).reshape(T, 3)
+    counts = sim._schedule_counts(actions, T, warmup)
+    assert counts.dtype == plain.dtype and np.array_equal(counts, plain)
 
 
 # T = 4, 41 slots: frames start at 0, 4, ..., 36, and frame 9 ends at 40
@@ -220,8 +237,10 @@ def test_infeasible_target_warns_but_runs():
 def test_loop_follows_model_laws(policy, chan):
     # The slot loop reads the StateSpace.successors table (step_aoi and
     # step_queue mid-frame) and its refill list, it inlines
-    # update_virtual_queue, age and queue come from the StateSpace decode
-    # tables, and the baselines' tables and draws follow baseline_decision;
+    # update_virtual_queue, and age and queue come from the StateSpace
+    # decode tables; the deterministic baselines take their queue, actions
+    # and age from array operations and their debt from sim._debts. The
+    # actions and draws of every baseline follow baseline_decision, and
     # every slot of a run ending in a partial frame must agree with them.
     cfg, seed = reference_cfg(5.0), 3
     m = run_simulation(cfg, CHANNELS[chan], policy, PARTIAL_HORIZON, seed)
@@ -333,15 +352,27 @@ def test_run_with_more_states_than_int16_holds():
     m = run_simulation(cfg, model, PolicyKind.DEADLINE_FIRST, 1_010, 0)
     assert m.aoi.max() == cfg.A_max
     assert_matches_reference_loop(m, model)
+    # 40,001 states, and frames of 40,000 slots in which user 2's link lands
+    # about 36,000 times: deadline_first's in-frame landing count passes
+    # 32,767 while the queue is still above 0. The horizon ends in a
+    # partial frame.
+    cfg = FrameConfig(T=40_000, K=40_000, q=8.0, A_max=1, V=0.0)
+    model = IIDChannel(p1=0.5, p2=0.9)
+    for policy in (PolicyKind.DEADLINE_FIRST, PolicyKind.AOI_GREEDY):
+        m = run_simulation(cfg, model, policy, 41_013, 0)
+        assert_matches_reference_loop(m, model)
+        if policy == PolicyKind.DEADLINE_FIRST:
+            assert 0 < m.queue[cfg.T - 1] < cfg.K - 32_767
 
 
 def test_long_baseline_run_memory_peak():
-    # The channel codes are computed before the loop and the uniforms freed
-    # before the trajectories are allocated; the loop writes the states,
-    # actions and debts through memoryviews. The traced peak at 50,000
-    # slots is 1.77 MB, against 2.57 MB for a run that keeps the horizon's
-    # 0.8 MB of uniforms alive to its end, and 9.0 MB for one that keeps
-    # them as a .tolist().
+    # deadline_first takes no slot loop: its trajectories are array
+    # operations over the channel codes, which are computed first, and the
+    # uniforms are freed before any trajectory is allocated. The traced peak
+    # at 50,000 slots is 1.37 MB, reached in the age histogram's bincount,
+    # against 7.8 MB for a run that keeps the uniforms alive to its end as a
+    # .tolist(). Kept as an array, the horizon's 0.8 MB of uniforms read
+    # 2.17 MB, which this bound lets pass.
     baseline = dict(policy=PolicyKind.DEADLINE_FIRST, seed=0)
     small_run(horizon=1_000, **baseline)  # imports and caches outside the trace
     tracemalloc.start()
@@ -489,9 +520,17 @@ def test_frame_tables_solve_frame0_once(budget, monkeypatch):
                                          certified_hits=0)
 
 
-def test_baselines_report_no_table_lookups():
-    m = small_run(policy=PolicyKind.DEADLINE_FIRST, horizon=200)
-    assert m.diagnostics == dict(fresh_solves=0, exact_hits=0, certified_hits=0)
+def test_baselines_report_no_table_lookups(monkeypatch):
+    # deadline_first and aoi_greedy run as array operations: no slot loop,
+    # no state space and no per-state walk lists.
+    def no_loop(*args, **kwargs):
+        raise AssertionError("the run built a slot loop")
+
+    for name in ("_slot_loop", "_StateWalk", "StateSpace"):
+        monkeypatch.setattr(sim, name, no_loop)
+    for policy in (PolicyKind.DEADLINE_FIRST, PolicyKind.AOI_GREEDY):
+        m = small_run(policy=policy, horizon=213)
+        assert m.diagnostics == dict(fresh_solves=0, exact_hits=0, certified_hits=0)
 
 
 def count_solves(monkeypatch) -> list[float]:
