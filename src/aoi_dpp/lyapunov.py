@@ -71,12 +71,13 @@ class BoundsReport:
 def update_virtual_queue(z: float, d2: int, rho: float) -> float:
     """One slot of debt dynamics: Z <- max(Z - d2, 0) + rho. Applied every slot.
 
-    `sim.run_simulation` inlines this law twice: in the slot loop of the
-    controller and uniform_random, where it is the one update that is not a
-    successor-list read, and in `sim._debts`, the one pass over the user-2
-    deliveries that gives a deterministic baseline's debts after its other
-    trajectories. This function is their specification, and
-    `tests/test_sim.py` checks every slot of both against it bit for bit.
+    `sim.run_simulation` inlines this law twice: in `sim._debts`, the one
+    pass over the user-2 deliveries that writes every policy's debt
+    trajectory after its actions are picked, and in the slot loop of the
+    controller and uniform_random, which keeps a running debt only to key
+    each frame's table lookup. This function is their specification:
+    `tests/test_sim.py` checks every slot of the trajectory against it bit
+    for bit, and every lookup key against the trajectory.
     """
     return max(z - d2, 0.0) + rho
 

@@ -2,38 +2,36 @@
 
 The drift-plus-penalty controller solves the frame DP at every frame start
 with the debt value frozen at Z(t_m), or at Z(t_m) rounded to a multiple of
-a positive `z_cache_bucket`, executes the resulting policy slot by slot, and
-updates age, queue and debt every slot. Every frame, the first included,
-takes its table from one lookup in a `FrameTables`, which solves the frame-0
-table (Z(0) = 0) when it is built. A frame whose frozen debt equals, as a
-float, that of a recent frame or 0, or lies within the certified radius of a
-recent frame's table (see `FrameSolver.certified_radius`), reuses that table
-instead of solving again (see `_TABLE_MEMO_BYTES`). A reused table is the
-one a fresh solve would write, bit for bit, so the trajectories are the same
-whether tables are reused, and whether runs share their `FrameTables` or
-not. The deterministic baselines (deadline_first and aoi_greedy) decide by
-whether the queue holds a packet alone, so they run without a slot loop;
-only the controller and the uniform baseline step slot by slot. Runs are
+a positive `z_cache_bucket`, and executes the resulting policy slot by slot.
+Every frame, the first included, takes its table from one lookup in a
+`FrameTables`, which solves the frame-0 table (Z(0) = 0) when it is built. A
+frame whose frozen debt equals, as a float, that of a recent frame or 0, or
+lies within the certified radius of a recent frame's table (see
+`FrameSolver.certified_radius`), reuses that table instead of solving again
+(see `_TABLE_MEMO_BYTES`). A reused table is the one a fresh solve would
+write, bit for bit, so the trajectories are the same whether tables are
+reused, and whether runs share their `FrameTables` or not. Runs are
 bit-reproducible from (config, model, policy, horizon, seed): channel
 randomness, action randomness (uniform baseline) and the initial channel
 draw come from separately spawned streams of one seed.
 
 The channel does not depend on the actions, so both links' outcomes for
-the whole horizon are computed in NumPy first, one int8 code a slot. The
-slot loop is the hot path of every long controller run, so it does as
-little per slot as it can, at interpreter speed on plain ints and floats:
-it walks dense state indices, with one action-table read and one
-successor-list read per slot and the debt law of `lyapunov` inlined. The
-successor list is `StateSpace.successors`, the table the frame solver
-builds its transitions from, so the loop and the DP step one slot law. After
-the loop, age and queue are read from the visited states through the
-`StateSpace` decode tables. A deterministic baseline's queue and actions
-come instead from per-frame cumulative sums over the channel codes, its age
-from a running maximum over the user-1 deliveries, and its debt from one
-pass over the user-2 deliveries (see `_baseline_trajectories`, `_ages` and
-`_debts`). Deliveries come from the actions and the channel codes either
-way. The age, queue and debt laws of `model` and `lyapunov` stay the
-executable specification of both paths (see `run_simulation`).
+the whole horizon are computed in NumPy first, one int8 code a slot. A
+policy then only picks the action at every slot. The deterministic
+baselines (deadline_first and aoi_greedy) decide by whether the queue holds
+a packet alone, so theirs come from per-frame cumulative sums over the
+channel codes (`_baseline_schedule`). The controller and the uniform
+baseline step slot by slot, the hot path of every long controller run: at
+interpreter speed on plain ints and floats, the loop walks dense state
+indices with one action-table read and one successor-list read per slot,
+and keeps a running debt (the law of `lyapunov` inlined) only to key each
+frame's table lookup. The successor list is `StateSpace.successors`, the
+table the frame solver builds its transitions from, so the loop and the DP
+step one slot law. After the actions, the same array passes serve every
+policy: the deliveries from the actions and the channel codes, then age
+(`_ages`), queue (`_queues`) and debt (`_debts`) from the deliveries. The
+laws of `model` and `lyapunov` stay their executable specification (see
+`run_simulation`).
 """
 
 from __future__ import annotations
@@ -160,39 +158,48 @@ def _baseline_actions(policy: PolicyKind) -> tuple[int, int]:
     return empty, queued
 
 
-def _baseline_trajectories(
+def _baseline_schedule(
     policy: PolicyKind, cfg: FrameConfig, code_arr: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(queue, actions) at every slot of a deterministic baseline's run over
-    the channel codes `code_arr`, by array operations instead of a slot loop.
+) -> np.ndarray:
+    """The action at every slot of a deterministic baseline's run over the
+    channel codes `code_arr`, by array operations instead of a slot loop.
 
-    The action depends on the queue alone, and the queue, which starts each
-    frame at K, drains only while the baseline serves user 2 with a packet
-    queued. So the queue at slot t is K minus the user-2 landings at earlier
-    slots of t's frame, floored at 0, when the queued action is USER2, and K
-    throughout otherwise. The landings are counted by a cumulative sum in
-    each frame, in the smallest unsigned type holding T.
+    The action is the queued one where the queue holds a packet and the
+    empty one elsewhere, and the queue drains only while the baseline serves
+    user 2 with a packet queued. So when the queued action is USER2, the
+    queue holds a packet at slot t exactly when K minus the user-2 landings
+    at earlier slots of t's frame (`_queues` of the landings) is above 0;
+    otherwise it holds K throughout.
     """
-    T, K = cfg.T, cfg.K
-    horizon_slots = len(code_arr)
     empty, queued = _baseline_actions(policy)
-    queue_arr = np.full(horizon_slots, K, dtype=np.int32)
     if queued == Action.USER2:
-        landed = code_arr.view(np.uint8) & 1
-        counts = np.empty(horizon_slots, dtype=np.min_scalar_type(T))
-        full = horizon_slots - horizon_slots % T
-        np.cumsum(landed[:full].reshape(-1, T), axis=1, dtype=counts.dtype,
-                  out=counts[:full].reshape(-1, T))
-        np.cumsum(landed[full:], dtype=counts.dtype, out=counts[full:])
-        del landed
-        # Slot t + 1 sees the landings up to slot t, except at a frame start.
-        np.subtract(K, counts[:-1], out=queue_arr[1:], dtype=np.int32)
-        del counts
-        queue_arr[::T] = K
-        np.maximum(queue_arr, 0, out=queue_arr)
-    act_arr = np.full(horizon_slots, empty, dtype=np.int8)
-    np.copyto(act_arr, queued, where=queue_arr > 0)
-    return queue_arr, act_arr
+        holds = _queues(code_arr.view(np.uint8) & 1, cfg.T, cfg.K) > 0
+    else:
+        holds = cfg.K > 0
+    act_arr = np.full(len(code_arr), empty, dtype=np.int8)
+    np.copyto(act_arr, queued, where=holds)
+    return act_arr
+
+
+def _queues(d2_arr: np.ndarray, T: int, K: int) -> np.ndarray:
+    """Queue at every slot (int32) from the user-2 deliveries `d2_arr`, the
+    law `model.step_queue` applies slot by slot: each frame starts at K, and
+    slot t sees K minus the deliveries at earlier slots of its frame. A
+    delivery needs a queued packet, so the floor at 0 never applies. The
+    deliveries are counted by a cumulative sum in each frame, in the
+    smallest unsigned type holding T.
+    """
+    horizon_slots = len(d2_arr)
+    counts = np.empty(horizon_slots, dtype=np.min_scalar_type(T))
+    full = horizon_slots - horizon_slots % T
+    np.cumsum(d2_arr[:full].reshape(-1, T), axis=1, dtype=counts.dtype,
+              out=counts[:full].reshape(-1, T))
+    np.cumsum(d2_arr[full:], dtype=counts.dtype, out=counts[full:])
+    queue_arr = np.empty(horizon_slots, dtype=np.int32)
+    # Slot t + 1 sees the deliveries up to slot t, except at a frame start.
+    np.subtract(K, counts[:-1], out=queue_arr[1:], dtype=np.int32)
+    queue_arr[::T] = K
+    return queue_arr
 
 
 def _ages(d1_arr: np.ndarray, a_max: int) -> np.ndarray:
@@ -214,7 +221,8 @@ def _ages(d1_arr: np.ndarray, a_max: int) -> np.ndarray:
 def _debts(d2: memoryview, rho: float) -> Iterator[float]:
     """Z at every slot and after the last, from the user-2 deliveries `d2`:
     `lyapunov.update_virtual_queue` inlined, the same float operations in
-    slot order."""
+    slot order as the slot loop's running debt, so its frame-start entries
+    are the debts the loop keyed its table lookups with, bit for bit."""
     z = 0.0
     yield z
     for delivered in d2:
@@ -377,11 +385,14 @@ def _slot_loop(
     draw,
     bucket: float,
     tables: FrameTables | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[int]]:
-    """(age, queue, actions, debts, table lookups by FRESH, EXACT and
-    CERTIFIED) of a controller or uniform_random run over the channel codes
-    `code_arr`, the links in states `first` before slot 0, stepped slot by
-    slot (see `run_simulation`). `draw` is uniform_random's action stream."""
+) -> tuple[np.ndarray, list[int]]:
+    """(actions, table lookups by FRESH, EXACT and CERTIFIED) of a
+    controller or uniform_random run over the channel codes `code_arr`, the
+    links in states `first` before slot 0, stepped slot by slot (see
+    `run_simulation`). `draw` is uniform_random's action stream. The loop
+    keeps a running debt only to key each frame's table lookup; the run's
+    debt trajectory is `_debts`, the same law in the same float operations.
+    """
     T, K = cfg.T, cfg.K
     horizon_slots = len(code_arr)
     code = memoryview(code_arr)
@@ -405,10 +416,8 @@ def _slot_loop(
     S = space.n_states
     lookups = [0] * len(LOOKUP_KEYS)  # indexed by FRESH, EXACT, CERTIFIED
 
-    state_arr = np.empty(horizon_slots, dtype=np.min_scalar_type(S - 1))
     act_arr = np.empty(horizon_slots, dtype=np.int8)
-    z_arr = np.empty(horizon_slots + 1)
-    state_out, act_out, z_out = memoryview(state_arr), memoryview(act_arr), memoryview(z_arr)
+    act_out = memoryview(act_arr)
 
     USER2 = int(Action.USER2)
     s, z = space.index_parts(1, K, space.mem_index(*first)), 0.0
@@ -420,8 +429,6 @@ def _slot_loop(
         stop = min(start + T, horizon_slots)
         offset = 0  # of slot t's row in the flattened table
         for t in range(start, stop):
-            state_out[t] = s
-            z_out[t] = z
             if table is None:
                 choices = options[queued[s]]
                 action = choices[draw(len(choices))]
@@ -438,12 +445,7 @@ def _slot_loop(
             s = successor[(3 * s + action) * 4 + outcome]
         if stop - start == T:  # step_queue at a full frame's last slot
             s = refill[s]
-    z_out[horizon_slots] = z
-
-    # Decode the visited states.
-    aoi_arr = space.aoi.take(state_arr)
-    queue_arr = space.queue.take(state_arr)
-    return aoi_arr, queue_arr, act_arr, z_arr, lookups
+    return act_arr, lookups
 
 
 def check_run_inputs(
@@ -516,36 +518,33 @@ def run_simulation(
     `_channel_codes`), and the draws are freed before the trajectory arrays
     are allocated.
 
-    deadline_first and aoi_greedy take no slot loop. Their action is the
-    queued one where the queue holds a packet and the empty one elsewhere
-    (`_baseline_actions`), so their queue and actions come from per-frame
-    cumulative sums of the user-2 landings (`_baseline_trajectories`), their
-    age from the last user-1 delivery by a running maximum (`_ages`), and
-    their debt from one pass over the user-2 deliveries in slot order, with
-    the float operations of `lyapunov.update_virtual_queue` (`_debts`).
-
-    The controller and uniform_random run the slot loop (`_slot_loop`)
+    Each policy first picks its action at every slot. deadline_first and
+    aoi_greedy take no slot loop: their action is the queued one where the
+    queue holds a packet and the empty one elsewhere (`_baseline_actions`),
+    found by per-frame cumulative sums of the user-2 landings
+    (`_baseline_schedule`). The controller and uniform_random run the slot loop (`_slot_loop`)
     frame by frame: at each frame start, the first included, the
     controller takes its table for the frame's frozen debt from its tables
     (solved, or reused at the same float debt or within a certified radius;
     frame 0 reuses the table solved when they were built), then an inner
     loop steps the frame's slots (the last frame may be partial). Per slot
-    it records the state index s and the debt, reads the action at s from
-    the frame's (T, S) action table (uniform_random draws it instead),
-    applies `lyapunov.update_virtual_queue` inline, and moves s to its
-    successor under the action and the slot's channel code; after a full
-    frame's last slot the queue refills to K. The successor list is
-    `StateSpace.successors` flattened, which fixes the code format and
-    encodes `model.step_aoi` and `model.step_queue` mid-frame, and the
-    refill list the frame-end refill (see `_StateWalk`); they are built once
-    per FrameTables, and once per run for uniform_random. Arrays are read
-    and written through memoryviews, so no slot touches a NumPy scalar.
-    After the loop, age and queue are the `StateSpace.aoi` and
-    `StateSpace.queue` of the recorded states.
+    it reads the action at the state index s from the frame's (T, S) action
+    table (uniform_random draws it instead), applies
+    `lyapunov.update_virtual_queue` inline to the running debt that keys the
+    next frame's lookup, and moves s to its successor under the action and
+    the slot's channel code; after a full frame's last slot the queue
+    refills to K. The successor list is `StateSpace.successors` flattened,
+    which fixes the code format and encodes `model.step_aoi` and
+    `model.step_queue` mid-frame, and the refill list the frame-end refill
+    (see `_StateWalk`); they are built once per FrameTables, and once per
+    run for uniform_random. The actions are written through a memoryview,
+    so no slot touches a NumPy scalar.
 
-    On both paths the deliveries come from the actions and the channel
-    codes.
-    `tests/test_sim.py::test_loop_follows_model_laws` checks every slot
+    Then one block derives the rest for every policy alike: deliveries from
+    the actions and the channel codes, age by a running maximum (`_ages`),
+    queue by per-frame cumulative sums (`_queues`), and debt by one pass in
+    slot order with the float operations of `lyapunov.update_virtual_queue`
+    (`_debts`). `tests/test_sim.py::test_loop_follows_model_laws` checks every slot
     against the model laws, and `test_run_matches_reference_loop` checks the
     trajectories against a plain per-slot loop.
     """
@@ -564,13 +563,12 @@ def run_simulation(
     chan_ss, act_ss, init_ss = np.random.SeedSequence(seed).spawn(3)
     (m1, m2), code_arr = _channel_codes(model, horizon_slots, np.random.default_rng(chan_ss),
                                         np.random.default_rng(init_ss))
-    deterministic = policy in (PolicyKind.DEADLINE_FIRST, PolicyKind.AOI_GREEDY)
-    if deterministic:
-        queue_arr, act_arr = _baseline_trajectories(policy, cfg, code_arr)
+    if policy in (PolicyKind.DEADLINE_FIRST, PolicyKind.AOI_GREEDY):
+        act_arr = _baseline_schedule(policy, cfg, code_arr)
         lookups = [0] * len(LOOKUP_KEYS)
     else:
         draw = np.random.default_rng(act_ss).integers
-        aoi_arr, queue_arr, act_arr, z_arr, lookups = _slot_loop(
+        act_arr, lookups = _slot_loop(
             cfg, model, policy, code_arr, (m1, m2), draw, z_cache_bucket, tables)
 
     # The deliveries: the scheduled user's link landed Good.
@@ -579,9 +577,9 @@ def run_simulation(
     d2_arr = code_arr & 1
     d2_arr &= act_arr == Action.USER2
     del code_arr
-    if deterministic:
-        aoi_arr = _ages(d1_arr, A_max)
-        z_arr = np.fromiter(_debts(memoryview(d2_arr), cfg.rho), float, count=horizon_slots + 1)
+    aoi_arr = _ages(d1_arr, A_max)
+    queue_arr = _queues(d2_arr, T, cfg.K)
+    z_arr = np.fromiter(_debts(memoryview(d2_arr), cfg.rho), float, count=horizon_slots + 1)
 
     frames = horizon_slots // T
     per_frame = d2_arr[: frames * T].reshape(frames, T).sum(axis=1).astype(np.int32)

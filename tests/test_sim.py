@@ -119,6 +119,25 @@ def test_warmup_cut():
     assert cut.delivery_mean == pytest.approx(float(full.per_frame_deliveries[100:].mean()))
 
 
+@pytest.mark.parametrize("T", [1, 255, 256, 300])
+@settings(max_examples=10, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 299), st.integers(0, 2**32 - 1))
+def test_queues_match_step_queue(T, frames, extra, seed):
+    # K = T, and each slot delivers while the queue holds a packet, but for
+    # rare misses, so at T = 300 the in-frame count passes 255; the horizon
+    # ends in a partial frame whenever extra % T > 0.
+    horizon = frames * T + extra % T
+    miss = np.random.default_rng(seed).random(horizon) < 0.01
+    queue, plain, d2 = T, [], []
+    for t in range(horizon):
+        delivered = int(queue > 0 and not miss[t])
+        plain.append(queue)
+        d2.append(delivered)
+        queue = step_queue(queue, delivered, (t + 1) % T == 0, T)
+    queues = sim._queues(np.array(d2, dtype=np.int8), T, T)
+    assert queues.dtype == np.int32 and queues.tolist() == plain
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 30), st.integers(1, 12), st.integers(0, 29), st.integers(0, 2**32 - 1))
 def test_schedule_counts_match_plain_count(T, frames, extra, seed):
@@ -235,13 +254,13 @@ def test_infeasible_target_warns_but_runs():
 @pytest.mark.parametrize("chan", sorted(CHANNELS))
 @pytest.mark.parametrize("policy", list(PolicyKind))
 def test_loop_follows_model_laws(policy, chan):
-    # The slot loop reads the StateSpace.successors table (step_aoi and
-    # step_queue mid-frame) and its refill list, it inlines
-    # update_virtual_queue, and age and queue come from the StateSpace
-    # decode tables; the deterministic baselines take their queue, actions
-    # and age from array operations and their debt from sim._debts. The
-    # actions and draws of every baseline follow baseline_decision, and
-    # every slot of a run ending in a partial frame must agree with them.
+    # The controller and uniform_random pick their actions in the slot loop,
+    # which reads the StateSpace.successors table (step_aoi and step_queue
+    # mid-frame) and its refill list; the deterministic baselines pick
+    # theirs by array operations. Every policy's age, queue and debt then
+    # come from sim._ages, sim._queues and sim._debts. The actions and draws
+    # of every baseline follow baseline_decision, and every slot of a run
+    # ending in a partial frame must agree with them.
     cfg, seed = reference_cfg(5.0), 3
     m = run_simulation(cfg, CHANNELS[chan], policy, PARTIAL_HORIZON, seed)
     # uniform_random draws from the second of the run's three seed streams
@@ -370,9 +389,8 @@ def test_long_baseline_run_memory_peak():
     # operations over the channel codes, which are computed first, and the
     # uniforms are freed before any trajectory is allocated. The traced peak
     # at 50,000 slots is 1.37 MB, reached in the age histogram's bincount,
-    # against 7.8 MB for a run that keeps the uniforms alive to its end as a
-    # .tolist(). Kept as an array, the horizon's 0.8 MB of uniforms read
-    # 2.17 MB, which this bound lets pass.
+    # against 2.17 MB for a run that keeps the horizon's 0.8 MB of uniforms
+    # alive to its end as an array, and 7.8 MB as a .tolist().
     baseline = dict(policy=PolicyKind.DEADLINE_FIRST, seed=0)
     small_run(horizon=1_000, **baseline)  # imports and caches outside the trace
     tracemalloc.start()
@@ -381,15 +399,17 @@ def test_long_baseline_run_memory_peak():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.2e6
+    assert peak < 1.8e6
 
 
 def test_slot_loop_starts_without_the_uniforms(monkeypatch):
-    # The uniforms are freed before the loop: at a 50,000-slot run's first
-    # table lookup the traced memory holds the channel codes and the
-    # trajectory arrays, 0.60 MB, against 1.40 MB for a run that keeps the
-    # horizon's 0.8 MB of uniforms alive through the loop, which
-    # test_long_baseline_run_memory_peak lets pass: a run peaks outside its loop.
+    # The uniforms are freed before the loop, and the loop allocates one
+    # int8 action array: at a 50,000-slot run's first table lookup the
+    # traced memory holds the channel codes and the actions, 0.10 MB. A loop
+    # that also records the state index and the debt of every slot reads
+    # 0.60 MB there, and a run that keeps the horizon's 0.8 MB of uniforms
+    # alive through the loop 1.40 MB; a run peaks outside its loop, so
+    # test_long_baseline_run_memory_peak cannot see either.
     tables = sim.FrameTables(reference_cfg(5.0), reference_model())
     small_run(horizon=1_000, tables=tables)  # imports and caches outside the trace
     at_loop_start = []
@@ -406,7 +426,29 @@ def test_slot_loop_starts_without_the_uniforms(monkeypatch):
         small_run(horizon=50_000, tables=tables)
     finally:
         tracemalloc.stop()
-    assert at_loop_start[0] < 1.0e6
+    assert at_loop_start[0] < 0.3e6
+
+
+@pytest.mark.parametrize("v", [0.0, 5.0, 150.0])
+def test_lookup_keys_are_the_debt_trajectory(v, monkeypatch):
+    # The slot loop's running debt keys each frame's table lookup, and
+    # sim._debts writes the debt trajectory: the two copies of the law must
+    # agree bit for bit at every frame start, the partial last frame's
+    # included. A tiny drift in the loop's copy would mostly pick the same
+    # certified table, so no trajectory test would see it. At V = 0 the
+    # controller serves user 2 from the first slot, so the floor at 0 applies.
+    tables = sim.FrameTables(reference_cfg(v), reference_model())
+    keys = []
+    lookup = tables.actions
+
+    def recording_lookup(frozen_z):
+        keys.append(frozen_z)
+        return lookup(frozen_z)
+
+    monkeypatch.setattr(tables, "actions", recording_lookup)
+    m = small_run(v=v, horizon=PARTIAL_HORIZON, seed=3, tables=tables)
+    assert PARTIAL_HORIZON % m.cfg.T and len(keys) == m.frames + 1
+    assert [z.hex() for z in keys] == [z.hex() for z in m.frame_start_z.tolist()]
 
 
 def fresh_solve_every_frame(monkeypatch):
