@@ -8,16 +8,22 @@ Reference semantics: the plain-Python `loop_kernel` in tests/test_kernels.py,
 one state, action and branch at a time. This kernel produces the same tables
 bit for bit.
 
-Layout. Once per call the (S, 3) and (S, 3, B) inputs are laid out
-action-major in natural action order (USER1, USER2, IDLE): the stage cost
-becomes one (3*S,) row, and each channel branch b one contiguous (3*S,) row
-of successor indices and one of probabilities, stacked branch after branch.
-Each backward step then works on whole rows in preallocated buffers, with
-no allocation: one gather of the successor values of every branch, one
-multiply by the probabilities, one reduction over the branch rows, and
-three strict-less selections over the action rows, taken in tie-priority
-order (USER2, USER1, IDLE). Successor indices are in range by contract,
-so the gather uses mode="wrap", which skips the buffered bounds check of
+Layout. The kernel reads its inputs action-major, in natural action order
+(USER1, USER2, IDLE): the stage cost as one (3*S,) row, and each channel
+branch b as one contiguous (3*S,) row of successor indices and one of
+probabilities, stacked branch after branch. `FrameSolver` stores its arrays
+that way once, at construction, as (S, 3) and (S, 3, B) views of C-contiguous
+(3, S) and (B, 3, S) arrays, so a call only takes views of them; inputs in
+any other layout are copied into it on every call. The scratch arrays come
+in as `work`, built once by `work_buffers` and owned by the caller, so on
+the solver's arrays a call allocates no array data. Each backward step
+works on whole rows in them: one gather of the successor values of every
+branch, one multiply by the probabilities, one reduction over the branch
+rows, and the strict-less selections over the action rows, taken in
+tie-priority order (USER2, USER1, IDLE). USER2, first in that order, holds every pick until another action
+beats it; after the loop, the states whose best q stayed +inf, where no
+action wins, are set to -1. Successor indices are in range by contract, so
+the gather uses mode="wrap", which skips the buffered bounds check of
 np.take's default mode.
 
 Invariants that fix the tables' last bits:
@@ -60,37 +66,34 @@ def solve_backward(
     probs: np.ndarray,
     frozen_z: float,
     discount: float,
+    work: tuple,
     margins: np.ndarray,
     values: np.ndarray,
     actions: np.ndarray,
 ) -> None:
     """Fill `margins` ((T,)), `values` ((T+1, S)) and `actions` ((T, S)) in
-    place."""
+    place, using `work` (from `work_buffers(T, S, B)`) as scratch."""
     T = actions.shape[0]
     S = cost_const.shape[0]
-    n_branches = probs.shape[2]
-    cost_rows = np.empty((3, S))
+    (cost_rows, blocked, gathered, q, wins, seconds, spare, unreached,
+     inf_row, user1_row, idle_row) = work
     np.multiply(cost_z.T, frozen_z, out=cost_rows)
     np.add(cost_rows, cost_const.T, out=cost_rows)
-    np.copyto(cost_rows, np.inf, where=feasible.T == 0)
+    np.equal(feasible.T, 0, out=blocked)
+    np.copyto(cost_rows, np.inf, where=blocked)
     cost = cost_rows.reshape(3 * S)
-    # Row b of nxt/pr (as (B, 3*S)) is branch b, action-major.
+    # Row b of nxt/pr (as (B, 3*S)) is branch b, action-major: a view of the
+    # solver's storage, a copy of any other layout.
     nxt = np.ascontiguousarray(next_idx.transpose(2, 1, 0)).reshape(-1)
     pr = np.ascontiguousarray(probs.transpose(2, 1, 0)).reshape(-1)
-    gathered = np.empty(n_branches * 3 * S)
-    branch_rows = gathered.reshape(n_branches, 3 * S)
-    q = np.empty(3 * S)
+    branch_rows = gathered.reshape(probs.shape[2], 3 * S)
     q_user1, q_user2, q_idle = q.reshape(3, S)
-    wins = np.empty(S, dtype=bool)
-    wins_i8 = wins.view(np.int8)
-    seconds = np.empty((T, S))
-    spare = np.empty(S)
-    # Constant operands as rows: a ufunc takes a scalar operand more slowly.
-    inf_row = np.full(S, np.inf)
-    user1_row, idle_row = np.zeros(S, dtype=np.int8), np.full(S, 2, dtype=np.int8)
-    ones_row = np.ones(S, dtype=np.int8)
     less, fmin, maximum, copyto = np.less, np.fmin, np.maximum, np.copyto
     values[T] = 0.0
+    # USER2 is the first action in priority order, so it holds every pick
+    # until an action beats it; the states no action wins are set to -1
+    # after the loop.
+    actions.fill(1)
     for t in range(T - 1, -1, -1):
         best, pick, second = values[t], actions[t], seconds[t]
         np.take(values[t + 1], nxt, out=gathered, mode="wrap")
@@ -103,10 +106,6 @@ def solve_backward(
         if discount != 1.0:
             np.multiply(q, discount, out=q)
         np.add(cost, q, out=q)
-        # USER2 first: it wins where q < +inf (pick 1, else -1).
-        less(q_user2, inf_row, out=wins)
-        np.add(wins_i8, wins_i8, out=pick)
-        np.subtract(pick, ones_row, out=pick)
         fmin(q_user2, inf_row, out=best)
         maximum(q_user1, best, out=second)
         less(q_user1, best, out=wins)
@@ -117,8 +116,32 @@ def solve_backward(
         less(q_idle, best, out=wins)
         copyto(pick, idle_row, where=wins)
         fmin(best, q_idle, out=best)
+    np.equal(values[:T], np.inf, out=unreached)
+    copyto(actions, -1, where=unreached)
     np.subtract(seconds, values[:T], out=seconds)
     np.min(seconds, axis=1, out=margins)
+
+
+def work_buffers(T: int, S: int, n_branches: int) -> tuple:
+    """The scratch `solve_backward` needs for T slots, S states and
+    n_branches channel branches: allocated once by the kernel's caller and
+    passed to every call. Nothing in it carries over from one call to the
+    next, but a call overwrites all of it, so one set serves one call at a
+    time."""
+    return (
+        np.empty((3, S)),  # cost rows, action-major
+        np.empty((3, S), dtype=bool),  # infeasible actions
+        np.empty(n_branches * 3 * S),  # branch products
+        np.empty(3 * S),  # q
+        np.empty(S, dtype=bool),  # a strict win
+        np.empty((T, S)),  # second-smallest q
+        np.empty(S),  # spare row
+        np.empty((T, S), dtype=bool),  # states no action wins
+        # Constant operands as rows: a ufunc takes a scalar operand more slowly.
+        np.full(S, np.inf),
+        np.zeros(S, dtype=np.int8),  # USER1
+        np.full(S, 2, dtype=np.int8),  # IDLE
+    )
 
 
 BACKEND = "numpy"

@@ -169,12 +169,20 @@ def _branch_table(model: ChannelModel, space: StateSpace):
     return success, lands @ (2, 1), probs
 
 
+def _action_major(array: np.ndarray) -> np.ndarray:
+    """`array`, indexed as before, stored with its axes reversed: an (S, 3)
+    or (S, 3, B) view of a C-contiguous (3, S) or (B, 3, S) copy, the order
+    in which the kernel reads it."""
+    return np.ascontiguousarray(array.T).T
+
+
 class FrameSolver:
     """Reusable solver for one (config, model) pair.
 
-    Builds the kernel arrays once, from its `StateSpace`'s tables; each
-    solve(frozen_z) then runs the backward recursion only. For state s,
-    action a and channel branch b:
+    Builds the kernel arrays once, from its `StateSpace`'s tables, and the
+    kernel's work buffers (`_kernels.work_buffers`); each solve(frozen_z)
+    then runs the backward recursion only, and allocates nothing but the
+    tables it returns. For state s, action a and channel branch b:
 
     - feasible[s, a] is 1 when a is allowed (USER2 needs a queued packet);
     - cost_const[s, a] + z * cost_z[s, a] is the expected one-slot cost
@@ -183,6 +191,12 @@ class FrameSolver:
       `StateSpace.successors`, at branch b's outcome code) and its
       probability. Zero-probability branches keep their slot, and every entry
       of an infeasible action is zero.
+
+    The arrays are indexed [s, a] and [s, a, b] but stored action-major, as
+    views of C-contiguous (3, S) and (B, 3, S) arrays: the order in which the
+    kernel reads them, so it takes them without a copy. Since the work
+    buffers are the solver's own, one solver must not solve on two threads
+    at once; solvers of the same shape share nothing.
 
     solve() raises InfeasibleActionError on a table that holds a non-finite
     value or an action outside its state's feasible set, which only a broken
@@ -209,13 +223,14 @@ class FrameSolver:
         rho = np.full(space.n_states, cfg.rho)
         cost_z = np.stack([rho, rho - p2, rho], axis=1)
         cost_v = np.stack([p1 + (1.0 - p1) * aged, aged, aged], axis=1)
-        self.feasible = feasible.astype(np.uint8)
+        self.feasible = _action_major(feasible.astype(np.uint8))
         # Bit a of _allowed[s] is set when action a is feasible in state s.
         self._allowed = (feasible << np.arange(3)).sum(axis=1).astype(np.uint8)
-        self.cost_const = np.where(feasible, cfg.V * cost_v, 0.0)
-        self.cost_z = np.where(feasible, cost_z, 0.0)
-        self.next_idx = np.where(feasible[..., None], next_idx, 0).astype(np.intp)
-        self.probs = np.where(feasible[..., None], probs[space.mem], 0.0)
+        self.cost_const = _action_major(np.where(feasible, cfg.V * cost_v, 0.0))
+        self.cost_z = _action_major(np.where(feasible, cost_z, 0.0))
+        self.next_idx = _action_major(np.where(feasible[..., None], next_idx, 0).astype(np.intp))
+        self.probs = _action_major(np.where(feasible[..., None], probs[space.mem], 0.0))
+        self._work = _kernels.work_buffers(cfg.T, space.n_states, self.probs.shape[2])
         # Constants of the radius certificate (see certified_radius): c, the
         # largest |cost_z|; the largest |cost_const|; pi, the largest branch
         # sum of probs, raised by 2**-50 relative to cover the rounding of
@@ -302,6 +317,7 @@ class FrameSolver:
             self.probs,
             frozen_z,
             self.cfg.discount,
+            self._work,
             margins,
             values,
             actions,

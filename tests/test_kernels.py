@@ -19,20 +19,22 @@ from aoi_dpp.model import FrameConfig
 from aoi_dpp.solver import FrameSolver
 
 
-def kernel_tables(kernel, solver: FrameSolver, z: float):
-    """Run one kernel on the solver's arrays; returns (values, actions, margins)."""
+def kernel_tables(kernel, solver: FrameSolver, z: float, layout=lambda array: array):
+    """Run one kernel on the solver's arrays, each passed through `layout`;
+    returns (values, actions, margins)."""
     T, S = solver.cfg.T, solver.space.n_states
     margins = np.empty(T)
     values = np.empty((T + 1, S))
     actions = np.empty((T, S), dtype=np.int8)
     kernel(
-        solver.cost_const,
-        solver.cost_z,
-        solver.feasible,
-        solver.next_idx,
-        solver.probs,
+        layout(solver.cost_const),
+        layout(solver.cost_z),
+        layout(solver.feasible),
+        layout(solver.next_idx),
+        layout(solver.probs),
         z,
         solver.cfg.discount,
+        _kernels.work_buffers(T, S, solver.probs.shape[2]),
         margins,
         values,
         actions,
@@ -51,13 +53,13 @@ def nan_min(x: float, y: float) -> float:
 
 
 def loop_kernel(cost_const, cost_z, feasible, next_idx, probs, frozen_z, discount,
-                margins, values, actions):
+                work, margins, values, actions):
     """The kernel contract's reference semantics, one state, action and branch
-    at a time: branches accumulate in order, an infeasible action costs +inf,
-    and a strictly smaller q wins in USER2, USER1, IDLE order. The margin of
-    a state is its second-smallest q, kept as min(second, max(q, best)) over
-    the actions after the first, minus its smallest; margins[t] is the
-    smallest over the states, NaN if any is."""
+    at a time (`work` is unused): branches accumulate in order, an infeasible
+    action costs +inf, and a strictly smaller q wins in USER2, USER1, IDLE
+    order. The margin of a state is its second-smallest q, kept as
+    min(second, max(q, best)) over the actions after the first, minus its
+    smallest; margins[t] is the smallest over the states, NaN if any is."""
     T, S, n_branches = actions.shape[0], cost_const.shape[0], probs.shape[2]
     cc, cz, ok = cost_const.tolist(), cost_z.tolist(), feasible.tolist()
     nxt, pr = next_idx.tolist(), probs.tolist()
@@ -113,12 +115,13 @@ def test_frame_solver_uses_get_solver(monkeypatch):
     solver = FrameSolver(reference_cfg(5.0), reference_model())
     solver.solve(0.0)
     solver.solve(2.5)
-    assert calls == [10, 10]
+    assert calls == [11, 11]
 
 
 def test_numpy_kernel_matches_loop_contract():
     # The NumPy kernel must equal the loop semantics bit for bit, on arrays
-    # typed as it expects.
+    # typed as it expects and stored action-major, the layout it reads
+    # without a copy.
     # Channels with 0/1 probabilities and V = z = 0 instances make ties.
     rng = np.random.default_rng(7)
     for i in range(60):
@@ -134,11 +137,56 @@ def test_numpy_kernel_matches_loop_contract():
                             ("feasible", np.uint8), ("next_idx", np.intp),
                             ("probs", np.float64)):
             array = getattr(solver, name)
-            assert array.dtype == dtype and array.flags.c_contiguous, name
+            assert array.dtype == dtype and array.T.flags.c_contiguous, name
         assert_same_tables(
             kernel_tables(loop_kernel, solver, z),
             kernel_tables(_kernels.solve_backward, solver, z),
         )
+
+
+def test_numpy_kernel_matches_loop_on_copied_layout():
+    # Inputs stored state-major, as C-contiguous (S, 3) and (S, 3, B) copies,
+    # take the kernel's copying path; the tables stay bit for bit the same.
+    rng = np.random.default_rng(13)
+    for i in range(20):
+        cfg, model, _, z = random_instance(rng)
+        cfg = FrameConfig(cfg.T + 1, cfg.K, cfg.q, cfg.A_max + 1, cfg.V, (1.0, 0.9)[i % 2])
+        solver = FrameSolver(cfg, model)
+        assert_same_tables(
+            kernel_tables(loop_kernel, solver, z),
+            kernel_tables(_kernels.solve_backward, solver, z, np.ascontiguousarray),
+        )
+
+
+def test_solvers_of_one_size_keep_their_own_buffers(monkeypatch):
+    # Two Gilbert-Elliot solvers with the same T, S and B but different
+    # layouts (A_max 2, K 3 against A_max 4, K 1, so USER2 is infeasible in
+    # different states) solve in turn. Every table must be the one a fresh
+    # solver on the loop kernel writes: no kernel state is shared by shape.
+    margins = []
+
+    def recording(kernel):
+        def recorded(*args):
+            kernel(*args)
+            margins.append(args[-3].copy())
+
+        return lambda: recorded
+
+    model = GilbertElliotChannel(p11_1=0.9, p01_1=0.6, p11_2=0.8, p01_2=0.3)
+    cfgs = (FrameConfig(T=4, K=3, q=2.0, A_max=2, V=5.0),
+            FrameConfig(T=4, K=1, q=0.5, A_max=4, V=5.0))
+    monkeypatch.setattr(_kernels, "get_solver", recording(_kernels.solve_backward))
+    solvers = [FrameSolver(cfg, model) for cfg in cfgs]
+    assert [solver.space.n_states for solver in solvers] == [32, 32]
+    monkeypatch.setattr(_kernels, "get_solver", recording(loop_kernel))
+    for z in (0.0, 3.5, 0.0, 12.0, 3.5):
+        for cfg, solver in zip(cfgs, solvers):
+            table = solver.solve(z)
+            kept = margins.pop()
+            fresh = FrameSolver(cfg, model).solve(z)
+            assert_same_tables((fresh.values, fresh.actions, margins.pop()),
+                               (table.values, table.actions, kept))
+            assert table.radius == fresh.radius
 
 
 probabilities = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
@@ -201,7 +249,8 @@ def test_numpy_kernel_sums_branches_in_index_order(discount):
         margins = np.empty(T)
         values = np.empty((T + 1, S))
         actions = np.empty((T, S), dtype=np.int8)
-        kernel(*arrays[:3], next_idx, probs, 0.0, discount, margins, values, actions)
+        work = _kernels.work_buffers(T, S, probs.shape[2])
+        kernel(*arrays[:3], next_idx, probs, 0.0, discount, work, margins, values, actions)
         return values, actions, margins
 
     next_idx, probs = arrays[3:]
