@@ -73,9 +73,9 @@ def update_virtual_queue(z: float, d2: int, rho: float) -> float:
 
     `sim.run_simulation` inlines this law twice: in `sim._debts`, the one
     pass over the user-2 deliveries that writes every policy's debt
-    trajectory after its actions are picked, and in the slot loop of the
-    controller and uniform_random, which keeps a running debt only to key
-    each frame's table lookup. This function is their specification:
+    trajectory after its actions are picked, and in the controller's slot
+    loop, which keeps a running debt only to key each frame's table
+    lookup. This function is their specification:
     `tests/test_sim.py` checks every slot of the trajectory against it bit
     for bit, and every lookup key against the trajectory.
     """

@@ -17,21 +17,21 @@ draw come from separately spawned streams of one seed.
 
 The channel does not depend on the actions, so both links' outcomes for
 the whole horizon are computed in NumPy first, one int8 code a slot. A
-policy then only picks the action at every slot. The deterministic
-baselines (deadline_first and aoi_greedy) decide by whether the queue holds
-a packet alone, so theirs come from per-frame cumulative sums over the
-channel codes (`_baseline_schedule`). The controller and the uniform
-baseline step slot by slot, the hot path of every long controller run: at
-interpreter speed on plain ints and floats, the loop walks dense state
-indices with one action-table read and one successor-list read per slot,
-and keeps a running debt (the law of `lyapunov` inlined) only to key each
-frame's table lookup. The successor list is `StateSpace.successors`, the
-table the frame solver builds its transitions from, so the loop and the DP
-step one slot law. After the actions, the same array passes serve every
-policy: the deliveries from the actions and the channel codes, then age
-(`_ages`), queue (`_queues`) and debt (`_debts`) from the deliveries. The
-laws of `model` and `lyapunov` stay their executable specification (see
-`run_simulation`).
+policy then only picks the action at every slot. The baselines read
+whether the queue holds a packet alone: deadline_first and aoi_greedy by
+per-frame cumulative sums over the channel codes (`_baseline_schedule`),
+uniform_random by counting the frame's packets left (`_uniform_schedule`).
+Only the controller walks states, slot by slot, the hot path of every long
+controller run: at interpreter speed on plain ints and floats, the loop
+walks dense state indices with one action-table read and one
+successor-list read per slot, and keeps a running debt (the law of
+`lyapunov` inlined) only to key each frame's table lookup. The successor
+list is `StateSpace.successors`, the table the frame solver builds its
+transitions from, so the loop and the DP step one slot law. After the
+actions, the same array passes serve every policy: the deliveries from the
+actions and the channel codes, then age (`_ages`), queue (`_queues`) and
+debt (`_debts`) from the deliveries. The laws of `model` and `lyapunov`
+stay their executable specification (see `run_simulation`).
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import numpy as np
 from . import lyapunov
 from .channel import BAD, ChannelModel, GilbertElliotChannel, stationary_state
 from .model import Action, FrameConfig, SystemState, feasible_actions
-from .solver import FrameSolver, StateSpace
+from .solver import FrameSolver
 
 #: Bytes of int8 action tables a `FrameTables` keeps for reuse, least
 #: recently used first out: 40 tables of the reference scenario (T = 20,
@@ -249,24 +249,6 @@ def _schedule_counts(act_arr: np.ndarray, T: int, warmup_slots: int) -> np.ndarr
     return counts
 
 
-class _StateWalk:
-    """The slot loop's per-state lists for one state space, as Python lists
-    sharing one int object per state:
-
-    - successor[(3 * s + a) * 4 + code]: `StateSpace.successors[s, a, code]`
-      flattened, the state after one slot in state s under action a when
-      the slot's channel outcome code is `code`;
-    - refill[s]: s with its queue refilled to K, after a full frame;
-    - queued[s]: whether s has a packet queued (uniform_random's choice).
-    """
-
-    def __init__(self, space: StateSpace):
-        states = np.arange(space.n_states).astype(object)
-        self.successor = states[space.successors.ravel()].tolist()
-        self.refill = states[space.index_parts(space.aoi, space.k, space.mem)].tolist()
-        self.queued = (space.queue > 0).tolist()
-
-
 def _landings(u: np.ndarray, p01: float, p11: float, first: int) -> np.ndarray:
     """Whether a Gilbert-Elliot link lands Good at each slot (bool), from
     its per-slot uniforms `u` and its state `first` before slot 0.
@@ -326,8 +308,14 @@ def _channel_codes(
 class FrameTables:
     """The controller's frame tables for one (config, channel) pair: the
     `FrameSolver`, the frame-0 table `frame0` (solved at Z = 0, values
-    included, when the FrameTables is built), the slot loop's `walk` over
-    the solver's state space, and a memo of recent action tables.
+    included, when the FrameTables is built), a memo of recent action
+    tables, and the slot loop's lists over the solver's state space, sharing
+    one int object per state:
+
+    - successor[(3 * s + a) * 4 + code]: `StateSpace.successors[s, a, code]`
+      flattened, the state after one slot in state s under action a when
+      the slot's channel outcome code is `code`;
+    - refill[s]: s with its queue refilled to K, after a full frame.
 
     The memo maps a frozen debt to its flattened int8 actions and their
     certified radius, least recently used first out, and holds at most
@@ -339,11 +327,14 @@ class FrameTables:
 
     def __init__(self, cfg: FrameConfig, model: ChannelModel):
         self.solver = FrameSolver(cfg, model)
-        self.walk = _StateWalk(self.solver.space)
+        space = self.solver.space
+        states = np.arange(space.n_states).astype(object)
+        self.successor = states[space.successors.ravel()].tolist()
+        self.refill = states[space.index_parts(space.aoi, space.k, space.mem)].tolist()
         self.frame0 = self.solver.solve(0.0)
         self._frame0_entry = (memoryview(self.frame0.actions.reshape(-1)), self.frame0.radius)
         self._memo: dict[float, tuple[memoryview, float]] = {}
-        self._capacity = _TABLE_MEMO_BYTES // (cfg.T * self.solver.space.n_states)
+        self._capacity = _TABLE_MEMO_BYTES // (cfg.T * space.n_states)
 
     def actions(self, frozen_z: float) -> tuple[memoryview, int]:
         """(the flattened (T, S) action table for `frozen_z`, how it was found).
@@ -376,43 +367,50 @@ class FrameTables:
             self._memo[key] = entry
 
 
-def _slot_loop(
-    cfg: FrameConfig,
-    model: ChannelModel,
-    policy: PolicyKind,
-    code_arr: np.ndarray,
-    first: tuple[int, int],
-    draw,
-    bucket: float,
-    tables: FrameTables | None,
-) -> tuple[np.ndarray, list[int]]:
-    """(actions, table lookups by FRESH, EXACT and CERTIFIED) of a
-    controller or uniform_random run over the channel codes `code_arr`, the
-    links in states `first` before slot 0, stepped slot by slot (see
-    `run_simulation`). `draw` is uniform_random's action stream. The loop
-    keeps a running debt only to key each frame's table lookup; the run's
-    debt trajectory is `_debts`, the same law in the same float operations.
+def _uniform_schedule(cfg: FrameConfig, code_arr: np.ndarray, draw) -> np.ndarray:
+    """The action at every slot of a uniform_random run over the channel
+    codes `code_arr`, each drawn by `draw` (the run's action stream) as
+    `baseline_decision` draws it: uniformly from `feasible_actions`, which
+    read whether the queue holds a packet alone. So the loop keeps only the
+    frame's packet count `left`: K at each frame start, one less at each
+    user-2 landing while user 2 is served.
     """
     T, K = cfg.T, cfg.K
     horizon_slots = len(code_arr)
     code = memoryview(code_arr)
+    empty, queued = (tuple(map(int, feasible_actions(SystemState(1, q)))) for q in (0, 1))
+    act_arr = np.empty(horizon_slots, dtype=np.int8)
+    act_out = memoryview(act_arr)
+    USER2 = int(Action.USER2)
+    for start in range(0, horizon_slots, T):
+        left = K
+        for t in range(start, min(start + T, horizon_slots)):
+            choices = queued if left else empty
+            action = choices[draw(len(choices))]
+            act_out[t] = action
+            if action == USER2 and code[t] & 1:
+                left -= 1
+    return act_arr
 
-    # The controller reads a (T, S) action table, flattened, taken per frame
-    # from `tables`. uniform_random draws from feasible_actions of the state,
-    # indexed by queue > 0, with the same act_rng call as baseline_decision.
-    table = None
-    if policy == PolicyKind.DRIFT_PLUS_PENALTY:
-        if tables is None:
-            tables = FrameTables(cfg, model)
-        space, walk = tables.solver.space, tables.walk
-    else:
-        tables = None
-        space = StateSpace(cfg, model)
-        walk = _StateWalk(space)
-    options = tuple(
-        tuple(map(int, feasible_actions(SystemState(1, queue)))) for queue in (0, 1)
-    )
-    successor, refill, queued = walk.successor, walk.refill, walk.queued
+
+def _slot_loop(
+    cfg: FrameConfig,
+    code_arr: np.ndarray,
+    first: tuple[int, int],
+    bucket: float,
+    tables: FrameTables,
+) -> tuple[np.ndarray, list[int]]:
+    """(actions, table lookups by FRESH, EXACT and CERTIFIED) of a
+    controller run over the channel codes `code_arr`, the links in states
+    `first` before slot 0, stepped slot by slot (see `run_simulation`). The
+    loop keeps a running debt only to key each frame's table lookup; the
+    run's debt trajectory is `_debts`, the same law in the same float
+    operations.
+    """
+    T = cfg.T
+    horizon_slots = len(code_arr)
+    code = memoryview(code_arr)
+    space, successor, refill = tables.solver.space, tables.successor, tables.refill
     S = space.n_states
     lookups = [0] * len(LOOKUP_KEYS)  # indexed by FRESH, EXACT, CERTIFIED
 
@@ -420,20 +418,16 @@ def _slot_loop(
     act_out = memoryview(act_arr)
 
     USER2 = int(Action.USER2)
-    s, z = space.index_parts(1, K, space.mem_index(*first)), 0.0
+    s, z = space.index_parts(1, cfg.K, space.mem_index(*first)), 0.0
     rho = cfg.rho
     for start in range(0, horizon_slots, T):
-        if tables is not None:
-            table, found = tables.actions(round(z / bucket) * bucket if bucket else z)
-            lookups[found] += 1
+        # The frame's (T, S) action table, flattened.
+        table, found = tables.actions(round(z / bucket) * bucket if bucket else z)
+        lookups[found] += 1
         stop = min(start + T, horizon_slots)
         offset = 0  # of slot t's row in the flattened table
         for t in range(start, stop):
-            if table is None:
-                choices = options[queued[s]]
-                action = choices[draw(len(choices))]
-            else:
-                action = table[offset + s]
+            action = table[offset + s]
             offset += S
             act_out[t] = action
             outcome = code[t]
@@ -522,23 +516,23 @@ def run_simulation(
     aoi_greedy take no slot loop: their action is the queued one where the
     queue holds a packet and the empty one elsewhere (`_baseline_actions`),
     found by per-frame cumulative sums of the user-2 landings
-    (`_baseline_schedule`). The controller and uniform_random run the slot loop (`_slot_loop`)
-    frame by frame: at each frame start, the first included, the
-    controller takes its table for the frame's frozen debt from its tables
-    (solved, or reused at the same float debt or within a certified radius;
-    frame 0 reuses the table solved when they were built), then an inner
-    loop steps the frame's slots (the last frame may be partial). Per slot
-    it reads the action at the state index s from the frame's (T, S) action
-    table (uniform_random draws it instead), applies
-    `lyapunov.update_virtual_queue` inline to the running debt that keys the
-    next frame's lookup, and moves s to its successor under the action and
-    the slot's channel code; after a full frame's last slot the queue
-    refills to K. The successor list is `StateSpace.successors` flattened,
-    which fixes the code format and encodes `model.step_aoi` and
-    `model.step_queue` mid-frame, and the refill list the frame-end refill
-    (see `_StateWalk`); they are built once per FrameTables, and once per
-    run for uniform_random. The actions are written through a memoryview,
-    so no slot touches a NumPy scalar.
+    (`_baseline_schedule`). uniform_random draws each action from the three
+    or, once the frame's packets are gone, the two that an empty queue
+    allows (`_uniform_schedule`). The controller runs the slot loop
+    (`_slot_loop`) frame by frame: at each frame start, the first included,
+    it takes its table for the frame's frozen debt from its tables (solved,
+    or reused at the same float debt or within a certified radius; frame 0
+    reuses the table solved when they were built), then an inner loop steps
+    the frame's slots (the last frame may be partial). Per slot it reads the
+    action at the state index s from the frame's (T, S) action table,
+    applies `lyapunov.update_virtual_queue` inline to the running debt that
+    keys the next frame's lookup, and moves s to its successor under the
+    action and the slot's channel code; after a full frame's last slot the
+    queue refills to K. The successor list is `StateSpace.successors`
+    flattened, which fixes the code format and encodes `model.step_aoi` and
+    `model.step_queue` mid-frame, and the refill list the frame-end refill;
+    both are built once per FrameTables. The actions are written through a
+    memoryview, so no slot touches a NumPy scalar.
 
     Then one block derives the rest for every policy alike: deliveries from
     the actions and the channel codes, age by a running maximum (`_ages`),
@@ -563,13 +557,14 @@ def run_simulation(
     chan_ss, act_ss, init_ss = np.random.SeedSequence(seed).spawn(3)
     (m1, m2), code_arr = _channel_codes(model, horizon_slots, np.random.default_rng(chan_ss),
                                         np.random.default_rng(init_ss))
-    if policy in (PolicyKind.DEADLINE_FIRST, PolicyKind.AOI_GREEDY):
-        act_arr = _baseline_schedule(policy, cfg, code_arr)
-        lookups = [0] * len(LOOKUP_KEYS)
+    lookups = [0] * len(LOOKUP_KEYS)  # the baselines look up no tables
+    if policy == PolicyKind.DRIFT_PLUS_PENALTY:
+        act_arr, lookups = _slot_loop(cfg, code_arr, (m1, m2), z_cache_bucket,
+                                      tables or FrameTables(cfg, model))
+    elif policy == PolicyKind.UNIFORM_RANDOM:
+        act_arr = _uniform_schedule(cfg, code_arr, np.random.default_rng(act_ss).integers)
     else:
-        draw = np.random.default_rng(act_ss).integers
-        act_arr, lookups = _slot_loop(
-            cfg, model, policy, code_arr, (m1, m2), draw, z_cache_bucket, tables)
+        act_arr = _baseline_schedule(policy, cfg, code_arr)
 
     # The deliveries: the scheduled user's link landed Good.
     d1_arr = code_arr >> 1

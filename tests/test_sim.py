@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import random_instance, reference_cfg, reference_model
 from test_sim_golden import CHANNELS, PARTIAL_HORIZON
 
-from aoi_dpp import sim
+from aoi_dpp import sim, solver
 from aoi_dpp.channel import BAD, GOOD, GilbertElliotChannel, IIDChannel, stationary_state
 from aoi_dpp.config import (
     ConfigError,
@@ -251,18 +251,30 @@ def test_infeasible_target_warns_but_runs():
     assert m.horizon_slots == 2_000
 
 
-@pytest.mark.parametrize("chan", sorted(CHANNELS))
-@pytest.mark.parametrize("policy", list(PolicyKind))
-def test_loop_follows_model_laws(policy, chan):
-    # The controller and uniform_random pick their actions in the slot loop,
-    # which reads the StateSpace.successors table (step_aoi and step_queue
-    # mid-frame) and its refill list; the deterministic baselines pick
-    # theirs by array operations. Every policy's age, queue and debt then
-    # come from sim._ages, sim._queues and sim._debts. The actions and draws
-    # of every baseline follow baseline_decision, and every slot of a run
-    # ending in a partial frame must agree with them.
-    cfg, seed = reference_cfg(5.0), 3
+LAW_CASES = [
+    pytest.param(policy, chan, 15, id=f"{policy}-{chan}")
+    for policy in PolicyKind
+    for chan in sorted(CHANNELS)
+]
+# Two packets a frame, so uniform_random's queue empties mid-frame.
+LAW_CASES.append(
+    pytest.param(PolicyKind.UNIFORM_RANDOM, "ge", 2, id="PolicyKind.UNIFORM_RANDOM-ge-K2"))
+
+
+@pytest.mark.parametrize("policy, chan, K", LAW_CASES)
+def test_loop_follows_model_laws(policy, chan, K):
+    # The controller picks its actions in the slot loop, which reads the
+    # StateSpace.successors table (step_aoi and step_queue mid-frame) and
+    # its refill list; uniform_random draws from a per-frame packet count,
+    # and the deterministic baselines pick theirs by array operations.
+    # Every policy's age, queue and debt then come from sim._ages,
+    # sim._queues and sim._debts. The actions and draws of every baseline
+    # follow baseline_decision, and every slot of a run ending in a partial
+    # frame must agree with them.
+    cfg, seed = replace(reference_cfg(5.0), K=K, q=12.0 * K / 15), 3
     m = run_simulation(cfg, CHANNELS[chan], policy, PARTIAL_HORIZON, seed)
+    if K < 15:
+        assert (m.queue == 0).any()
     # uniform_random draws from the second of the run's three seed streams
     act_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[1])
     T, K, A_max, rho = cfg.T, cfg.K, cfg.A_max, cfg.rho
@@ -563,14 +575,15 @@ def test_frame_tables_solve_frame0_once(budget, monkeypatch):
 
 
 def test_baselines_report_no_table_lookups(monkeypatch):
-    # deadline_first and aoi_greedy run as array operations: no slot loop,
-    # no state space and no per-state walk lists.
+    # Only the controller walks states: deadline_first and aoi_greedy run
+    # as array operations and uniform_random counts its packets per frame,
+    # with no slot loop, no frame tables and no state space.
     def no_loop(*args, **kwargs):
         raise AssertionError("the run built a slot loop")
 
-    for name in ("_slot_loop", "_StateWalk", "StateSpace"):
-        monkeypatch.setattr(sim, name, no_loop)
-    for policy in (PolicyKind.DEADLINE_FIRST, PolicyKind.AOI_GREEDY):
+    for module, name in ((sim, "_slot_loop"), (sim, "FrameTables"), (solver, "StateSpace")):
+        monkeypatch.setattr(module, name, no_loop)
+    for policy in (PolicyKind.DEADLINE_FIRST, PolicyKind.AOI_GREEDY, PolicyKind.UNIFORM_RANDOM):
         m = small_run(policy=policy, horizon=213)
         assert m.diagnostics == dict(fresh_solves=0, exact_hits=0, certified_hits=0)
 

@@ -4,8 +4,9 @@ controller's frame-0 table, hashed.
 The digests pin the closed loop bit for bit across refactors of the slot
 loop, for both channel models (Gilbert-Elliot links persistent,
 anti-persistent and memoryless), every policy and the discounted objective,
-over whole frames and over a horizon that ends in a partial frame. A digest
-changes only when the simulated trajectories change.
+over whole frames and over a horizon that ends in a partial frame, and
+uniform_random with a queue that empties mid-frame. A digest changes only
+when the simulated trajectories change.
 """
 
 import hashlib
@@ -57,12 +58,19 @@ CASES.update(
 CASES["ge-zero-drift_plus_penalty-V5-partial"] = (
     "ge-zero", PolicyKind.DRIFT_PLUS_PENALTY, 5.0, 1.0, PARTIAL_HORIZON
 )
+# Two packets a frame: uniform_random empties the queue mid-frame and then
+# draws from the two actions an empty queue allows.
+CASES["ge-uniform_random-V5-partial-K2"] = (
+    "ge", PolicyKind.UNIFORM_RANDOM, 5.0, 1.0, PARTIAL_HORIZON, 2
+)
 
 
 def metrics_digest(
-    chan: str, policy: PolicyKind, v: float, discount: float, horizon: int = 1_000
+    chan: str, policy: PolicyKind, v: float, discount: float, horizon: int = 1_000,
+    K: int = 15,
 ) -> str:
-    cfg = FrameConfig(T=20, K=15, q=12.0, A_max=20, V=v, discount=discount)
+    # The delivery target stays 12 of every 15 packets.
+    cfg = FrameConfig(T=20, K=K, q=12.0 * K / 15, A_max=20, V=v, discount=discount)
     tables = None
     if policy == PolicyKind.DRIFT_PLUS_PENALTY:
         tables = FrameTables(cfg, CHANNELS[chan])
@@ -131,6 +139,9 @@ GOLDEN = {
     "ge-memoryless-deadline_first-V5-partial": "8d189f1fe5bea1fadb5769b55eae63383e258ecb529056f15bcd75c070ac5b74",
     "ge-memoryless-drift_plus_penalty-V5-partial": "8ffb8ba51be774c8c717f66e17e889c75e3b7db7fb228aed37d71b5c59ee5c07",
     "ge-memoryless-uniform_random-V5-partial": "860af3965ce52aa9db1c763588e211af09adc34483835110a01f1df7eb8a55dc",
+    # Recorded with the slot loop that uniform_random shared with the
+    # controller, before it counted its packets per frame.
+    "ge-uniform_random-V5-partial-K2": "3c19db4de8e041740883e1b346a178a5746190c93d613e7338054a7e0b25eea0",
 }
 
 
