@@ -31,9 +31,8 @@ Invariants that fix the tables' last bits:
 - the branch sum is ((0.0 + p_0 v_0) + p_1 v_1) + ..., every branch in
   index order, zero-probability branches included (0.0 + -0.0 is 0.0, so
   skipping one could flip a sign);
-- q = (cost_const + frozen_z * cost_z) + discount * acc, with +inf as the
-  cost of an infeasible action; the multiply is skipped at discount 1.0,
-  where x * 1.0 is x bit for bit;
+- q = (cost_const + frozen_z * cost_z) + acc, with +inf as the cost of an
+  infeasible action: every slot of the frame weighs alike;
 - the first strictly smaller q wins, in priority order, starting from +inf
   and action -1, so ties keep the earlier action and a q that is NaN or
   +inf is never chosen. The kernel keeps the running best with np.fmin,
@@ -65,7 +64,6 @@ def solve_backward(
     next_idx: np.ndarray,
     probs: np.ndarray,
     frozen_z: float,
-    discount: float,
     work: tuple,
     margins: np.ndarray,
     values: np.ndarray,
@@ -103,8 +101,6 @@ def solve_backward(
         # loop, 8 or more rows would be summed pairwise, in another order, so
         # the sum is exact only while B < 8 (the solver's B is 2 or 4).
         np.add.reduce(branch_rows, axis=0, out=q, initial=0.0)
-        if discount != 1.0:
-            np.multiply(q, discount, out=q)
         np.add(cost, q, out=q)
         fmin(q_user2, inf_row, out=best)
         maximum(q_user1, best, out=second)

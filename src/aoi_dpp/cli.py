@@ -248,7 +248,6 @@ def _run_seeds(cfg: ExperimentConfig, v: float, seeds: list[int], out_root: str,
             cfg.horizon_slots,
             seed,
             warmup_slots=cfg.warmup_slots,
-            z_cache_bucket=cfg.z_cache_bucket,
             tables=tables,
         )
         if seed == seeds[-1]:

@@ -34,18 +34,18 @@ class ExperimentConfig:
     q: float
     A_max: int
     V: tuple[float, ...]
-    discount: float = 1.0
+    discount: float = 1.0  # fixed: echoed in summary.json, no other use
     channel: ChannelModel  # the keys channel.type and channel.<field>
     horizon_slots: int
     seed: int = 1
     replications: int = 1
     policy: PolicyKind = PolicyKind.DRIFT_PLUS_PENALTY
-    z_cache_bucket: float = 0.0
+    z_cache_bucket: float = 0.0  # fixed: echoed in summary.json, no other use
     warmup_slots: int = 0
     out_dir: str | None = None
 
     def frame_config(self, v: float) -> FrameConfig:
-        return FrameConfig(self.T, self.K, self.q, self.A_max, v, self.discount)
+        return FrameConfig(self.T, self.K, self.q, self.A_max, v)
 
     def cells(self) -> list[tuple[float, int]]:
         """All (V, seed) runs this config describes."""
@@ -187,12 +187,16 @@ def _keyed_errors(prefix: str = ""):
 def _validate(cfg: ExperimentConfig) -> None:
     if not cfg.V:
         raise ConfigError("needs at least one value", "V")
+    # The frame objective is undiscounted, at the exact frame-start debt.
+    for key, fixed in (("discount", 1.0), ("z_cache_bucket", 0.0)):
+        value = getattr(cfg, key)
+        if value != fixed:
+            raise ConfigError(f"must be {fixed}, the only supported value, got {value!r}", key)
     with _keyed_errors():
         # FrameConfig re-checks the model invariants for every V value.
         for v in cfg.V:
             cfg.frame_config(v)
-        check_run_inputs(cfg.T, cfg.channel, cfg.horizon_slots, cfg.seed,
-                         cfg.warmup_slots, cfg.z_cache_bucket)
+        check_run_inputs(cfg.T, cfg.channel, cfg.horizon_slots, cfg.seed, cfg.warmup_slots)
     if len(set(cfg.V)) < len(cfg.V):  # 0.0 == -0.0, though their dirs differ
         raise ConfigError(f"two values are equal: {' '.join(map(repr, cfg.V))}", "V")
     dirs = [v_dir(v) for v in cfg.V]

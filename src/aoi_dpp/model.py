@@ -26,9 +26,8 @@ class FrameConfig:
 
     T: slots per frame; K: packets arriving at each frame start; q: required
     expected deliveries per frame; A_max: AoI cap; V: penalty weight trading
-    freshness against the delivery guarantee; discount: Bellman discount
-    (1.0 = undiscounted per-frame objective, the default). A broken invariant
-    raises ValueError("<field> must ...").
+    freshness against the delivery guarantee. The frame objective weighs
+    every slot alike. A broken invariant raises ValueError("<field> must ...").
     """
 
     T: int
@@ -36,7 +35,6 @@ class FrameConfig:
     q: float
     A_max: int
     V: float
-    discount: float = 1.0
 
     def __post_init__(self) -> None:
         if self.T < 1:
@@ -50,8 +48,6 @@ class FrameConfig:
         # A frame's penalty reaches V * A_max * T, which must stay a finite float.
         if not (self.V >= 0 and math.isfinite(self.V * self.A_max * self.T)):
             raise ValueError(f"V must be >= 0 with V * A_max * T finite, got {self.V}")
-        if not 0 < self.discount <= 1:
-            raise ValueError(f"discount must be in (0, 1], got {self.discount}")
 
     @property
     def rho(self) -> float:

@@ -84,18 +84,16 @@ def evaluate_policy_exact(
     dist: dict[SystemState, float] = {initial_state: 1.0}
     by_slot = [dict(dist)]
     expected = 0.0
-    weight = 1.0
     for t in range(cfg.T):
         nxt: dict[SystemState, float] = {}
         for state, prob in dist.items():
             action = rule(t, state)
             for p, d1, d2, mem in _outcome_branches(state, action, model):
                 after, cost = _successor(state, d1, d2, mem, frozen_z, cfg)
-                expected += weight * prob * p * cost
+                expected += prob * p * cost
                 nxt[after] = nxt.get(after, 0.0) + prob * p
         dist = nxt
         by_slot.append(dict(dist))
-        weight *= cfg.discount
     return EvaluationResult(expected, by_slot)
 
 
@@ -155,7 +153,7 @@ def brute_force_optimal(
     """Exact optimum over deterministic Markov policies, naively.
 
     Dict-based backward induction: per branch the realized cost
-    z*(rho - d2) + V*A' accumulates with the discounted continuation. Ties
+    z*(rho - d2) + V*A' accumulates with the continuation value. Ties
     resolve in USER1, USER2, IDLE order, intentionally different from the
     solver's preference. Raises UnknownStateError for a state outside the
     model domain.
@@ -180,7 +178,7 @@ def brute_force_optimal(
                 total = 0.0
                 for prob, d1, d2, mem in _outcome_branches(state, action, model):
                     nxt, realized = _successor(state, d1, d2, mem, frozen_z, cfg)
-                    total += prob * (realized + cfg.discount * value[nxt])
+                    total += prob * (realized + value[nxt])
                 if total < best:
                     best = total
                     best_action = action
@@ -217,7 +215,6 @@ def monte_carlo_value(
     queue = np.full(n_runs, initial_state.queue)
     mem = np.tile(initial_state.channel_mem or (BAD, BAD), (n_runs, 1))  # i.i.d.: unread
     costs = np.zeros(n_runs)
-    weight = 1.0
     for t in range(cfg.T):
         keys, inverse = np.unique(
             space.index_parts(aoi, queue, space.mem_index(*mem.T)), return_inverse=True
@@ -228,8 +225,7 @@ def monte_carlo_value(
         d2 = (actions == Action.USER2) & (mem[:, 1] == GOOD)
         aoi = np.where(d1, 1, np.minimum(aoi + 1, cfg.A_max))
         queue = np.maximum(queue - d2, 0)
-        costs += weight * (frozen_z * (cfg.rho - d2) + cfg.V * aoi)
-        weight *= cfg.discount
+        costs += frozen_z * (cfg.rho - d2) + cfg.V * aoi
     mean = float(costs.mean())
     stderr = float(costs.std(ddof=1) / math.sqrt(n_runs)) if n_runs > 1 else 0.0
     return mean, stderr

@@ -1,14 +1,13 @@
 """Multi-frame closed-loop simulation.
 
 The drift-plus-penalty controller solves the frame DP at every frame start
-with the debt value frozen at Z(t_m), or at Z(t_m) rounded to a multiple of
-a positive `z_cache_bucket`, and executes the resulting policy slot by slot.
-Every frame, the first included, takes its table from one lookup in a
-`FrameTables`, which solves the frame-0 table (Z(0) = 0) when it is built. A
-frame whose frozen debt equals, as a float, that of a recent frame or 0, or
-lies within the certified radius of a recent frame's table (see
-`FrameSolver.certified_radius`), reuses that table instead of solving again
-(see `_TABLE_MEMO_BYTES`). A reused table is the one a fresh solve would
+with the debt value frozen at its exact float value Z(t_m), and executes the
+resulting policy slot by slot. Every frame, the first included, takes its
+table from one lookup in a `FrameTables`, which solves the frame-0 table
+(Z(0) = 0) when it is built. A frame whose frozen debt equals, as a float,
+that of a recent frame or 0, or lies within the certified radius of a recent
+frame's table (see `FrameSolver.certified_radius`), reuses that table
+instead of solving again (see `_TABLE_MEMO_BYTES`). A reused table is the one a fresh solve would
 write, bit for bit, so the trajectories are the same whether tables are
 reused, and whether runs share their `FrameTables` or not. Runs are
 bit-reproducible from (config, model, policy, horizon, seed): channel
@@ -50,9 +49,9 @@ from .solver import FrameSolver
 
 #: Bytes of int8 action tables a `FrameTables` keeps for reuse, least
 #: recently used first out: 40 tables of the reference scenario (T = 20,
-#: 1280 states), with or without a `z_cache_bucket`. A frame whose (T, S)
-#: table is larger than this (every frame, at 0) solves afresh, except at
-#: Z = 0: the frame-0 table is kept outside the budget.
+#: 1280 states). A frame whose (T, S) table is larger than this (every
+#: frame, at 0) solves afresh, except at Z = 0: the frame-0 table is kept
+#: outside the budget.
 _TABLE_MEMO_BYTES = 1 << 20
 
 #: How `FrameTables` found a frame's table, and the `Metrics.diagnostics`
@@ -317,12 +316,13 @@ class FrameTables:
       the slot's channel outcome code is `code`;
     - refill[s]: s with its queue refilled to K, after a full frame.
 
-    The memo maps a frozen debt to its flattened int8 actions and their
-    certified radius, least recently used first out, and holds at most
-    `_TABLE_MEMO_BYTES` of tables. The frame-0 table outlives the memo: a
-    lookup at Z = 0 always finds it. Runs of the same pair may share one
-    FrameTables (the CLI shares it across the seeds of one V): every table it
-    hands out is the one a fresh solve at the asked debt would write.
+    The memo maps a frame's exact start debt, the float the slot loop keeps,
+    to its flattened int8 actions and their certified radius, least recently
+    used first out, and holds at most `_TABLE_MEMO_BYTES` of tables. The
+    frame-0 table outlives the memo: a lookup at Z = 0 always finds it. Runs
+    of the same pair may share one FrameTables (the CLI shares it across the
+    seeds of one V): every table it hands out is the one a fresh solve at
+    the asked debt would write.
     """
 
     def __init__(self, cfg: FrameConfig, model: ChannelModel):
@@ -397,7 +397,6 @@ def _slot_loop(
     cfg: FrameConfig,
     code_arr: np.ndarray,
     first: tuple[int, int],
-    bucket: float,
     tables: FrameTables,
 ) -> tuple[np.ndarray, list[int]]:
     """(actions, table lookups by FRESH, EXACT and CERTIFIED) of a
@@ -422,7 +421,7 @@ def _slot_loop(
     rho = cfg.rho
     for start in range(0, horizon_slots, T):
         # The frame's (T, S) action table, flattened.
-        table, found = tables.actions(round(z / bucket) * bucket if bucket else z)
+        table, found = tables.actions(z)
         lookups[found] += 1
         stop = min(start + T, horizon_slots)
         offset = 0  # of slot t's row in the flattened table
@@ -448,9 +447,10 @@ def check_run_inputs(
     horizon_slots: int,
     seed: int,
     warmup_slots: int,
-    z_cache_bucket: float,
 ) -> None:
-    """Raise ValueError("<config key> must ...") for run inputs that cannot run.
+    """Raise ValueError("<config key> must ...") for run inputs that cannot run:
+    a frozen Gilbert-Elliot chain, a horizon below T, a negative seed, and a
+    warmup that leaves no full frame.
 
     `run_simulation` calls this before it draws or builds anything, and
     `config` checks every experiment with it, mapping the leading key name to
@@ -467,14 +467,6 @@ def check_run_inputs(
         raise ValueError(f"horizon_slots must be >= T={T}, got {horizon_slots}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    # Frame-start Z grows by rho <= 1 per slot, so it never exceeds the
-    # horizon, and Z / z_cache_bucket stays finite once this ratio is.
-    bucket = z_cache_bucket
-    if not (bucket == 0 or 0 < bucket < math.inf and math.isfinite(horizon_slots / bucket)):
-        raise ValueError(
-            "z_cache_bucket must be 0, or finite and > 0 with horizon_slots / z_cache_bucket "
-            f"finite, got {bucket}"
-        )
     # The delivery mean needs one full frame after warmup.
     last = (horizon_slots // T - 1) * T
     if not 0 <= warmup_slots <= last:
@@ -492,7 +484,6 @@ def run_simulation(
     seed: int,
     *,
     warmup_slots: int = 0,
-    z_cache_bucket: float = 0.0,
     tables: FrameTables | None = None,
 ) -> Metrics:
     """Simulate `horizon_slots` slots and collect Metrics.
@@ -501,10 +492,6 @@ def run_simulation(
     argument, before any compute; so do `tables` built for another config
     or channel. An infeasible delivery target does not abort the run; it is
     recorded in Metrics.warnings and the controller still does its best.
-
-    A `z_cache_bucket` above 0 solves each frame at its start debt rounded
-    to the nearest multiple of the bucket, so frames whose debts round alike
-    share one table.
 
     The controller takes its tables from `tables`, or from a FrameTables of
     its own when given none; only Metrics.diagnostics depends on which.
@@ -542,7 +529,7 @@ def run_simulation(
     against the model laws, and `test_run_matches_reference_loop` checks the
     trajectories against a plain per-slot loop.
     """
-    check_run_inputs(cfg.T, model, horizon_slots, seed, warmup_slots, z_cache_bucket)
+    check_run_inputs(cfg.T, model, horizon_slots, seed, warmup_slots)
     if tables is not None and (tables.solver.cfg != cfg or tables.solver.model != model):
         raise ValueError("tables must be built for the run's cfg and model")
     T, A_max = cfg.T, cfg.A_max
@@ -559,8 +546,7 @@ def run_simulation(
                                         np.random.default_rng(init_ss))
     lookups = [0] * len(LOOKUP_KEYS)  # the baselines look up no tables
     if policy == PolicyKind.DRIFT_PLUS_PENALTY:
-        act_arr, lookups = _slot_loop(cfg, code_arr, (m1, m2), z_cache_bucket,
-                                      tables or FrameTables(cfg, model))
+        act_arr, lookups = _slot_loop(cfg, code_arr, (m1, m2), tables or FrameTables(cfg, model))
     elif policy == PolicyKind.UNIFORM_RANDOM:
         act_arr = _uniform_schedule(cfg, code_arr, np.random.default_rng(act_ss).integers)
     else:

@@ -234,19 +234,19 @@ class FrameSolver:
         # Constants of the radius certificate (see certified_radius): c, the
         # largest |cost_z|; the largest |cost_const|; pi, the largest branch
         # sum of probs, raised by 2**-50 relative to cover the rounding of
-        # that float sum; P = max(1, discount * pi); G = sum of P**k for
+        # that float sum; P = max(1, pi); G = sum of P**k for
         # k < T; and L_t, raised by 2**-40 relative for the rounding of its
         # recursion.
         self._c = float(np.abs(self.cost_z).max())
         self._cost_max = float(np.abs(self.cost_const).max())
         pi = float(self.probs.sum(axis=2).max()) * (1 + 2**-50)
-        self._growth = max(1.0, cfg.discount * pi)
+        self._growth = max(1.0, pi)
         self._horizon_sum = sum(self._growth**k for k in range(cfg.T))
         self._rounding = 2 * _gamma(2 * self.probs.shape[2] + 4)
         lipschitz = np.empty(cfg.T)
         lip = 0.0
         for t in range(cfg.T - 1, -1, -1):
-            lip = self._c + cfg.discount * pi * lip
+            lip = self._c + pi * lip
             lipschitz[t] = lip
         self._lipschitz = lipschitz * (1 + 2**-40)
 
@@ -256,15 +256,14 @@ class FrameSolver:
 
         Let q_t(s, a; z) be the q that exact arithmetic gives on these float
         arrays, and V_t = min_a q_t. Then |q_t(z) - q_t(z')| <= L_t |z - z'|,
-        with L_T = 0 and L_t = c + discount * pi * L_{t+1}: the stage cost
-        moves by at most c |dz| and the expectation by at most
-        discount * pi * L_{t+1} |dz|. The kernel's float q differs from q
-        by at most delta at every debt z' in [0, z_hi]: each stage adds at
-        most gamma_n (C + P * 2M) of rounding, with n = 2B + 4 roundings on
-        any term's path (B products and sums, the discount, the two cost
-        roundings and the final add, generously counted), C = max|cost_const|
-        + z_hi * c bounding |stage cost|, M = C * G bounding |V| (and 2M
-        the float values), and earlier stages' errors grow by at most P per
+        with L_T = 0 and L_t = c + pi * L_{t+1}: the stage cost moves by at
+        most c |dz| and the expectation by at most pi * L_{t+1} |dz|. The
+        kernel's float q differs from q by at most delta at every debt z' in
+        [0, z_hi]: each stage adds at most gamma_n (C + P * 2M) of rounding,
+        with n = 2B + 4 roundings on any term's path (B products and sums,
+        the two cost roundings and the final add, with one to spare),
+        C = max|cost_const| + z_hi * c bounding |stage cost|, M = C * G
+        bounding |V| (and 2M the float values), and earlier stages' errors grow by at most P per
         stage, so they sum to at most G times that. delta is twice this
         bound, and the spare half covers the rounding of the margin
         subtraction, of r and of |z - z'| (each at most a few u * m, with
@@ -316,7 +315,6 @@ class FrameSolver:
             self.next_idx,
             self.probs,
             frozen_z,
-            self.cfg.discount,
             self._work,
             margins,
             values,

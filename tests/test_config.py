@@ -1,4 +1,3 @@
-import math
 import re
 from pathlib import Path
 
@@ -111,9 +110,12 @@ def test_model_invariants_revalidated():
         ("A_max = 5", "A_max = 0", "A_max"),
         ("V = 0, 1.5", "V = 0, -1", "V"),
         ("seed = 3", "seed = 3\ndiscount = 0", "discount"),
+        ("seed = 3", "seed = 3\ndiscount = 0.9", "discount"),
+        ("seed = 3", "seed = 3\nz_cache_bucket = 0.5", "z_cache_bucket"),
         ("channel.p1 = 0.9", "channel.p1 = 1.7", "channel.p1"),
     ],
-    ids=["T", "K", "q", "A_max", "V", "discount", "channel.p1"],
+    ids=["T", "K", "q", "A_max", "V", "discount", "discount-0.9", "z_cache_bucket-0.5",
+         "channel.p1"],
 )
 def test_model_invariant_names_key(old, new, key):
     with pytest.raises(ConfigError) as exc:
@@ -226,15 +228,11 @@ def experiment_configs(draw):
         q=draw(st.floats(0.0, float(K))),
         A_max=draw(st.integers(1, 100)),
         V=tuple(draw(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=5, unique_by=v_dir))),
-        discount=draw(st.floats(0.0, 1.0, exclude_min=True)),
         channel=draw(channels),
         horizon_slots=horizon,
         seed=draw(st.integers(0, 2**32)),
         replications=draw(st.integers(1, 10)),
         policy=draw(st.sampled_from(PolicyKind)),
-        z_cache_bucket=draw(
-            st.floats(0.0, 1e3).filter(lambda b: b == 0 or math.isfinite(horizon / b))
-        ),
         warmup_slots=draw(st.integers(0, (horizon // T - 1) * T)),
         out_dir=draw(out_dirs),
     )

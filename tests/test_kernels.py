@@ -5,6 +5,7 @@ at construction."""
 import dataclasses
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from conftest import reference_cfg, reference_model, random_instance
 
 from aoi_dpp import _kernels
 from aoi_dpp.channel import GilbertElliotChannel, IIDChannel
+from aoi_dpp.cli import main
 from aoi_dpp.model import FrameConfig
 from aoi_dpp.solver import FrameSolver
 
@@ -33,7 +35,6 @@ def kernel_tables(kernel, solver: FrameSolver, z: float, layout=lambda array: ar
         layout(solver.next_idx),
         layout(solver.probs),
         z,
-        solver.cfg.discount,
         _kernels.work_buffers(T, S, solver.probs.shape[2]),
         margins,
         values,
@@ -52,7 +53,7 @@ def nan_min(x: float, y: float) -> float:
     return x if x != x else y if y != y else min(x, y)
 
 
-def loop_kernel(cost_const, cost_z, feasible, next_idx, probs, frozen_z, discount,
+def loop_kernel(cost_const, cost_z, feasible, next_idx, probs, frozen_z,
                 work, margins, values, actions):
     """The kernel contract's reference semantics, one state, action and branch
     at a time (`work` is unused): branches accumulate in order, an infeasible
@@ -74,7 +75,7 @@ def loop_kernel(cost_const, cost_z, feasible, next_idx, probs, frozen_z, discoun
                 for b in range(n_branches):
                     acc = acc + pr[s][a][b] * vnext[nxt[s][a][b]]
                 cost = cc[s][a] + frozen_z * cz[s][a] if ok[s][a] else math.inf
-                q = cost + discount * acc
+                q = cost + acc
                 if k:
                     second = nan_min(second, nan_max(q, best))
                 if q < best:
@@ -115,7 +116,40 @@ def test_frame_solver_uses_get_solver(monkeypatch):
     solver = FrameSolver(reference_cfg(5.0), reference_model())
     solver.solve(0.0)
     solver.solve(2.5)
-    assert calls == [11, 11]
+    assert calls == [10, 10]
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+TINY_CONTROLLER_RUN = """\
+T = 3
+K = 1
+q = 0.5
+A_max = 3
+V = 1 7
+channel.type = iid
+channel.p1 = 0.9
+channel.p2 = 0.8
+horizon_slots = 60
+"""
+
+
+def test_benchmark_tracer_reads_the_kernel_contract(tmp_path, monkeypatch):
+    # The benchmark's tracer wraps the kernel `get_solver` returns and reads
+    # its arguments by position (the arrays first, the actions last); a
+    # change of the contract must keep every solve traced and counted.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delenv("AOI_DPP_THREADS", raising=False)  # keep the cells in process
+    from tracer import Tracer
+
+    config = tmp_path / "exp.cfg"
+    config.write_text(TINY_CONTROLLER_RUN, encoding="utf-8")
+    tracer = Tracer()
+    with tracer.installed():
+        assert main(["--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    names = [span.name for span in tracer.spans]
+    assert names.count("kernel") == names.count("solver.solve") > 0
+    assert tracer.kernel_flop > 0
 
 
 def test_numpy_kernel_matches_loop_contract():
@@ -126,8 +160,7 @@ def test_numpy_kernel_matches_loop_contract():
     rng = np.random.default_rng(7)
     for i in range(60):
         cfg, model, _, z = random_instance(rng)
-        discount = (1.0, 0.9, 0.5)[i % 3]
-        cfg = FrameConfig(cfg.T + 2, cfg.K, cfg.q, cfg.A_max + 1, cfg.V, discount)
+        cfg = FrameConfig(cfg.T + 2, cfg.K, cfg.q, cfg.A_max + 1, cfg.V)
         if i % 2:
             params = [float(rng.choice([0.0, 1.0, p])) for p in dataclasses.astuple(model)]
             model = type(model)(*params)
@@ -148,9 +181,9 @@ def test_numpy_kernel_matches_loop_on_copied_layout():
     # Inputs stored state-major, as C-contiguous (S, 3) and (S, 3, B) copies,
     # take the kernel's copying path; the tables stay bit for bit the same.
     rng = np.random.default_rng(13)
-    for i in range(20):
+    for _ in range(20):
         cfg, model, _, z = random_instance(rng)
-        cfg = FrameConfig(cfg.T + 1, cfg.K, cfg.q, cfg.A_max + 1, cfg.V, (1.0, 0.9)[i % 2])
+        cfg = FrameConfig(cfg.T + 1, cfg.K, cfg.q, cfg.A_max + 1, cfg.V)
         solver = FrameSolver(cfg, model)
         assert_same_tables(
             kernel_tables(loop_kernel, solver, z),
@@ -194,8 +227,8 @@ probabilities = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
 
 @st.composite
 def kernel_instances(draw):
-    """A small solver and frozen debt: both channel models, 0/1 probabilities,
-    V = z = 0 ties and the discounts 1, 0.9 and 0.5."""
+    """A small solver and frozen debt: both channel models, 0/1 probabilities
+    and V = z = 0 ties."""
     T = draw(st.integers(1, 4))
     K = draw(st.integers(1, min(T, 2)))
     cfg = FrameConfig(
@@ -204,7 +237,6 @@ def kernel_instances(draw):
         q=draw(st.floats(0.0, K)),
         A_max=draw(st.integers(1, 5)),
         V=draw(st.sampled_from([0.0, 1.0, 5.0]) | st.floats(0.0, 50.0)),
-        discount=draw(st.sampled_from([1.0, 0.9, 0.5])),
     )
     if draw(st.booleans()):
         model = IIDChannel(draw(probabilities), draw(probabilities))
@@ -240,8 +272,7 @@ def order_sensitive_instance(rng: np.random.Generator, S: int = 256):
     )
 
 
-@pytest.mark.parametrize("discount", [1.0, 0.9])
-def test_numpy_kernel_sums_branches_in_index_order(discount):
+def test_numpy_kernel_sums_branches_in_index_order():
     arrays = order_sensitive_instance(np.random.default_rng(5))
     T, S = 2, arrays[0].shape[0]
 
@@ -250,7 +281,7 @@ def test_numpy_kernel_sums_branches_in_index_order(discount):
         values = np.empty((T + 1, S))
         actions = np.empty((T, S), dtype=np.int8)
         work = _kernels.work_buffers(T, S, probs.shape[2])
-        kernel(*arrays[:3], next_idx, probs, 0.0, discount, work, margins, values, actions)
+        kernel(*arrays[:3], next_idx, probs, 0.0, work, margins, values, actions)
         return values, actions, margins
 
     next_idx, probs = arrays[3:]

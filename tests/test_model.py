@@ -65,8 +65,6 @@ def test_frame_config_validation():
     with pytest.raises(ValueError):
         FrameConfig(T=20, K=15, q=12.0, A_max=20, V=-1.0)
     with pytest.raises(ValueError):
-        FrameConfig(T=20, K=15, q=12.0, A_max=20, V=5.0, discount=0.0)
-    with pytest.raises(ValueError):
         FrameConfig(T=20, K=0, q=0.0, A_max=20, V=5.0)
 
 

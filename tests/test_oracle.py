@@ -79,7 +79,7 @@ def test_single_slot_optimum_is_min_stage_cost():
     rng = np.random.default_rng(31)
     for _ in range(20):
         cfg, model, state, z = random_instance(rng)
-        cfg1 = FrameConfig(1, 1, min(cfg.q, 1.0), cfg.A_max, cfg.V, cfg.discount)
+        cfg1 = FrameConfig(1, 1, min(cfg.q, 1.0), cfg.A_max, cfg.V)
         state1 = SystemState(state.aoi, min(state.queue, 1), state.channel_mem)
         value, _ = brute_force_optimal(state1, z, cfg1, model)
         solver = FrameSolver(cfg1, model)

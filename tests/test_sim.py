@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_instance, reference_cfg, reference_model
@@ -175,15 +175,6 @@ RUN_RULES = {
     "warmup-no-full-frame": (replace(SMALL_RUN, warmup_slots=37), "warmup_slots"),
     "warmup-90-of-100": (replace(REFERENCE_RUN, horizon_slots=100, warmup_slots=90),
                          "warmup_slots"),
-    "bucket-negative": (replace(REFERENCE_RUN, z_cache_bucket=-0.1), "z_cache_bucket"),
-    "bucket-nan": (replace(REFERENCE_RUN, z_cache_bucket=math.nan), "z_cache_bucket"),
-    "bucket-inf": (replace(REFERENCE_RUN, z_cache_bucket=math.inf), "z_cache_bucket"),
-    # Frame-start Z never exceeds the horizon, so a bucket that keeps
-    # horizon / bucket finite keeps every Z / bucket finite, and roundable.
-    "bucket-1e-300": (replace(REFERENCE_RUN, z_cache_bucket=1e-300), None),
-    "bucket-1e-320": (replace(REFERENCE_RUN, z_cache_bucket=1e-320), "z_cache_bucket"),
-    "bucket-1e-307": (replace(SMALL_RUN, horizon_slots=200, z_cache_bucket=1e-307),
-                      "z_cache_bucket"),
     # a frozen chain has no stationary law to draw its first state from
     "frozen-user-1": (replace(REFERENCE_RUN, channel=frozen(1)), "channel.p11_1"),
     "frozen-user-2": (replace(REFERENCE_RUN, channel=frozen(2)), "channel.p11_2"),
@@ -206,7 +197,7 @@ def test_run_rule_at_library_boundary(rule, monkeypatch):
     def run(tables=None):
         return run_simulation(cfg.frame_config(cfg.V[0]), cfg.channel, cfg.policy,
                               cfg.horizon_slots, cfg.seed, warmup_slots=cfg.warmup_slots,
-                              z_cache_bucket=cfg.z_cache_bucket, tables=tables)
+                              tables=tables)
 
     if key is None:
         tables = None
@@ -214,7 +205,7 @@ def test_run_rule_at_library_boundary(rule, monkeypatch):
             tables = sim.FrameTables(cfg.frame_config(cfg.V[0]), cfg.channel)
         m = run(tables)
         assert math.isfinite(m.delivery_mean)
-        # frame 0 looks its debt up, however it rounds, as the Z = 0 table
+        # frame 0 looks its debt up as the Z = 0 table
         assert tables is None or (tables.frame0.frozen_z == 0.0
                                   and m.diagnostics["exact_hits"] >= 1)
         return
@@ -299,7 +290,7 @@ def test_loop_follows_model_laws(policy, chan, K):
 TRAJECTORIES = ("aoi", "queue", "actions", "d1", "d2", "z_trajectory")
 
 
-def reference_loop(cfg, model, policy, horizon_slots, seed, z_cache_bucket=0.0):
+def reference_loop(cfg, model, policy, horizon_slots, seed):
     """`run_simulation`'s six trajectory arrays, dtypes included, from the
     plain per-slot loop: each slot looks up the action of its SystemState
     (in the frame's table, or from `baseline_decision`), draws both users'
@@ -325,8 +316,7 @@ def reference_loop(cfg, model, policy, horizon_slots, seed, z_cache_bucket=0.0):
     aoi, queue, z = 1, K, 0.0
     for t in range(horizon_slots):
         if tables is not None and t % T == 0:
-            frozen = round(z / z_cache_bucket) * z_cache_bucket if z_cache_bucket else z
-            table = tables.actions(frozen)[0]
+            table = tables.actions(z)[0]
         state = SystemState(aoi, queue, (m1, m2) if space.has_memory else None)
         if tables is not None:
             action = table[t % T * space.n_states + space.index(state)]
@@ -346,8 +336,8 @@ def reference_loop(cfg, model, policy, horizon_slots, seed, z_cache_bucket=0.0):
     return {name: np.array(out[name], dtype=dtype) for name, dtype in zip(TRAJECTORIES, dtypes)}
 
 
-def assert_matches_reference_loop(m, model, z_cache_bucket=0.0) -> None:
-    expected = reference_loop(m.cfg, model, m.policy, m.horizon_slots, m.seed, z_cache_bucket)
+def assert_matches_reference_loop(m, model) -> None:
+    expected = reference_loop(m.cfg, model, m.policy, m.horizon_slots, m.seed)
     for name in TRAJECTORIES:
         a, b = expected[name], getattr(m, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
@@ -357,20 +347,28 @@ def assert_matches_reference_loop(m, model, z_cache_bucket=0.0) -> None:
             assert np.array_equal(a, b), name
 
 
+def seeded_instance(seed: int) -> tuple[FrameConfig, IIDChannel | GilbertElliotChannel, int]:
+    """(cfg, model) of `random_instance` drawn from `seed`, and `seed`."""
+    cfg, model, _, _ = random_instance(np.random.default_rng(seed))
+    return cfg, model, seed
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from(list(PolicyKind)),
-       st.integers(2, 40), st.sampled_from([0.0, 0.25]))
-def test_run_matches_reference_loop(instance_seed, policy, frames, bucket):
+@given(st.integers(0, 2**32 - 1).map(seeded_instance), st.sampled_from(list(PolicyKind)),
+       st.integers(2, 40))
+# Always run: uniform_random with one packet a frame and a user-2 link that
+# always lands, so the queue empties at the frame's first user-2 slot and
+# the later slots draw from the two actions an empty queue allows.
+@example((FrameConfig(T=3, K=1, q=0.5, A_max=3, V=0.0), IIDChannel(0.5, 1.0), 7),
+         PolicyKind.UNIFORM_RANDOM, 20)
+def test_run_matches_reference_loop(instance, policy, frames):
     # Random small instances of both link models (Gilbert-Elliot links
     # persistent, anti-persistent or mixed), every policy, and a horizon
     # that ends in a partial frame whenever T > 1.
-    cfg, model, _, _ = random_instance(np.random.default_rng(instance_seed))
-    horizon = frames * cfg.T + instance_seed % cfg.T
-    if policy != PolicyKind.DRIFT_PLUS_PENALTY:
-        bucket = 0.0
-    m = run_simulation(cfg, model, policy, horizon, instance_seed % 1000,
-                       z_cache_bucket=bucket)
-    assert_matches_reference_loop(m, model, bucket)
+    cfg, model, seed = instance
+    horizon = frames * cfg.T + seed % cfg.T
+    m = run_simulation(cfg, model, policy, horizon, seed % 1000)
+    assert_matches_reference_loop(m, model)
 
 
 def test_run_with_more_states_than_int16_holds():
@@ -498,17 +496,23 @@ MEMO_BUDGETS = {"default": None, "two-tables": 2 * 20 * 1280}
 
 
 @pytest.mark.parametrize("budget", sorted(MEMO_BUDGETS))
-@pytest.mark.parametrize("bucket", [0.0, 0.05])
+# the only value the config key accepts: tables keyed by the exact debt
+@pytest.mark.parametrize("z_cache_bucket", [0.0])
 @pytest.mark.parametrize("chan", ["ge", "iid"])
 @pytest.mark.parametrize("v", [0.0, 5.0, 150.0])
-def test_table_memo_matches_fresh_solves(v, chan, bucket, budget, monkeypatch):
+def test_table_memo_matches_fresh_solves(v, chan, z_cache_bucket, budget, monkeypatch):
     # Reusing a frame's action table by its float frame-start debt gives the
     # same run, bit for bit, as a fresh solve at every frame start; the
-    # horizon ends in a partial frame.
+    # horizon ends in a partial frame. The run is the one a config describes.
+    run_cfg = replace(REFERENCE_RUN, V=(v,), channel=CHANNELS[chan], horizon_slots=PARTIAL_HORIZON,
+                      seed=3, warmup_slots=100, z_cache_bucket=z_cache_bucket)
+    assert parse_config_text(render_config(run_cfg)) == run_cfg
+    cfg = run_cfg.frame_config(v)
+
     def run():
-        tables = sim.FrameTables(reference_cfg(v), CHANNELS[chan])
-        return run_simulation(reference_cfg(v), CHANNELS[chan], PolicyKind.DRIFT_PLUS_PENALTY,
-                              PARTIAL_HORIZON, 3, warmup_slots=100, z_cache_bucket=bucket,
+        tables = sim.FrameTables(cfg, run_cfg.channel)
+        return run_simulation(cfg, run_cfg.channel, run_cfg.policy, run_cfg.horizon_slots,
+                              run_cfg.seed, warmup_slots=run_cfg.warmup_slots,
                               tables=tables), tables
 
     if MEMO_BUDGETS[budget] is not None:
@@ -614,65 +618,36 @@ def test_table_memo_reuses_tables_at_v0(monkeypatch):
     assert len(calls) == m.frames
 
 
-@pytest.mark.parametrize("cfg, frames, bucket", [
-    (reference_cfg(150.0), 125, 0.0),
+@pytest.mark.parametrize("cfg, frames", [
+    (reference_cfg(150.0), 125),
     # 99,200-byte tables, of which 10 fit the budget
-    (FrameConfig(T=40, K=30, q=24.0, A_max=20, V=150.0), 30, 0.0),
-    # 121 distinct bucket multiples over the 125 frames
-    (reference_cfg(150.0), 125, 0.2),
-], ids=["reference", "large-tables", "bucketed"])
-def test_table_memo_memory_is_bounded_by_its_budget(cfg, frames, bucket, monkeypatch):
-    # At V = 150 the frame-start debt never repeats, so nearly every frame
-    # adds a table and the memo holds as many as its budget allows, with or
-    # without a z_cache_bucket. The traced peak with the memo exceeds that of
-    # fresh solves at the exact debt by at most the budget plus the per-entry
-    # objects; a memo that kept every action table would add 3.2 MB over the
-    # 125 reference frames and 3.0 MB over the 30 larger ones, and a cache
-    # of every bucketed PolicyTable, values included, about 28 MB.
+    (FrameConfig(T=40, K=30, q=24.0, A_max=20, V=150.0), 30),
+], ids=["reference", "large-tables"])
+def test_table_memo_memory_is_bounded_by_its_budget(cfg, frames, monkeypatch):
+    # At V = 150 the frame-start debt never repeats, so every frame adds a
+    # table and the memo holds as many as its budget allows. The traced peak
+    # with the memo exceeds that of fresh solves by at most the budget plus
+    # the per-entry objects; a memo that kept every action table would add
+    # 3.2 MB over the 125 reference frames and 3.0 MB over the 30 larger ones.
     model = reference_model()
 
-    def traced_peak(bucket: float) -> tuple[int, sim.Metrics, sim.FrameTables]:
+    def traced_peak() -> tuple[int, sim.Metrics]:
         run = (cfg, model, PolicyKind.DRIFT_PLUS_PENALTY)
-        run_simulation(*run, cfg.T, 0, z_cache_bucket=bucket)  # warm caches
+        run_simulation(*run, cfg.T, 0)  # warm caches
         tables = sim.FrameTables(cfg, model)
         tracemalloc.start()
         try:
-            m = run_simulation(*run, frames * cfg.T, 0, z_cache_bucket=bucket, tables=tables)
+            m = run_simulation(*run, frames * cfg.T, 0, tables=tables)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        return peak, m, tables
+        return peak, m
 
     budget = sim._TABLE_MEMO_BYTES
-    with_memo, m, tables = traced_peak(bucket)
-    start_z = m.frame_start_z[:frames].tolist()
-    if bucket:
-        keys = {round(z / bucket) * bucket for z in start_z}
-        assert len(keys) > budget // tables.frame0.actions.nbytes
-    else:
-        assert len(set(start_z)) == frames
+    with_memo, m = traced_peak()
+    assert len(set(m.frame_start_z[:frames].tolist())) == frames
     fresh_solve_every_frame(monkeypatch)
-    assert with_memo - traced_peak(0.0)[0] < budget + 64 * 1024
-
-
-def test_z_cache_bucket_solves_each_multiple_once(monkeypatch):
-    # Frames whose start debts round to the same multiple of the bucket share
-    # one table, solved at that multiple; the first frame's is solved at 0.
-    monkeypatch.setattr(sim, "_TABLE_MEMO_BYTES", 1 << 30)
-    calls = count_solves(monkeypatch)
-    m, tables = dpp_run(horizon=3_000, z_cache_bucket=0.5)
-    keys = [round(z / 0.5) * 0.5 for z in m.frame_start_z[: m.frames].tolist()]
-    assert calls == list(dict.fromkeys(keys))
-    assert len(calls) < m.frames
-    assert tables.frame0.frozen_z == 0.0
-
-
-def test_z_cache_bucket_changes_little():
-    exact = small_run(horizon=10_000)
-    bucketed = small_run(horizon=10_000, z_cache_bucket=0.05)
-    # quantized debt reuses policies; long-run behavior stays close
-    assert abs(exact.delivery_mean - bucketed.delivery_mean) < 0.5
-    assert abs(exact.mean_aoi - bucketed.mean_aoi) < 0.5
+    assert with_memo - traced_peak()[0] < budget + 64 * 1024
 
 
 def test_aoi_greedy_matches_exact_chain():

@@ -3,8 +3,7 @@ controller's frame-0 table, hashed.
 
 The digests pin the closed loop bit for bit across refactors of the slot
 loop, for both channel models (Gilbert-Elliot links persistent,
-anti-persistent and memoryless), every policy and the discounted objective,
-over whole frames and over a horizon that ends in a partial frame, and
+anti-persistent and memoryless) and every policy, over whole frames and over a horizon that ends in a partial frame, and
 uniform_random with a queue that empties mid-frame. A digest changes only
 when the simulated trajectories change.
 """
@@ -41,36 +40,33 @@ ARRAYS = (
 )
 
 CASES = {
-    f"{chan}-{policy.value}-V{v:g}": (chan, policy, v, 1.0)
+    f"{chan}-{policy.value}-V{v:g}": (chan, policy, v)
     for chan in ("ge", "ge-zero", "iid")
     for policy in PolicyKind
     for v in (0.0, 5.0)
 }
-CASES["ge-drift_plus_penalty-V5-discount0.9"] = ("ge", PolicyKind.DRIFT_PLUS_PENALTY, 5.0, 0.9)
-CASES["iid-drift_plus_penalty-V5-discount0.9"] = ("iid", PolicyKind.DRIFT_PLUS_PENALTY, 5.0, 0.9)
 # 1,013 slots = 50 frames of T = 20 plus a partial frame of 13 slots.
 PARTIAL_HORIZON = 1_013
 CASES.update(
-    (f"{chan}-{policy.value}-V5-partial", (chan, policy, 5.0, 1.0, PARTIAL_HORIZON))
+    (f"{chan}-{policy.value}-V5-partial", (chan, policy, 5.0, PARTIAL_HORIZON))
     for chan in ("ge", "iid", "ge-anti", "ge-memoryless")
     for policy in PolicyKind
 )
 CASES["ge-zero-drift_plus_penalty-V5-partial"] = (
-    "ge-zero", PolicyKind.DRIFT_PLUS_PENALTY, 5.0, 1.0, PARTIAL_HORIZON
+    "ge-zero", PolicyKind.DRIFT_PLUS_PENALTY, 5.0, PARTIAL_HORIZON
 )
 # Two packets a frame: uniform_random empties the queue mid-frame and then
 # draws from the two actions an empty queue allows.
 CASES["ge-uniform_random-V5-partial-K2"] = (
-    "ge", PolicyKind.UNIFORM_RANDOM, 5.0, 1.0, PARTIAL_HORIZON, 2
+    "ge", PolicyKind.UNIFORM_RANDOM, 5.0, PARTIAL_HORIZON, 2
 )
 
 
 def metrics_digest(
-    chan: str, policy: PolicyKind, v: float, discount: float, horizon: int = 1_000,
-    K: int = 15,
+    chan: str, policy: PolicyKind, v: float, horizon: int = 1_000, K: int = 15,
 ) -> str:
     # The delivery target stays 12 of every 15 packets.
-    cfg = FrameConfig(T=20, K=K, q=12.0 * K / 15, A_max=20, V=v, discount=discount)
+    cfg = FrameConfig(T=20, K=K, q=12.0 * K / 15, A_max=20, V=v)
     tables = None
     if policy == PolicyKind.DRIFT_PLUS_PENALTY:
         tables = FrameTables(cfg, CHANNELS[chan])
@@ -97,7 +93,6 @@ GOLDEN = {
     "ge-deadline_first-V5": "e80a02ecfa9215c3146992c51469fd9936df1b566696a632f88de6d4d999dea1",
     "ge-drift_plus_penalty-V0": "893c4f97cd2fb826d1320f26516091d3b31c7b8a5793308ba39ef0e197f4c973",
     "ge-drift_plus_penalty-V5": "d2e1c68daf707e63b343a328deda0bfc7d696fa4d7f217f4ccfeb067b064886e",
-    "ge-drift_plus_penalty-V5-discount0.9": "05f21a903d69073d1d13c7dcc79b0be7b0fafc61ebaa5f5a510390c821ba9908",
     "ge-uniform_random-V0": "d7dafd58be70deabd22304ee0462d5b66246c251b8bef308713c3b648977dff5",
     "ge-uniform_random-V5": "d7dafd58be70deabd22304ee0462d5b66246c251b8bef308713c3b648977dff5",
     "ge-zero-aoi_greedy-V0": "d73d5c4b0f76ed88be09492055edede27cc1d1f8f9aa551103de6de7c076a927",
@@ -114,7 +109,6 @@ GOLDEN = {
     "iid-deadline_first-V5": "72aeb950dcabc3b2cb27bcfc6304ef55fd52a9fc7c035c838572f69942fa6279",
     "iid-drift_plus_penalty-V0": "e2a9c983fb21f139c60bbad70dfe0240a1a467b81471acf4a37e923a1d0964f6",
     "iid-drift_plus_penalty-V5": "12767fcb014aab92b4130dfe66e38bef682d589efe8bde9c1f3dc3419f09f165",
-    "iid-drift_plus_penalty-V5-discount0.9": "b909095382af52ff403ea55d2fad95a756b591b1ee0013b6ff6b833960a50d02",
     "iid-uniform_random-V0": "a7933e997e68ba6f2d23bff1825bf215fe555d92125495b7b1fed0cc271434de",
     "iid-uniform_random-V5": "a7933e997e68ba6f2d23bff1825bf215fe555d92125495b7b1fed0cc271434de",
     # Recorded with the loop that stepped t % T slot by slot, before the

@@ -188,7 +188,7 @@ def test_value_monotone_in_v():
         cfg, model, state, z = random_instance(rng)
         values = []
         for v in (0.0, 1.0, 5.0):
-            cfg_v = FrameConfig(cfg.T, cfg.K, cfg.q, cfg.A_max, v, cfg.discount)
+            cfg_v = FrameConfig(cfg.T, cfg.K, cfg.q, cfg.A_max, v)
             values.append(FrameSolver(cfg_v, model).solve(z).value(0, state))
         assert values[0] <= values[1] + 1e-12 <= values[2] + 2e-12
 
@@ -201,7 +201,7 @@ def test_actions_invariant_under_uniform_scaling():
         cfg, model, state, z = random_instance(rng)
         base = FrameSolver(cfg, model).solve(z)
         for c in (0.5, 2.0, 8.0):
-            cfg_c = FrameConfig(cfg.T, cfg.K, cfg.q, cfg.A_max, cfg.V * c, cfg.discount)
+            cfg_c = FrameConfig(cfg.T, cfg.K, cfg.q, cfg.A_max, cfg.V * c)
             scaled = FrameSolver(cfg_c, model).solve(z * c)
             assert np.array_equal(base.actions, scaled.actions)
 
@@ -335,18 +335,6 @@ def test_solve_rejects_out_of_range_action(monkeypatch, code):
     monkeypatch.setattr(_kernels, "get_solver", lambda: broken_kernel)
     with pytest.raises(InfeasibleActionError, match="infeasible action"):
         FrameSolver(reference_cfg(5.0), reference_model()).solve(2.0)
-
-
-def test_discounted_solve_matches_brute_force():
-    from aoi_dpp.oracle import brute_force_optimal
-
-    rng = np.random.default_rng(41)
-    for _ in range(10):
-        cfg, model, state, z = random_instance(rng)
-        disc = FrameConfig(cfg.T, cfg.K, cfg.q, cfg.A_max, cfg.V, discount=0.9)
-        dp = FrameSolver(disc, model).solve(z).value(0, state)
-        brute, _ = brute_force_optimal(state, z, disc, model)
-        assert dp == pytest.approx(brute, abs=1e-9)
 
 
 @settings(max_examples=150, deadline=None)
