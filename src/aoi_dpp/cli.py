@@ -26,7 +26,6 @@ import shutil
 import sys
 import time
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -77,7 +76,10 @@ class RunSummary:
 
 #: Rows formatted and written at a time when writing a table; whole 100k-slot
 #: columns would raise the peak memory of a run.
-BLOCK_ROWS = 1024
+BLOCK_ROWS = 4096
+
+#: Distinct floats that a float column's memo holds (see `_float_encoder`).
+FLOAT_MEMO = 4096
 
 POLICY_DUMP = "policy_frame0.csv"
 
@@ -85,49 +87,121 @@ POLICY_DUMP = "policy_frame0.csv"
 def _texts(strings: Iterable[str]) -> np.ndarray:
     """ASCII strings as the rows of a uint8 matrix, each padded with NULs to
     the longest."""
-    table = np.array([s.encode("ascii") for s in strings], dtype=bytes)
-    return table.view(np.uint8).reshape(table.size, table.itemsize)
+    return _chars(np.array([s.encode("ascii") for s in strings], dtype=bytes))
 
 
-def _ints(values: np.ndarray) -> np.ndarray:
-    """Non-negative integers as `str` writes them, one uint8 row each: the
-    decimal digits right-aligned, leading zeros NUL, so 0 keeps its "0"."""
-    rest = np.array(values, dtype=np.int64)
-    width = len(str(int(rest.max(initial=0))))
-    heads = np.empty((width, rest.size), dtype=np.int64)
-    for place in range(width - 1, -1, -1):
-        heads[place] = rest  # the value without its digits right of `place`
-        rest //= 10
-    lead = heads == 0  # left of the value's first digit
-    lead[-1] = False
-    heads %= 10
-    heads += ord("0")
-    heads[lead] = 0
-    return heads.T.astype(np.uint8)
+def _chars(texts: np.ndarray) -> np.ndarray:
+    """A bytes array as the rows of a uint8 matrix."""
+    return texts.view(np.uint8).reshape(texts.size, texts.itemsize)
 
 
-def _floats(values: np.ndarray) -> np.ndarray:
-    """Floats as `repr` writes them, one NUL-padded uint8 row each. Each
-    distinct 64-bit pattern is formatted once: comparing bits, not values,
-    keeps 0.0 apart from -0.0 and lets a NaN find itself."""
-    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
-    distinct, index = np.unique(bits, return_inverse=True)
-    return _texts(map(repr, distinct.view(np.float64).tolist())).take(index, axis=0)
+def _digit_groups() -> np.ndarray:
+    """The 3-digit groups 0..999 as uint8 rows of a NUL and three digits,
+    three times over: rows 0-999 zero-filled ("007"), for a group with a
+    nonzero group left of it; rows 1000-1999 with their leading zeros NUL
+    and 0 all NUL, for a number's leading groups; rows 2000-2999 likewise,
+    but with 0 as "0", for a number's last group."""
+    n = np.arange(1000)[:, None]
+    places = np.array([1000, 100, 10, 1])
+    digits = np.where(places < 1000, n // places % 10 + ord("0"), 0)
+    leading = np.where(n < places, 0, digits)
+    last = leading.copy()
+    last[0, -1] = ord("0")
+    return np.concatenate([digits, leading, last]).astype(np.uint8)
 
 
-#: A table column (see `_write_table`): a separator, an array of ints or
-#: floats, or a function of the block's row numbers giving its encoded rows.
-_Column = bytes | np.ndarray | Callable[[np.ndarray], np.ndarray]
+_GROUPS = _digit_groups()
+
+#: A table column (see `_write_table`): a separator; a `range` of ints, such
+#: as the row numbers; an array of non-negative ints or of floats; or a
+#: lookup, a `_texts` table with its row indices as an array or as a
+#: function of the block's row numbers.
+_Column = (bytes | range | np.ndarray
+           | tuple[np.ndarray, np.ndarray | Callable[[np.ndarray], np.ndarray]])
+
+#: A column's encoder: the width of its widest row, and the function that
+#: encodes the rows of a block, given their row numbers.
+_Encoder = tuple[int, Callable[[np.ndarray], np.ndarray]]
 
 
-def _encode(column: _Column, rows: np.ndarray) -> np.ndarray:
-    """The encoded rows of one column of a block."""
+def _int_encoder(top: int, values: Callable[[np.ndarray], np.ndarray]) -> _Encoder:
+    """Encoder of the ints `values(rows)`, each in 0..top, as `str` writes
+    them, right-aligned with NULs. Below 1,000 each value is a row of one
+    lookup table of 0..top. Above, a value is split into 3-digit groups, and
+    each group is a row of `_GROUPS`, taken four bytes at a time."""
+    width = len(str(top))
+    if top < 1000:
+        table = _GROUPS[2000:2001 + top, 4 - width:].copy()
+        return width, lambda rows: table.take(values(rows), axis=0)
+    groups = -(-width // 3)
+    words = _GROUPS.view(np.uint32).reshape(-1)
+
+    def encode(rows: np.ndarray) -> np.ndarray:
+        index = np.empty((rows.size, groups), dtype=np.intp)
+        rest = values(rows)
+        for g in range(groups - 1, 0, -1):
+            rest, index[:, g] = np.divmod(rest, 1000)
+            index[:, g] += (rest == 0) * (2000 if g == groups - 1 else 1000)
+        index[:, 0] = rest + 1000
+        return words.take(index).view(np.uint8)
+
+    return 4 * groups, encode
+
+
+def _float_encoder(values: np.ndarray) -> _Encoder:
+    """Encoder of floats as `repr` writes them, left-aligned with NULs.
+
+    Each distinct 64-bit pattern is formatted once per table, not once per
+    block: comparing bits, not values, keeps 0.0 apart from -0.0 and lets a
+    NaN find itself. The memo holds the patterns sorted, with their texts.
+    A block whose new patterns would take it past FLOAT_MEMO entries clears
+    it first and refills it with its own, so a column of distinct floats
+    holds one block's texts, never a horizon's."""
+    keys = np.empty(0, dtype=np.int64)
+    texts = np.empty(0, dtype="S24")  # '-2.2250738585072014e-308' is a longest repr
+
+    def encode(rows: np.ndarray) -> np.ndarray:
+        nonlocal keys, texts
+        bits = values[rows].view(np.int64)
+        at = keys.searchsorted(bits)
+        missing = bits[keys.take(at, mode="clip") != bits] if keys.size else bits
+        if missing.size:
+            new = _distinct(missing)
+            if keys.size + new.size > FLOAT_MEMO:
+                keys, texts, new = keys[:0], texts[:0], _distinct(bits)
+            keys = np.concatenate([keys, new])
+            reprs = map(str.encode, map(repr, new.view(np.float64).tolist()))
+            texts = np.concatenate([texts, np.fromiter(reprs, texts.dtype, new.size)])
+            order = keys.argsort()
+            keys, texts = keys[order], texts[order]
+            at = keys.searchsorted(bits)
+        return _chars(texts.take(at))
+
+    return texts.itemsize, encode
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of an int array, sorted (`np.unique` hashes, and
+    is slower on a block)."""
+    values = np.sort(values)
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
+
+
+def _encoder(column: _Column) -> _Encoder:
+    """The encoder of one column, set up once per table."""
     if isinstance(column, bytes):
-        return np.frombuffer(column, np.uint8)[None, :].repeat(rows.size, axis=0)
-    if isinstance(column, np.ndarray):
-        values = column[rows]
-        return _floats(values) if values.dtype.kind == "f" else _ints(values)
-    return column(rows)
+        rows_of = np.broadcast_to(np.frombuffer(column, np.uint8), (BLOCK_ROWS, len(column)))
+        return len(column), lambda rows: rows_of[:rows.size]
+    if isinstance(column, tuple):
+        table, index = column
+        pick = index if callable(index) else index.__getitem__
+        return table.shape[1], lambda rows: table.take(pick(rows), axis=0)
+    if isinstance(column, range):
+        return _int_encoder(column[-1] if column else 0,
+                            lambda rows: column.start + column.step * rows)
+    if column.dtype.kind == "f":
+        return _float_encoder(np.asarray(column, dtype=np.float64))
+    return _int_encoder(int(column.max(initial=0)), column.__getitem__)
 
 
 def _write_table(path: Path, head: str, n: int = 0, columns: Sequence[_Column] = (),
@@ -135,19 +209,28 @@ def _write_table(path: Path, head: str, n: int = 0, columns: Sequence[_Column] =
     """Write an artifact file: the `head` line (a CSV header, or the whole
     summary.json), then every `thin`-th of table rows 0..n-1.
 
-    Rows are written a block of at most BLOCK_ROWS at a time. Each column of
-    a block is encoded as one NUL-padded uint8 row per table row (`_ints`,
-    `_floats`, or a lookup in a `_texts` table); the block's bytes are the
-    columns side by side with every NUL dropped. No artifact holds a NUL,
-    so the bytes are those of formatting each row on its own, with ints as
-    `str` and floats as `repr`, the shortest round-trip form."""
+    Each column gets one encoder (`_encoder`) for the whole table, so a
+    separator, an int column's lookup table and a float column's memo are
+    set up once, not once per block. Rows are then written a block of at
+    most BLOCK_ROWS at a time: each encoder gives the block's column as one
+    NUL-padded uint8 row per table row, the columns are copied side by side
+    into a buffer the table reuses, and every NUL is dropped. No artifact
+    holds a NUL, so the bytes are those of formatting each row on its own,
+    with ints as `str` and floats as `repr`, the shortest round-trip form."""
+    encoders = [_encoder(column) for column in columns]
     step = BLOCK_ROWS * thin
+    most = min(BLOCK_ROWS, len(range(0, n, thin)))
+    width = sum(width for width, _ in encoders)
+    buffer = bytearray(most * width)
+    text = np.frombuffer(buffer, dtype=np.uint8).reshape(most, width)
     with path.open("wb") as fh:
         fh.write(head.encode("utf-8") + b"\n")
         for start in range(0, n, step):
             rows = np.arange(start, min(start + step, n), thin)
-            block = np.concatenate([_encode(c, rows) for c in columns], axis=1)
-            fh.write(block[block != 0].tobytes())
+            block = text[:rows.size]
+            np.concatenate([encode(rows) for _, encode in encoders], axis=1, out=block)
+            used = buffer if block.size == len(buffer) else buffer[:block.size]
+            fh.write(used.translate(None, b"\0"))
     return path
 
 
@@ -178,20 +261,21 @@ def emit_outputs(
     fractions = m.schedule_fractions
 
     def slot_tails(rows: np.ndarray) -> np.ndarray:
-        return _SLOT_TAILS.take(4 * m.actions[rows] + 2 * m.d1[rows] + m.d2[rows], axis=0)
+        return 4 * m.actions[rows] + 2 * m.d1[rows] + m.d2[rows]
 
     try:
         out.mkdir(parents=True, exist_ok=True)
         paths = [
             _write_table(out / "slots.csv", "t,A,Z,action,d1,d2", m.horizon_slots, (
-                _ints, b",", m.aoi, b",", m.z_trajectory, b",", slot_tails), thin=thin),
+                range(m.horizon_slots), b",", m.aoi, b",", m.z_trajectory, b",",
+                (_SLOT_TAILS, slot_tails)), thin=thin),
             _write_table(out / "frames.csv", "frame_index,deliveries,Z_at_frame_start", m.frames, (
-                _ints, b",", m.per_frame_deliveries, b",", m.frame_start_z, b"\n")),
+                range(m.frames), b",", m.per_frame_deliveries, b",", m.frame_start_z, b"\n")),
             _write_table(out / "aoi_hist.csv", "aoi_value,count,fraction", hist.size, (
-                lambda rows: _ints(rows + 1), b",", hist, b",", hist / hist.sum(), b"\n")),
+                range(1, hist.size + 1), b",", hist, b",", hist / hist.sum(), b"\n")),
             _write_table(out / "sched_fractions.csv", "slot_in_frame,frac_u1,frac_u2,frac_idle",
-                         m.cfg.T, (_ints, b",", fractions[:, 0], b",", fractions[:, 1], b",",
-                                   fractions[:, 2], b"\n")),
+                         m.cfg.T, (range(m.cfg.T), b",", fractions[:, 0], b",",
+                                   fractions[:, 1], b",", fractions[:, 2], b"\n")),
             _write_table(out / "summary.json",
                          json.dumps(summary.to_dict(), indent=2, sort_keys=True)),
         ]
@@ -214,8 +298,7 @@ def _write_policy_dump(table: PolicyTable, out: Path) -> Path:
     return _write_table(
         out / POLICY_DUMP, "slot,aoi,queue,h1,h2,action,value", T * space.n_states, (
             np.repeat(np.arange(T), space.n_states), b",", aoi, b",", queue, b",",
-            lambda rows: memories.take(mem[rows], axis=0), b",",
-            lambda rows: _ACTIONS.take(actions[rows], axis=0), b",",
+            (memories, mem), b",", (_ACTIONS, actions), b",",
             table.values[:T].reshape(-1), b"\n",
         ))
 
@@ -377,6 +460,9 @@ def run_cli(args: argparse.Namespace) -> int:
     tasks = [(cfg, v, part.tolist(), str(out_root), args.thin, args.dump_policy)
              for v in cfg.V for part in np.array_split(seeds, runs)]
     if workers > 1:
+        # Imported here, so that a sequential run never loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_seeds, *task) for task in tasks]
             results = [f.result() for f in futures]

@@ -54,6 +54,11 @@ from .solver import FrameSolver
 #: outside the budget.
 _TABLE_MEMO_BYTES = 1 << 20
 
+#: Slots whose ages `run_simulation` counts at a time into the age
+#: histogram: `np.bincount` copies its input to intp, 8 bytes a slot, so a
+#: whole horizon at once would set the peak memory of a baseline run.
+_HIST_CHUNK = 1 << 14
+
 #: How `FrameTables` found a frame's table, and the `Metrics.diagnostics`
 #: key that counts it: solved afresh, reused at its own frozen debt, or
 #: reused within another debt's certified radius.
@@ -564,7 +569,10 @@ def run_simulation(
 
     frames = horizon_slots // T
     per_frame = d2_arr[: frames * T].reshape(frames, T).sum(axis=1).astype(np.int32)
-    hist = np.bincount(aoi_arr[warmup_slots:], minlength=A_max + 1)[1:]
+    hist = np.zeros(A_max + 1, dtype=np.intp)
+    for start in range(warmup_slots, horizon_slots, _HIST_CHUNK):
+        hist += np.bincount(aoi_arr[start:start + _HIST_CHUNK], minlength=A_max + 1)
+    hist = hist[1:]
     counts = _schedule_counts(act_arr, T, warmup_slots)
     fractions = counts / counts.sum(axis=1, keepdims=True)
 

@@ -1,5 +1,8 @@
+import concurrent.futures
 import json
 import os
+import subprocess
+import sys
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -308,7 +311,7 @@ def test_sweep_is_the_same_shared_pooled_or_cell_by_cell(tmp_path, monkeypatch):
     monkeypatch.setenv("AOI_DPP_THREADS", "2")
     pooled = run("pooled", sweep)
     with monkeypatch.context() as m:
-        m.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        m.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         m.setattr(InlinePool, "sizes", [])
         m.setattr(InlinePool, "tasks", [])
         m.setattr(os, "cpu_count", lambda: 8)
@@ -351,8 +354,9 @@ def test_sweep_is_the_same_shared_pooled_or_cell_by_cell(tmp_path, monkeypatch):
 
 
 class InlinePool:
-    """Stands in for ProcessPoolExecutor: records max_workers and the
-    arguments of each task, runs inline."""
+    """Stands in for concurrent.futures.ProcessPoolExecutor, which `run_cli`
+    imports when it starts a pool: records max_workers and the arguments of
+    each task, runs inline."""
 
     sizes: list[int] = []
     tasks: list[tuple] = []
@@ -381,7 +385,7 @@ class InlinePool:
 )
 def test_thread_pool_capped(small_cfg, tmp_path, monkeypatch, threads, cpus, pool_size):
     # 2 cells: the pool never exceeds min(AOI_DPP_THREADS, #cells, #CPUs)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(InlinePool, "sizes", [])
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setenv("AOI_DPP_THREADS", threads)
@@ -395,9 +399,20 @@ def test_thread_pool_capped(small_cfg, tmp_path, monkeypatch, threads, cpus, poo
 @pytest.mark.parametrize("threads", ["x", "-1", "2.5", "+2", "1e3"])
 def test_bad_thread_count_fails_before_compute(small_cfg, tmp_path, monkeypatch, capsys,
                                                threads):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setenv("AOI_DPP_THREADS", threads)
     monkeypatch.chdir(tmp_path)
     assert main(["--config", str(small_cfg), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("error: AOI_DPP_THREADS: ")
     assert [p.name for p in tmp_path.iterdir()] == [small_cfg.name]
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # Only a pooled run imports ProcessPoolExecutor, so a sequential run and
+    # the cold start of the CLI never load multiprocessing.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, aoi_dpp.cli; print('multiprocessing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "False"

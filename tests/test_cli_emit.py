@@ -1,11 +1,12 @@
 """Block formatting of the per-cell tables, checked on synthetic runs.
 
-`cli.emit_outputs` writes every table through `cli._write_table`, which
-encodes a block of rows at a time as NumPy byte columns. These tests check
-the field encoders against `str` and `repr`, and build `Metrics` and frame-0
-tables directly, so no solver runs: every written row must be the row
-formatted on its own (floats as `repr`), and the memory must stay bounded by
-the block, never by the horizon.
+`cli.emit_outputs` writes every table through `cli._write_table`, which sets
+up one encoder per column and then encodes a block of rows at a time as
+NumPy byte columns. These tests check the encoders against `str` and `repr`,
+across blocks and across resets of the float memo, and build `Metrics` and
+frame-0 tables directly, so no solver runs: every written row must be the
+row formatted on its own (floats as `repr`), and the memory must stay
+bounded by the block, never by the horizon.
 """
 
 import math
@@ -31,7 +32,7 @@ SPACE = StateSpace(CFG, IIDChannel(0.5, 0.5))
 #: different reprs), NaN (never equal to itself), infinities, subnormals and
 #: values past the range where repr switches to exponent form.
 SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-320,
-           1e16, -1e16, 1.7976931348623157e308, 0.1, 0.30000000000000004]
+           1e16, -1e16, 1e-05, 1.7976931348623157e308, 0.1, 0.30000000000000004]
 
 
 def synthetic_run(z: np.ndarray, values: np.ndarray,
@@ -86,20 +87,39 @@ def rows_one_at_a_time(m: Metrics, table: PolicyTable, thin: int) -> dict[str, l
     }
 
 
-def decoded(rows: np.ndarray) -> list[str]:
-    """The text of each row of an encoded column, its NULs dropped."""
-    return [row[row != 0].tobytes().decode("ascii") for row in rows]
+def column_rows(path: Path, column, n: int) -> list[str]:
+    """The n rows of a one-column table as `cli._write_table` writes them."""
+    cli._write_table(path, "head", n, (column, b"\n"))
+    return path.read_text(encoding="ascii").splitlines()[1:]
 
 
 #: 0, 2**31 - 1 and both sides of every power of ten between them.
 INTS = [0, 1, *(10**k + d for k in range(1, 10) for d in (-1, 0)), 2**31 - 1]
 
 
-def test_ints_encode_as_str():
-    assert decoded(cli._ints(np.array(INTS))) == [str(v) for v in INTS]
-    for v in INTS:  # alone, each value sets the width
-        assert decoded(cli._ints(np.array([v]))) == [str(v)]
-    assert decoded(cli._ints(np.array(INTS[::-1], dtype=np.int32))) == [str(v) for v in INTS[::-1]]
+def test_ints_encode_as_str(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 5)
+    path = tmp_path / "ints.csv"
+    for values in (INTS, INTS[::-1]):
+        for dtype in (np.int64, np.int32):
+            column = np.array(values, dtype=dtype)
+            assert column_rows(path, column, len(values)) == [str(v) for v in values]
+    for v in INTS:  # alone, each value sets the width, and below 1,000 the lookup
+        assert column_rows(path, np.array([v]), 1) == [str(v)]
+    # The largest lookup table (0..999), the smallest grouped columns just
+    # above it, and zero groups in the middle and at the end of a value.
+    for top in (999, 1000, 1001):
+        values = np.arange(top, -1, -1)
+        assert column_rows(path, values, values.size) == [str(v) for v in values.tolist()]
+    values = np.array([1_000_000, 1_000_001, 1_001_000, 999_999, 100, 0])
+    assert column_rows(path, values, values.size) == [str(v) for v in values.tolist()]
+
+
+def test_row_numbers_encode_as_str(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 7)
+    for numbers in (range(1003), range(1, 11), range(999_990, 1_000_010), range(0, 3000, 7)):
+        assert column_rows(tmp_path / "rows.csv", numbers, len(numbers)) == \
+            [str(v) for v in numbers]
 
 
 #: NaNs with other payloads and signs than `math.nan`.
@@ -107,10 +127,35 @@ NANS = np.array([0x7FF0000000000001, 0x7FF8000000000001, 0x7FFFFFFFFFFFFFFF,
                  0xFFF8000000000000, 0xFFF0000000000001], dtype=np.uint64).view(np.float64)
 
 
-def test_floats_encode_as_repr():
+def test_floats_encode_as_repr(tmp_path, monkeypatch):
     bits = np.random.default_rng(0).integers(0, 2**64, size=4000, dtype=np.uint64)
-    values = np.concatenate([SPECIAL, NANS, bits.view(np.float64), SPECIAL[::-1], NANS])
-    assert decoded(cli._floats(values)) == [repr(x) for x in values.tolist()]
+    values = np.concatenate([SPECIAL, NANS, bits.view(np.float64), SPECIAL[::-1], NANS,
+                             np.resize(SPECIAL, 100)])
+    # SPECIAL recurs across blocks and, with the small memos, across resets
+    # of the memo, one of them smaller than a block.
+    for block, memo in ((cli.BLOCK_ROWS, cli.FLOAT_MEMO), (5, 8), (5, 3)):
+        monkeypatch.setattr(cli, "BLOCK_ROWS", block)
+        monkeypatch.setattr(cli, "FLOAT_MEMO", memo)
+        assert column_rows(tmp_path / "floats.csv", values, values.size) == \
+            [repr(x) for x in values.tolist()]
+
+
+def test_each_table_formats_its_floats_afresh(tmp_path, monkeypatch):
+    # Each distinct bit pattern is formatted once per table, however many
+    # blocks repeat it; writing the same column again formats it all again,
+    # so no text outlives its table.
+    formatted = []
+
+    def counting_repr(x):
+        formatted.append(x)
+        return repr(x)
+
+    monkeypatch.setattr(cli, "repr", counting_repr, raising=False)
+    values = np.resize(np.array(SPECIAL + [0.5, 1.5]), 3 * cli.BLOCK_ROWS + 17)
+    for name in ("first.csv", "second.csv"):
+        assert column_rows(tmp_path / name, values, values.size) == \
+            [repr(x) for x in values.tolist()]
+    assert len(formatted) == 2 * np.unique(values.view(np.int64)).size
 
 
 @st.composite
@@ -123,15 +168,16 @@ def float_arrays(draw, size: int) -> np.ndarray:
     return np.array(pool + [pool[i] for i in picks])[:size]
 
 
-@pytest.mark.parametrize("block", [cli.BLOCK_ROWS, 5], ids=["block-default", "block-5"])
+@pytest.mark.parametrize("block, memo", [(cli.BLOCK_ROWS, cli.FLOAT_MEMO), (5, 7)],
+                         ids=["block-default", "block-5"])
 @settings(max_examples=30, deadline=None)
 @given(data=st.data(), n=st.integers(CFG.T, 2600), thin=st.integers(1, 3))
-def test_memoised_fields_equal_repr(block, data, n, thin):
+def test_memoised_fields_equal_repr(block, memo, data, n, thin):
     z = data.draw(float_arrays(n + 1))
     values = data.draw(float_arrays((CFG.T + 1) * SPACE.n_states)).reshape(CFG.T + 1, -1)
     m, table = synthetic_run(z, values, np.random.default_rng(n))
-    saved = cli.BLOCK_ROWS
-    cli.BLOCK_ROWS = block
+    saved = cli.BLOCK_ROWS, cli.FLOAT_MEMO
+    cli.BLOCK_ROWS, cli.FLOAT_MEMO = block, memo
     try:
         with tempfile.TemporaryDirectory() as tmp:
             cli.emit_outputs(m, summary_of(m), tmp, thin=thin, policy=table)
@@ -139,7 +185,7 @@ def test_memoised_fields_equal_repr(block, data, n, thin):
                        for name in ("slots.csv", "frames.csv", "aoi_hist.csv",
                                     "sched_fractions.csv", "policy_frame0.csv")}
     finally:
-        cli.BLOCK_ROWS = saved
+        cli.BLOCK_ROWS, cli.FLOAT_MEMO = saved
     assert written == rows_one_at_a_time(m, table, thin)
 
 
@@ -147,9 +193,10 @@ def test_emit_memory_is_bounded_by_the_block(tmp_path):
     # 200,000 slots whose Z values are all distinct: a memo kept for the whole
     # run would hold 200,001 reprs, 33.7 MB traced. The traced peak of this
     # call was 0.10 MB with the row-at-a-time writer and 0.29 MB with one
-    # string and one repr memo per block. With the NumPy byte blocks it is
-    # 0.18 MB at 1,024 rows a block, 0.36 MB at 2,048, 0.71 MB at 4,096 and
-    # 1.40 MB at 8,192. The bound is ten times the row-at-a-time peak.
+    # string and one repr memo per block. With per-table encoders, a float
+    # memo of 4,096 patterns and the NULs dropped from a reused block buffer,
+    # it is 0.44 MB at 1,024 rows a block, 0.57 MB at 2,048, 0.86 MB at 4,096
+    # and 1.72 MB at 8,192. The bound is ten times the row-at-a-time peak.
     n = 200_000
     z = np.cumsum(np.random.default_rng(0).random(n + 1))
     m, table = synthetic_run(z, np.zeros((CFG.T + 1, SPACE.n_states)), np.random.default_rng(1))

@@ -398,9 +398,11 @@ def test_long_baseline_run_memory_peak():
     # deadline_first takes no slot loop: its trajectories are array
     # operations over the channel codes, which are computed first, and the
     # uniforms are freed before any trajectory is allocated. The traced peak
-    # at 50,000 slots is 1.37 MB, reached in the age histogram's bincount,
-    # against 2.17 MB for a run that keeps the horizon's 0.8 MB of uniforms
-    # alive to its end as an array, and 7.8 MB as a .tolist().
+    # at 50,000 slots is 1.24 MB, reached in computing the channel codes. It
+    # was 1.37 MB when the age histogram's bincount took the whole horizon
+    # at once (an intp copy of the ages), 2.17 MB for a run that keeps the
+    # horizon's 0.8 MB of uniforms alive to its end as an array, and 7.8 MB
+    # as a .tolist().
     baseline = dict(policy=PolicyKind.DEADLINE_FIRST, seed=0)
     small_run(horizon=1_000, **baseline)  # imports and caches outside the trace
     tracemalloc.start()
@@ -409,7 +411,7 @@ def test_long_baseline_run_memory_peak():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.8e6
+    assert peak < 1.3e6
 
 
 def test_slot_loop_starts_without_the_uniforms(monkeypatch):
