@@ -17,14 +17,16 @@ draw come from separately spawned streams of one seed.
 The channel does not depend on the actions, so both links' outcomes for
 the whole horizon are computed in NumPy first, one int8 code a slot. A
 policy then only picks the action at every slot. The baselines read
-whether the queue holds a packet alone: deadline_first and aoi_greedy by
-per-frame cumulative sums over the channel codes (`_baseline_schedule`),
-uniform_random by counting the frame's packets left (`_uniform_schedule`).
-Only the controller walks states, slot by slot, the hot path of every long
-controller run: at interpreter speed on plain ints and floats, the loop
-walks dense state indices with one action-table read and one
-successor-list read per slot, and keeps a running debt (the law of
-`lyapunov` inlined) only to key each frame's table lookup. The successor
+whether the queue holds a packet alone, so each picks from two rows, one
+action per slot with a packet queued and one with the queue empty
+(constants for deadline_first and aoi_greedy, one bulk draw for
+uniform_random), and per-frame cumulative sums over the channel codes
+decide which row applies (`_baseline_schedule`). Only the controller walks
+states, slot by slot, the hot path of every long controller run: at
+interpreter speed on plain ints and floats, the loop walks dense state
+indices with one action-table read and one successor-list read per slot,
+and keeps a running debt (the law of `lyapunov` inlined) only to key each
+frame's table lookup. The successor
 list is `StateSpace.successors`, the table the frame solver builds its
 transitions from, so the loop and the DP step one slot law. After the
 actions, the same array passes serve every policy: the deliveries from the
@@ -135,61 +137,70 @@ class Metrics:
         return self.z_trajectory[:: self.cfg.T][: self.frames + 1]
 
 
+#: uniform_random draws each slot's pick from range(_DRAWS): a multiple of
+#: both the 3 actions a queued packet allows and the 2 an empty queue
+#: allows, so `draw % len(options)` is uniform over either.
+_DRAWS = 6
+
+
 def baseline_decision(
     policy: PolicyKind,
     state: SystemState,
-    rng: np.random.Generator | None = None,
+    draw: int | None = None,
 ) -> Action:
-    """Decision of a non-DP baseline in the given state."""
+    """Decision of a non-DP baseline in the given state. uniform_random
+    takes `draw`, one of the run's action draws in range(_DRAWS), and picks
+    options[draw % len(options)] of `feasible_actions(state)`."""
     if policy == PolicyKind.DEADLINE_FIRST:
         return Action.USER2 if state.queue > 0 else Action.USER1
     if policy == PolicyKind.AOI_GREEDY:
         return Action.USER1
     if policy == PolicyKind.UNIFORM_RANDOM:
-        if rng is None:
-            raise ValueError("uniform_random needs a randomness source")
+        if draw is None:
+            raise ValueError("uniform_random needs a draw")
         options = feasible_actions(state)
-        return options[int(rng.integers(len(options)))]
+        return options[draw % len(options)]
     raise ValueError(f"{policy} is not a baseline; run it through the controller")
 
 
-def _baseline_actions(policy: PolicyKind) -> tuple[int, int]:
+def _baseline_actions(policy: PolicyKind, draw: int | np.ndarray) -> tuple:
     """(the action with the queue empty, the action with a packet queued) of
-    the deterministic baseline `policy` (deadline_first or aoi_greedy), as
-    `baseline_decision` gives them: neither baseline reads more of the state
-    than whether its queue holds a packet."""
-    empty, queued = (int(baseline_decision(policy, SystemState(1, queue))) for queue in (0, 1))
-    return empty, queued
+    the baseline `policy` at its `draw` (an int, or a uint8 array of one
+    draw a slot), as `baseline_decision` gives them: no baseline reads more
+    of the state than whether its queue holds a packet."""
+    table = np.array([[baseline_decision(policy, SystemState(1, queue), d) for d in range(_DRAWS)]
+                      for queue in (0, 1)], dtype=np.int8)
+    return tuple(table[:, draw])
 
 
 def _baseline_schedule(
-    policy: PolicyKind, cfg: FrameConfig, code_arr: np.ndarray,
+    policy: PolicyKind, cfg: FrameConfig, code_arr: np.ndarray, act_rng: np.random.Generator,
 ) -> np.ndarray:
-    """The action at every slot of a deterministic baseline's run over the
-    channel codes `code_arr`, by array operations instead of a slot loop.
+    """The action at every slot of a baseline's run over the channel codes
+    `code_arr`, by array operations instead of a slot loop; uniform_random
+    takes one draw a slot from `act_rng`, the others none.
 
     The action is the queued one where the queue holds a packet and the
-    empty one elsewhere, and the queue drains only while the baseline serves
-    user 2 with a packet queued. So when the queued action is USER2, the
-    queue holds a packet at slot t exactly when K minus the user-2 landings
-    at earlier slots of t's frame (`_queues` of the landings) is above 0;
-    otherwise it holds K throughout.
+    empty one elsewhere, and no empty action serves user 2. So the queue
+    holds a packet at slot t exactly when K minus the user-2 landings under
+    the queued action at earlier slots of t's frame (`_queues` of those
+    landings) is above 0: each is a delivery until K of them have landed.
     """
-    empty, queued = _baseline_actions(policy)
-    if queued == Action.USER2:
-        holds = _queues(code_arr.view(np.uint8) & 1, cfg.T, cfg.K) > 0
-    else:
-        holds = cfg.K > 0
-    act_arr = np.full(len(code_arr), empty, dtype=np.int8)
-    np.copyto(act_arr, queued, where=holds)
-    return act_arr
+    draw = 0
+    if policy == PolicyKind.UNIFORM_RANDOM:
+        draw = act_rng.integers(_DRAWS, size=len(code_arr), dtype=np.uint8)
+    empty, queued = _baseline_actions(policy, draw)
+    landings = code_arr.view(np.uint8) & 1
+    landings &= queued == Action.USER2
+    return np.where(_queues(landings, cfg.T, cfg.K) > 0, queued, empty)
 
 
 def _queues(d2_arr: np.ndarray, T: int, K: int) -> np.ndarray:
     """Queue at every slot (int32) from the user-2 deliveries `d2_arr`, the
     law `model.step_queue` applies slot by slot: each frame starts at K, and
     slot t sees K minus the deliveries at earlier slots of its frame. A
-    delivery needs a queued packet, so the floor at 0 never applies. The
+    delivery needs a queued packet, so no floor at 0 is applied: given the
+    landings `_baseline_schedule` counts, the result may go below 0. The
     deliveries are counted by a cumulative sum in each frame, in the
     smallest unsigned type holding T.
     """
@@ -372,32 +383,6 @@ class FrameTables:
             self._memo[key] = entry
 
 
-def _uniform_schedule(cfg: FrameConfig, code_arr: np.ndarray, draw) -> np.ndarray:
-    """The action at every slot of a uniform_random run over the channel
-    codes `code_arr`, each drawn by `draw` (the run's action stream) as
-    `baseline_decision` draws it: uniformly from `feasible_actions`, which
-    read whether the queue holds a packet alone. So the loop keeps only the
-    frame's packet count `left`: K at each frame start, one less at each
-    user-2 landing while user 2 is served.
-    """
-    T, K = cfg.T, cfg.K
-    horizon_slots = len(code_arr)
-    code = memoryview(code_arr)
-    empty, queued = (tuple(map(int, feasible_actions(SystemState(1, q)))) for q in (0, 1))
-    act_arr = np.empty(horizon_slots, dtype=np.int8)
-    act_out = memoryview(act_arr)
-    USER2 = int(Action.USER2)
-    for start in range(0, horizon_slots, T):
-        left = K
-        for t in range(start, min(start + T, horizon_slots)):
-            choices = queued if left else empty
-            action = choices[draw(len(choices))]
-            act_out[t] = action
-            if action == USER2 and code[t] & 1:
-                left -= 1
-    return act_arr
-
-
 def _slot_loop(
     cfg: FrameConfig,
     code_arr: np.ndarray,
@@ -454,13 +439,18 @@ def check_run_inputs(
     warmup_slots: int,
 ) -> None:
     """Raise ValueError("<config key> must ...") for run inputs that cannot run:
-    a frozen Gilbert-Elliot chain, a horizon below T, a negative seed, and a
+    a horizon, seed or warmup that is not an integer (Python or NumPy), a
+    frozen Gilbert-Elliot chain, a horizon below T, a negative seed, and a
     warmup that leaves no full frame.
 
     `run_simulation` calls this before it draws or builds anything, and
     `config` checks every experiment with it, mapping the leading key name to
     a `ConfigError`.
     """
+    for key, value in (("horizon_slots", horizon_slots), ("seed", seed),
+                       ("warmup_slots", warmup_slots)):
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{key} must be an integer, got {value!r}")
     # A run draws each Gilbert-Elliot chain's first state from its stationary law.
     for user in (1, 2):
         if isinstance(model, GilbertElliotChannel) and model.params(user) == (1, 0):
@@ -494,9 +484,10 @@ def run_simulation(
     """Simulate `horizon_slots` slots and collect Metrics.
 
     Inputs that `check_run_inputs` rejects raise ValueError, naming the
-    argument, before any compute; so do `tables` built for another config
-    or channel. An infeasible delivery target does not abort the run; it is
-    recorded in Metrics.warnings and the controller still does its best.
+    argument, before any compute; so do a `policy` that is not a PolicyKind
+    and `tables` built for another config or channel. An infeasible
+    delivery target does not abort the run; it is recorded in
+    Metrics.warnings and the controller still does its best.
 
     The controller takes its tables from `tables`, or from a FrameTables of
     its own when given none; only Metrics.diagnostics depends on which.
@@ -504,18 +495,17 @@ def run_simulation(
     `_channel_codes`), and the draws are freed before the trajectory arrays
     are allocated.
 
-    Each policy first picks its action at every slot. deadline_first and
-    aoi_greedy take no slot loop: their action is the queued one where the
-    queue holds a packet and the empty one elsewhere (`_baseline_actions`),
-    found by per-frame cumulative sums of the user-2 landings
-    (`_baseline_schedule`). uniform_random draws each action from the three
-    or, once the frame's packets are gone, the two that an empty queue
-    allows (`_uniform_schedule`). The controller runs the slot loop
-    (`_slot_loop`) frame by frame: at each frame start, the first included,
-    it takes its table for the frame's frozen debt from its tables (solved,
-    or reused at the same float debt or within a certified radius; frame 0
-    reuses the table solved when they were built), then an inner loop steps
-    the frame's slots (the last frame may be partial). Per slot it reads the
+    Each policy first picks its action at every slot. The baselines take
+    no slot loop: their action is the queued one where the queue holds a
+    packet and the empty one elsewhere (`_baseline_actions`; uniform_random
+    picks both from one bulk draw on the run's action stream), and whether
+    the queue holds a packet follows from per-frame cumulative sums of the
+    user-2 landings (`_baseline_schedule`). The controller runs the slot
+    loop (`_slot_loop`) frame by frame: at each frame start, the first
+    included, it takes its table for the frame's frozen debt from its
+    tables (solved, or reused at the same float debt or within a certified
+    radius; frame 0 reuses the table solved when they were built), then an
+    inner loop steps the frame's slots (the last frame may be partial). Per slot it reads the
     action at the state index s from the frame's (T, S) action table,
     applies `lyapunov.update_virtual_queue` inline to the running debt that
     keys the next frame's lookup, and moves s to its successor under the
@@ -534,6 +524,8 @@ def run_simulation(
     against the model laws, and `test_run_matches_reference_loop` checks the
     trajectories against a plain per-slot loop.
     """
+    if not isinstance(policy, PolicyKind):
+        raise ValueError(f"policy must be a PolicyKind, got {policy!r}")
     check_run_inputs(cfg.T, model, horizon_slots, seed, warmup_slots)
     if tables is not None and (tables.solver.cfg != cfg or tables.solver.model != model):
         raise ValueError("tables must be built for the run's cfg and model")
@@ -552,10 +544,8 @@ def run_simulation(
     lookups = [0] * len(LOOKUP_KEYS)  # the baselines look up no tables
     if policy == PolicyKind.DRIFT_PLUS_PENALTY:
         act_arr, lookups = _slot_loop(cfg, code_arr, (m1, m2), tables or FrameTables(cfg, model))
-    elif policy == PolicyKind.UNIFORM_RANDOM:
-        act_arr = _uniform_schedule(cfg, code_arr, np.random.default_rng(act_ss).integers)
     else:
-        act_arr = _baseline_schedule(policy, cfg, code_arr)
+        act_arr = _baseline_schedule(policy, cfg, code_arr, np.random.default_rng(act_ss))
 
     # The deliveries: the scheduled user's link landed Good.
     d1_arr = code_arr >> 1

@@ -36,16 +36,26 @@ def test_policy_kind_parse():
         PolicyKind.parse("greedy")
 
 
+def action_draws(seed: int, horizon_slots: int) -> list[int]:
+    """uniform_random's draws in a run from `seed`: one bulk draw in 0..5 a
+    slot on the second of the run's three seed streams."""
+    act_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[1])
+    return act_rng.integers(6, size=horizon_slots, dtype=np.uint8).tolist()
+
+
 def test_baseline_decisions():
     assert baseline_decision(PolicyKind.DEADLINE_FIRST, SystemState(3, 3)) == Action.USER2
     assert baseline_decision(PolicyKind.DEADLINE_FIRST, SystemState(3, 0)) == Action.USER1
     assert baseline_decision(PolicyKind.AOI_GREEDY, SystemState(1, 15)) == Action.USER1
-    rng = np.random.default_rng(0)
-    seen = {
-        baseline_decision(PolicyKind.UNIFORM_RANDOM, SystemState(1, 5), rng)
-        for _ in range(100)
-    }
+    draws = action_draws(0, 100)
+    seen = {baseline_decision(PolicyKind.UNIFORM_RANDOM, SystemState(1, 5), d) for d in draws}
     assert seen == {Action.USER1, Action.USER2, Action.IDLE}
+    # Each draw in 0..5 picks feasible_actions(state)[draw % len(options)].
+    for d in range(6):
+        assert baseline_decision(PolicyKind.UNIFORM_RANDOM, SystemState(1, 5), d) == (
+            Action.USER1, Action.USER2, Action.IDLE)[d % 3]
+        assert baseline_decision(PolicyKind.UNIFORM_RANDOM, SystemState(1, 0), d) == (
+            Action.USER1, Action.IDLE)[d % 2]
     with pytest.raises(ValueError):
         baseline_decision(PolicyKind.UNIFORM_RANDOM, SystemState(1, 5))
     with pytest.raises(ValueError):
@@ -54,15 +64,18 @@ def test_baseline_decisions():
 
 @pytest.mark.parametrize("model", [IIDChannel(0.7, 0.6), reference_model()],
                          ids=["iid", "gilbert_elliot"])
-@pytest.mark.parametrize("policy", [PolicyKind.DEADLINE_FIRST, PolicyKind.AOI_GREEDY])
+@pytest.mark.parametrize("policy", [PolicyKind.DEADLINE_FIRST, PolicyKind.AOI_GREEDY,
+                                    PolicyKind.UNIFORM_RANDOM])
 def test_baseline_row_follows_baseline_decision(policy, model):
-    # The deterministic baselines run without a slot loop, on the premise
-    # that their action depends on queue > 0 alone: in every state it must
-    # be the (empty, queued) pair that the array path schedules.
-    pair = sim._baseline_actions(policy)
+    # The baselines run without a slot loop, on the premise that their
+    # action depends on queue > 0 and the slot's draw alone: in every state
+    # and at every draw it must be the (empty, queued) pair that the array
+    # path schedules.
     space = StateSpace(reference_cfg(5.0), model)
-    for state in space.states():
-        assert baseline_decision(policy, state) == pair[state.queue > 0], state
+    for d in range(6):
+        pair = sim._baseline_actions(policy, d)
+        for state in space.states():
+            assert baseline_decision(policy, state, d) == pair[state.queue > 0], (d, state)
 
 
 def test_determinism_same_seed():
@@ -178,6 +191,16 @@ RUN_RULES = {
     # a frozen chain has no stationary law to draw its first state from
     "frozen-user-1": (replace(REFERENCE_RUN, channel=frozen(1)), "channel.p11_1"),
     "frozen-user-2": (replace(REFERENCE_RUN, channel=frozen(2)), "channel.p11_2"),
+    "numpy-ints": (replace(SMALL_RUN, horizon_slots=np.int64(41), seed=np.int32(2),
+                           warmup_slots=np.int16(4)), None),
+}
+#: Run inputs that only the library can be given, since the config parser
+#: reads the ints and the policy name first, and the key named for them.
+LIBRARY_RULES = {
+    "horizon-float": (replace(SMALL_RUN, horizon_slots=41.0), "horizon_slots"),
+    "seed-float": (replace(SMALL_RUN, seed=1.5), "seed"),
+    "warmup-float": (replace(SMALL_RUN, warmup_slots=20.5), "warmup_slots"),
+    "policy-name": (replace(SMALL_RUN, policy="drift_plus_penalty"), "policy"),
 }
 
 
@@ -190,9 +213,9 @@ def forbid_compute(monkeypatch):
     monkeypatch.setattr(np.random, "SeedSequence", no_compute)
 
 
-@pytest.mark.parametrize("rule", sorted(RUN_RULES))
+@pytest.mark.parametrize("rule", sorted(RUN_RULES | LIBRARY_RULES))
 def test_run_rule_at_library_boundary(rule, monkeypatch):
-    cfg, key = RUN_RULES[rule]
+    cfg, key = (RUN_RULES | LIBRARY_RULES)[rule]
 
     def run(tables=None):
         return run_simulation(cfg.frame_config(cfg.V[0]), cfg.channel, cfg.policy,
@@ -256,18 +279,16 @@ LAW_CASES.append(
 def test_loop_follows_model_laws(policy, chan, K):
     # The controller picks its actions in the slot loop, which reads the
     # StateSpace.successors table (step_aoi and step_queue mid-frame) and
-    # its refill list; uniform_random draws from a per-frame packet count,
-    # and the deterministic baselines pick theirs by array operations.
-    # Every policy's age, queue and debt then come from sim._ages,
-    # sim._queues and sim._debts. The actions and draws of every baseline
-    # follow baseline_decision, and every slot of a run ending in a partial
-    # frame must agree with them.
+    # its refill list; the baselines pick theirs by array operations, and
+    # uniform_random from one bulk draw. Every policy's age, queue and debt
+    # then come from sim._ages, sim._queues and sim._debts. The actions of
+    # every baseline follow baseline_decision at the slot's draw, and every
+    # slot of a run ending in a partial frame must agree with them.
     cfg, seed = replace(reference_cfg(5.0), K=K, q=12.0 * K / 15), 3
     m = run_simulation(cfg, CHANNELS[chan], policy, PARTIAL_HORIZON, seed)
     if K < 15:
         assert (m.queue == 0).any()
-    # uniform_random draws from the second of the run's three seed streams
-    act_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[1])
+    draws = action_draws(seed, PARTIAL_HORIZON)
     T, K, A_max, rho = cfg.T, cfg.K, cfg.A_max, cfg.rho
     aoi, queue, actions, d1, d2, z = (
         getattr(m, name).tolist()
@@ -284,7 +305,25 @@ def test_loop_follows_model_laws(policy, chan, K):
         assert not d2[t] or actions[t] == Action.USER2, t
         if policy != PolicyKind.DRIFT_PLUS_PENALTY:
             state = SystemState(aoi[t], queue[t])
-            assert actions[t] == baseline_decision(policy, state, act_rng), t
+            assert actions[t] == baseline_decision(policy, state, draws[t]), t
+
+
+def test_uniform_random_picks_uniformly_from_feasible_actions():
+    # With two packets a frame the queue empties in most frames, so both of
+    # uniform_random's rows apply often. Where a packet is queued each of
+    # the three actions, and where none is USER1 and IDLE, must take its
+    # share within 5 binomial standard errors; USER2 never serves an empty
+    # queue. Whether a slot's queue holds depends on earlier draws only.
+    cfg = replace(reference_cfg(5.0), K=2, q=1.6)
+    m = run_simulation(cfg, reference_model(), PolicyKind.UNIFORM_RANDOM, 200_000, 5)
+    for holds, actions in ((True, Action), (False, (Action.USER1, Action.IDLE))):
+        picked = m.actions[(m.queue > 0) == holds]
+        p = 1 / len(actions)
+        se = math.sqrt(p * (1 - p) / len(picked))
+        assert len(picked) > 50_000, holds
+        for action in actions:
+            assert abs(np.mean(picked == action) - p) <= 5 * se, (holds, action)
+    assert not (m.actions[m.queue == 0] == Action.USER2).any()
 
 
 TRAJECTORIES = ("aoi", "queue", "actions", "d1", "d2", "z_trajectory")
@@ -293,13 +332,13 @@ TRAJECTORIES = ("aoi", "queue", "actions", "d1", "d2", "z_trajectory")
 def reference_loop(cfg, model, policy, horizon_slots, seed):
     """`run_simulation`'s six trajectory arrays, dtypes included, from the
     plain per-slot loop: each slot looks up the action of its SystemState
-    (in the frame's table, or from `baseline_decision`), draws both users'
-    next channel states from that slot's uniforms, then applies the model
-    laws. The randomness is the run's: channel, action and initial-state
-    streams spawned from `seed`."""
+    (in the frame's table, or from `baseline_decision` at the slot's draw),
+    draws both users' next channel states from that slot's uniforms, then
+    applies the model laws. The randomness is the run's: channel, action
+    and initial-state streams spawned from `seed`."""
     T, K, A_max, rho = cfg.T, cfg.K, cfg.A_max, cfg.rho
-    chan_ss, act_ss, init_ss = np.random.SeedSequence(seed).spawn(3)
-    chan_rng, act_rng = np.random.default_rng(chan_ss), np.random.default_rng(act_ss)
+    chan_ss, _, init_ss = np.random.SeedSequence(seed).spawn(3)
+    chan_rng, draws = np.random.default_rng(chan_ss), action_draws(seed, horizon_slots)
     if isinstance(model, GilbertElliotChannel):
         u1, u2 = chan_rng.random((horizon_slots, 2)).T.tolist()
         g1, g2 = (model.p01_1, model.p11_1), (model.p01_2, model.p11_2)
@@ -321,7 +360,7 @@ def reference_loop(cfg, model, policy, horizon_slots, seed):
         if tables is not None:
             action = table[t % T * space.n_states + space.index(state)]
         else:
-            action = int(baseline_decision(policy, state, act_rng))
+            action = int(baseline_decision(policy, state, draws[t]))
         m1 = GOOD if u1[t] < g1[m1] else BAD
         m2 = GOOD if u2[t] < g2[m2] else BAD
         d1 = int(action == Action.USER1 and m1 == GOOD)
@@ -581,9 +620,8 @@ def test_frame_tables_solve_frame0_once(budget, monkeypatch):
 
 
 def test_baselines_report_no_table_lookups(monkeypatch):
-    # Only the controller walks states: deadline_first and aoi_greedy run
-    # as array operations and uniform_random counts its packets per frame,
-    # with no slot loop, no frame tables and no state space.
+    # Only the controller walks states: every baseline runs as array
+    # operations, with no slot loop, no frame tables and no state space.
     def no_loop(*args, **kwargs):
         raise AssertionError("the run built a slot loop")
 
