@@ -315,7 +315,7 @@ def _run_seeds(cfg: ExperimentConfig, v: float, seeds: list[int], out_root: str,
     its `frame0` table as the policy dump and the others copy that file."""
     frame_cfg = cfg.frame_config(v)
     try:
-        bounds = lyapunov.bounds_report(frame_cfg, cfg.channel).to_dict()
+        bounds = lyapunov.bounds_report(frame_cfg, cfg.channel)
     except lyapunov.InfeasibleError:
         bounds = None
     tables = (FrameTables(frame_cfg, cfg.channel)

@@ -165,9 +165,12 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
     if "policy" in values:
         try:
-            values["policy"] = PolicyKind.parse(values["policy"])
-        except ValueError as err:
-            raise ConfigError(str(err), "policy") from None
+            values["policy"] = PolicyKind(values["policy"])
+        except ValueError:
+            choices = ", ".join(kind.value for kind in PolicyKind)
+            raise ConfigError(
+                f"unknown policy {values['policy']!r}; choose from {choices}", "policy"
+            ) from None
 
     cfg = ExperimentConfig(**values)
     _validate(cfg)

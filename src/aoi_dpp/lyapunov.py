@@ -2,15 +2,15 @@
 
 The per-frame delivery constraint is tracked by a scalar debt process Z that
 grows by the per-slot target rho = q/T every slot and drains by each delivery.
-Keeping Z rate-stable is equivalent to meeting the constraint, and the
-quadratic-drift machinery below turns that into checkable bounds.
+Keeping Z rate-stable is equivalent to meeting the constraint, and
+`bounds_report` turns the quadratic drift of Z into the bounds that every
+run summary reports.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,48 +26,6 @@ class InfeasibleError(RuntimeError):
         self.epsilon = epsilon
 
 
-class DriftBound(NamedTuple):
-    """Quadratic-drift constants under the two arrival conventions.
-
-    frame_quota plugs the whole per-frame quota q into the per-slot bound (the
-    published closed form); slot_rate re-derives it with the per-slot arrival
-    q/T actually used by the virtual queue, which is the constant all checks
-    here rely on.
-    """
-
-    frame_quota: float
-    slot_rate: float
-
-
-class PerformanceBounds(NamedTuple):
-    z_bound: float
-    aoi_bound_offset: float
-
-
-@dataclass(frozen=True)
-class BoundsReport:
-    """Analytics bundle serialized into each run summary.
-
-    mix_prob is the weight the bound of an approximate per-frame solver puts
-    on its optimality gap. Every frame here is solved exactly, so it is 0.0;
-    it stays so that run summaries keep their fields.
-    """
-
-    drift_frame_quota: float
-    drift_slot_rate: float
-    epsilon: float
-    z_bound: float
-    aoi_bound_offset: float
-    mix_prob: float = 0.0
-
-    def to_dict(self) -> dict[str, float | None]:
-        # JSON has no Infinity; non-finite entries serialize as null.
-        return {
-            k: (v if math.isfinite(v) else None)
-            for k, v in self.__dict__.items()
-        }
-
-
 def update_virtual_queue(z: float, d2: int, rho: float) -> float:
     """One slot of debt dynamics: Z <- max(Z - d2, 0) + rho. Applied every slot.
 
@@ -80,16 +38,6 @@ def update_virtual_queue(z: float, d2: int, rho: float) -> float:
     for bit, and every lookup key against the trajectory.
     """
     return max(z - d2, 0.0) + rho
-
-
-def drift_bound(T: int, q: float) -> DriftBound:
-    """Finite constants bounding the expected per-frame quadratic drift."""
-    if T < 1 or q < 0:
-        raise ValueError(f"need T >= 1 and q >= 0, got T={T}, q={q}")
-    rho = q / T
-    frame_quota = (T * q * q + T * (T - 1)) / 2.0
-    slot_rate = T * (rho * rho + 1.0) / 2.0 + T * (T - 1) / 2.0
-    return DriftBound(frame_quota, slot_rate)
 
 
 def slackness_epsilon(model: ChannelModel, T: int, q: float) -> float:
@@ -110,20 +58,53 @@ def slackness_epsilon(model: ChannelModel, T: int, q: float) -> float:
     return epsilon
 
 
-def performance_bounds(
-    drift_const: float, epsilon: float, T: int, V: float, A_max: int
-) -> PerformanceBounds:
-    """Guarantees of the controller that solves each frame exactly.
+def bounds_report(cfg: FrameConfig, model: ChannelModel) -> dict[str, float | None]:
+    """The scenario's analytic bounds: the `bounds` block of `summary.json`.
 
-    z_bound caps the long-run mean of Z at frame starts; the AoI guarantee is
-    aoi_bound_offset + A_opt with A_opt supplied externally. Requires
-    epsilon > 0; the offset is +inf when V = 0.
+    Drift-plus-penalty bounds of the controller that solves every frame
+    exactly (Neely, *Stochastic Network Optimization*, 2010, ch. 4), with
+    rho = q/T and epsilon from `slackness_epsilon`:
+
+    - drift_slot_rate: B = T*(rho^2 + 1)/2 + T*(T - 1)/2, the constant that
+      bounds the expected per-frame quadratic drift under the per-slot
+      arrival rho the virtual queue uses. It feeds both bounds below.
+    - drift_frame_quota: (T*q^2 + T*(T - 1))/2, the published closed form,
+      which plugs the whole frame quota q into the per-slot bound. It is
+      echoed only; nothing relies on it.
+    - epsilon: the slack of always serving user 2.
+    - z_bound: (B + V*(A_max - 1)) / (epsilon*T), meant to cap the long-run
+      mean of Z at frame starts.
+    - aoi_bound_offset: B / (V*T); the AoI bound is this offset + A_opt,
+      with A_opt supplied by the caller. Which optimum A_opt must be for
+      the bound to hold is an open question. Infinite, so None, at V = 0.
+    - mix_prob: the weight an approximate frame solver's bound puts on its
+      optimality gap. Every frame is solved exactly, so it is always 0.0.
+
+    What the bounds guarantee is less than they claim. epsilon ignores the
+    K-packet cap: a frame delivers at most K packets, so the true slack is
+    (E[min(K, S)] - q)/T with S the frame's user-2 successes, 0.1388 and not
+    0.2571 in the reference scenario. So z_bound falls below the measured
+    mean frame-start Z at V = 100 (409 against 678) and V = 150 (594
+    against 1017), and targets q in (14.78, 17.14] are certified though no
+    policy meets them. A corrected epsilon would change every run summary,
+    so these values are kept as they are for now.
+
+    Non-finite values are None, since JSON has no Infinity. Raises
+    InfeasibleError when no slackness certificate exists.
     """
-    if V < 0 or not epsilon > 0:
-        raise ValueError(f"need V >= 0 and epsilon > 0, got V={V}, epsilon={epsilon}")
-    z_bound = (drift_const + V * (A_max - 1)) / (epsilon * T)
-    aoi_bound_offset = drift_const / (V * T) if V > 0 else math.inf
-    return PerformanceBounds(z_bound, aoi_bound_offset)
+    T, q, V = cfg.T, cfg.q, cfg.V
+    rho = q / T
+    slot_rate = T * (rho * rho + 1.0) / 2.0 + T * (T - 1) / 2.0
+    eps = slackness_epsilon(model, T, q)
+    report = {
+        "drift_frame_quota": (T * q * q + T * (T - 1)) / 2.0,
+        "drift_slot_rate": slot_rate,
+        "epsilon": eps,
+        "z_bound": (slot_rate + V * (cfg.A_max - 1)) / (eps * T),
+        "aoi_bound_offset": slot_rate / (V * T) if V > 0 else math.inf,
+        "mix_prob": 0.0,
+    }
+    return {k: (v if math.isfinite(v) else None) for k, v in report.items()}
 
 
 def rate_stability_stat(z_trajectory: Sequence[float] | np.ndarray) -> float:
@@ -158,20 +139,3 @@ def convergence_time(
     if hits.size == 0:
         return z.size - 1
     return int(hits[0])
-
-
-def bounds_report(cfg: FrameConfig, model: ChannelModel) -> BoundsReport:
-    """Assemble the full analytics bundle for a scenario.
-
-    Raises InfeasibleError when no slackness certificate exists.
-    """
-    db = drift_bound(cfg.T, cfg.q)
-    eps = slackness_epsilon(model, cfg.T, cfg.q)
-    perf = performance_bounds(db.slot_rate, eps, cfg.T, cfg.V, cfg.A_max)
-    return BoundsReport(
-        drift_frame_quota=db.frame_quota,
-        drift_slot_rate=db.slot_rate,
-        epsilon=eps,
-        z_bound=perf.z_bound,
-        aoi_bound_offset=perf.aoi_bound_offset,
-    )

@@ -74,16 +74,6 @@ class PolicyKind(enum.Enum):
     AOI_GREEDY = "aoi_greedy"
     UNIFORM_RANDOM = "uniform_random"
 
-    @classmethod
-    def parse(cls, name: str) -> "PolicyKind":
-        for kind in cls:
-            if kind.value == name:
-                return kind
-        raise ValueError(
-            f"unknown policy {name!r}; choose from "
-            + ", ".join(k.value for k in cls)
-        )
-
 
 @dataclass
 class Metrics:

@@ -16,12 +16,7 @@ import numpy as np
 from conftest import reference_cfg, reference_model, random_instance
 
 from aoi_dpp.cli import main
-from aoi_dpp.lyapunov import (
-    convergence_time,
-    drift_bound,
-    performance_bounds,
-    slackness_epsilon,
-)
+from aoi_dpp.lyapunov import bounds_report, convergence_time
 from aoi_dpp.oracle import brute_force_optimal, evaluate_policy_exact
 from aoi_dpp.sim import PolicyKind, run_simulation
 from aoi_dpp.solver import FrameSolver
@@ -124,19 +119,18 @@ def test_criterion_5_convergence_speed_ordering():
 def test_criterion_6_performance_bound_check():
     metrics, _ = scenario_run(5.0)
     cfg = metrics.cfg
-    b = drift_bound(cfg.T, cfg.q).slot_rate
-    eps = slackness_epsilon(reference_model(), cfg.T, cfg.q)
-    bounds = performance_bounds(b, eps, cfg.T, cfg.V, cfg.A_max)
+    bounds = bounds_report(cfg, reference_model())
+    z_bound, offset = bounds["z_bound"], bounds["aoi_bound_offset"]
     z_mean = float(metrics.frame_start_z[:-1].mean())
     greedy, _ = scenario_run(5.0, PolicyKind.AOI_GREEDY)
     a_opt_est = min(greedy.mean_aoi, metrics.mean_aoi)
-    aoi_cap = bounds.aoi_bound_offset + a_opt_est
+    aoi_cap = offset + a_opt_est
     check(
         6,
-        f"frame-start mean Z {z_mean:.2f} <= z_bound {bounds.z_bound:.2f}; "
-        f"mean AoI {metrics.mean_aoi:.3f} <= offset {bounds.aoi_bound_offset:.3f} "
+        f"frame-start mean Z {z_mean:.2f} <= z_bound {z_bound:.2f}; "
+        f"mean AoI {metrics.mean_aoi:.3f} <= offset {offset:.3f} "
         f"+ A_opt estimate {a_opt_est:.3f}",
-        z_mean <= bounds.z_bound and metrics.mean_aoi <= aoi_cap,
+        z_mean <= z_bound and metrics.mean_aoi <= aoi_cap,
     )
 
 
@@ -144,7 +138,7 @@ def test_criterion_7_drift_inequality():
     metrics, _ = scenario_run(5.0)
     cfg = metrics.cfg
     assert metrics.frames >= 10_000
-    b = drift_bound(cfg.T, cfg.q).slot_rate
+    b = bounds_report(cfg, reference_model())["drift_slot_rate"]
     zs = metrics.frame_start_z
     increments = 0.5 * (zs[1:] ** 2 - zs[:-1] ** 2)
     g_hat = zs[:-1] * (cfg.q - metrics.per_frame_deliveries)

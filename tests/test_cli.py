@@ -103,6 +103,18 @@ def test_bad_config_names_key(tmp_path, capsys):
     assert "mystery" in capsys.readouterr().err
 
 
+def test_unknown_policy_lists_the_choices(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "bad.cfg"
+    path.write_text(SMALL + "policy = greedy\n", encoding="utf-8")
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: policy: unknown policy 'greedy'; choose from drift_plus_penalty, "
+        "deadline_first, aoi_greedy, uniform_random\n"
+    )
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
 def test_strict_feasibility_exit_code(tmp_path, capsys):
     text = SMALL.replace("q = 1.0", "q = 2.0").replace(
         "channel.p01_1 = 0.6", "channel.p01_1 = 0.6"

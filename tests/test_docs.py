@@ -1,6 +1,8 @@
-"""The README's key table, output table and export list match the code they
-document."""
+"""The README's key table, output table, export list and dotted names match
+the code they document."""
 
+import contextlib
+import importlib
 import re
 from pathlib import Path
 
@@ -30,6 +32,29 @@ def test_readme_library_exports_match_all():
     names = [name for line in bullets for name in re.findall(r"`(\w+)`", line.split(":")[0])]
     assert sorted(names) == sorted(aoi_dpp.__all__)
     assert all(hasattr(aoi_dpp, name) for name in aoi_dpp.__all__)
+
+
+def resolve(dotted: str):
+    """The object a dotted name names, importing submodules on the way, or None.
+    An instance attribute resolves to its class when the class's __init__
+    sets it."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, name in enumerate(parts[1:], 2):
+        if not hasattr(obj, name):
+            with contextlib.suppress(ImportError):
+                importlib.import_module(".".join(parts[:i]))
+        init = getattr(getattr(obj, "__init__", None), "__code__", None)
+        if not hasattr(obj, name) and init is not None and name in init.co_names:
+            return obj if i == len(parts) else None
+        obj = getattr(obj, name, None)
+    return obj
+
+
+def test_readme_dotted_names_resolve():
+    refs = set(re.findall(r"\baoi_dpp(?:\.\w+)+", README))
+    assert "aoi_dpp.sim.FrameTables" in refs
+    assert sorted(ref for ref in refs if resolve(ref) is None) == []
 
 
 DUMP_RUN = """\
